@@ -4,8 +4,8 @@
 Every table and figure of the paper is a registered *experiment*: a frozen
 :class:`repro.ExperimentSpec` naming a grid of cells (one per table row), the
 driver that computes a row, and the metric schema.  ``repro.run()`` expands
-the spec, executes independent cells across a worker pool, and writes a run
-artifact under ``runs/<experiment>-<scale>/`` — re-running the same command
+the spec into queued cells, drains them with local worker processes, and
+writes a run artifact under ``runs/<experiment>-<scale>/`` — re-running the same command
 skips finished cells and resumes interrupted training from checkpoints.
 
 Run with:  python examples/run_campaign.py [--experiment table5] [--scale smoke]

@@ -4,8 +4,8 @@ This package is the campaign-level sibling of :mod:`repro.scenarios`: where
 the scenario registry makes *environments* first-class, addressable objects,
 the experiment registry does the same for *training campaigns* — every table
 and figure of the paper becomes a registered :class:`ExperimentSpec` whose
-cells execute (serially or across a worker pool) with persistent, resumable
-run artifacts::
+cells execute (in-process or across local drainer processes) with
+persistent, resumable run artifacts::
 
     import repro
 

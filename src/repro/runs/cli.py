@@ -43,9 +43,44 @@ from repro.runs.registry import get_experiment, list_experiments
 from repro.runs.runner import list_campaigns, load_rows, run
 
 
-def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments that name one campaign and its artifact directory."""
+    parser.add_argument("experiment", help="registered experiment id (see 'list')")
     parser.add_argument("--scale", choices=sorted(SCALES), default=None,
                         help="training budget preset (default: the experiment's own)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="campaign seed (default: the experiment's base seed)")
+    parser.add_argument("--root", default="runs",
+                        help="artifact root directory (default: runs)")
+    parser.add_argument("--out-dir", default=None,
+                        help="explicit artifact directory (overrides --root)")
+
+
+def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
+    """The per-cell execution options every job of a campaign carries."""
+    parser.add_argument("--checkpoint-every", type=int, default=2,
+                        help="save a resumable checkpoint every N PPO updates")
+    parser.add_argument("--max-attempts", type=int, default=1,
+                        help="in-process retries per cell (deterministic "
+                             "exponential backoff between attempts)")
+    parser.add_argument("--retry-backoff", type=float, default=0.25,
+                        help="base backoff seconds (doubles per attempt)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-cell wall-clock budget, enforced by a "
+                             "watchdog that kills hung cells")
+    parser.add_argument("--fault-plan", default=None,
+                        help="chaos injection: a FaultPlan JSON file path or "
+                             "inline JSON (also via REPRO_RUN_FAULT_PLAN)")
+
+
+def _campaign_options(args: argparse.Namespace) -> dict:
+    """Keyword arguments shared by ``run()`` and ``submit_campaign()``."""
+    return {"scale": args.scale, "seed": args.seed, "root": args.root,
+            "out_dir": args.out_dir, "checkpoint_every": args.checkpoint_every,
+            "max_attempts": args.max_attempts,
+            "retry_backoff": args.retry_backoff, "timeout": args.timeout,
+            "fault_plan": args.fault_plan}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,34 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run an experiment campaign; re-running on the same "
                     "artifact directory skips completed cells and resumes "
                     "in-flight training from checkpoints.")
-    run_parser.add_argument("experiment", help="registered experiment id (see 'list')")
-    _add_scale_argument(run_parser)
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="campaign seed (default: the experiment's base seed)")
+    _add_campaign_arguments(run_parser)
+    _add_job_arguments(run_parser)
     run_parser.add_argument("--workers", type=int, default=1,
-                            help="worker processes for parallel cell execution")
-    run_parser.add_argument("--out-dir", default=None,
-                            help="explicit artifact directory (overrides --root)")
-    run_parser.add_argument("--root", default="runs",
-                            help="artifact root directory (default: runs)")
-    run_parser.add_argument("--checkpoint-every", type=int, default=2,
-                            help="save a resumable checkpoint every N PPO updates")
+                            help="local drainer processes")
     run_parser.add_argument("--format", choices=("table", "json", "none"),
                             default="table", help="how to print the resulting rows")
     run_parser.add_argument("--lenient", action="store_true",
                             help="strict=False: return partial rows + per-cell "
                                  "error records instead of raising on failure")
-    run_parser.add_argument("--max-attempts", type=int, default=1,
-                            help="in-process retries per cell (deterministic "
-                                 "exponential backoff between attempts)")
-    run_parser.add_argument("--retry-backoff", type=float, default=0.25,
-                            help="base backoff seconds (doubles per attempt)")
-    run_parser.add_argument("--timeout", type=float, default=None,
-                            help="per-cell wall-clock budget in seconds, "
-                                 "enforced by a watchdog that kills hung workers")
-    run_parser.add_argument("--fault-plan", default=None,
-                            help="chaos injection: a FaultPlan JSON file path or "
-                                 "inline JSON (also via REPRO_RUN_FAULT_PLAN)")
 
     list_parser = commands.add_parser("list", help="list registered experiments")
     list_parser.add_argument("--scenarios", action="store_true",
@@ -108,18 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_parser = commands.add_parser(
         "submit", help="register a campaign in the catalogue and enqueue "
                        "its cells for 'repro work' processes")
-    submit_parser.add_argument("experiment", help="registered experiment id")
-    _add_scale_argument(submit_parser)
-    submit_parser.add_argument("--seed", type=int, default=None)
-    submit_parser.add_argument("--root", default="runs")
-    submit_parser.add_argument("--out-dir", default=None,
-                               help="explicit artifact directory (overrides --root)")
-    submit_parser.add_argument("--checkpoint-every", type=int, default=2)
-    submit_parser.add_argument("--max-attempts", type=int, default=1,
-                               help="in-process retries per cell attempt")
-    submit_parser.add_argument("--retry-backoff", type=float, default=0.25)
-    submit_parser.add_argument("--fault-plan", default=None,
-                               help="chaos injection: FaultPlan JSON file or inline JSON")
+    _add_campaign_arguments(submit_parser)
+    _add_job_arguments(submit_parser)
 
     work_parser = commands.add_parser(
         "work", help="drain the job queue as one cooperative worker")
@@ -246,26 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     results_parser = commands.add_parser(
         "results", help="print the rows of an existing campaign artifact")
-    results_parser.add_argument("experiment", help="registered experiment id")
-    _add_scale_argument(results_parser)
-    results_parser.add_argument("--seed", type=int, default=None)
-    results_parser.add_argument("--root", default="runs")
-    results_parser.add_argument("--out-dir", default=None,
-                                help="explicit artifact directory (overrides --root)")
+    _add_campaign_arguments(results_parser)
     results_parser.add_argument("--format", choices=("table", "json"), default="table")
     return parser
 
 
 def _command_run(args: argparse.Namespace) -> int:
     try:
-        campaign = run(args.experiment, scale=args.scale, seed=args.seed,
-                       workers=args.workers, out_dir=args.out_dir, root=args.root,
-                       checkpoint_every=args.checkpoint_every,
-                       strict=not args.lenient, max_attempts=args.max_attempts,
-                       retry_backoff=args.retry_backoff, timeout=args.timeout,
-                       fault_plan=args.fault_plan)
-    except CampaignInterrupted as error:
-        print(f"campaign interrupted: {error}", file=sys.stderr)
+        campaign = run(args.experiment, workers=args.workers,
+                       strict=not args.lenient, **_campaign_options(args))
+    except (CampaignInterrupted, KeyboardInterrupt) as error:
+        print(f"campaign interrupted: {error or 'Ctrl-C'}", file=sys.stderr)
         print("re-run the same command to resume from the checkpoint",
               file=sys.stderr)
         return 3
@@ -323,60 +320,48 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _status_once(args: argparse.Namespace) -> int:
-    from repro.store.connection import catalog_path
+    """One status table: from the catalogue when one exists (with a workers
+    column while someone drains), else from a scan of the artifact tree."""
+    from repro.runs.artifacts import quarantined_files
+    from repro.store.catalog import Catalog, catalog_path
 
     catalog_file = catalog_path(Path(args.root))
+    draining: dict = {}
+    footer = None
     if catalog_file.exists() and not args.no_catalog:
-        return _catalog_status(catalog_file)
-    campaigns = list_campaigns(args.root)
+        with Catalog(catalog_file) as catalog:
+            records = catalog.list_runs()
+            draining = catalog.active_workers_by_run()
+        campaigns = [dict(record, campaign=record["run_id"],
+                          completed=record["completed"] or 0,
+                          failed=record["failed"] or 0,
+                          quarantined=len(quarantined_files(
+                              catalog_file.parent / record["run_id"])))
+                     for record in records]
+        empty = f"catalogue {catalog_file} holds no runs yet"
+        footer = f"\n(catalogue: {catalog_file}; pass --no-catalog for the tree scan)"
+    else:
+        campaigns = list_campaigns(args.root)
+        empty = f"no campaign artifacts under {args.root}/"
     if not campaigns:
-        print(f"no campaign artifacts under {args.root}/")
+        print(empty)
         return 0
-    header = (f"{'campaign':<28} {'experiment':<14} {'scale':<6} {'cells':<9} "
-              f"{'failed':<7} {'attempts':<9} {'quarantined':<12} status")
-    print(header)
-    print("-" * len(header))
-    for status in campaigns:
-        cells = f"{status['completed']}/{status['cells']}"
-        print(f"{status['campaign']:<28} {status['experiment']:<14} "
-              f"{status['scale']:<6} {cells:<9} {status['failed']:<7} "
-              f"{status['attempts']:<9} {status['quarantined']:<12} "
-              f"{status['status']}")
-    return 0
-
-
-def _catalog_status(catalog_file: Path) -> int:
-    """``repro status`` from the catalogue (runs + per-cell attempt counts)."""
-    from repro.store.catalog import Catalog
-
-    from repro.runs.artifacts import quarantined_files
-
-    with Catalog(catalog_file) as catalog:
-        runs = catalog.list_runs()
-        draining_workers = catalog.active_workers_by_run()
-    if not runs:
-        print(f"catalogue {catalog_file} holds no runs yet")
-        return 0
-    # The workers column appears only while someone is actually draining —
-    # a finished catalogue prints the same table it always did.
-    show_workers = bool(draining_workers)
-    workers_header = f"{'workers':<8} " if show_workers else ""
+    workers_header = f"{'workers':<8} " if draining else ""
     header = (f"{'campaign':<28} {'experiment':<14} {'scale':<6} {'cells':<9} "
               f"{'failed':<7} {'attempts':<9} {workers_header}"
               f"{'quarantined':<12} status")
     print(header)
     print("-" * len(header))
-    for record in runs:
-        cells = f"{record['completed'] or 0}/{record['cells']}"
-        run_dir = catalog_file.parent / record["run_id"]
-        quarantined = len(quarantined_files(run_dir)) if run_dir.is_dir() else 0
-        workers_cell = (f"{draining_workers.get(record['run_id'], 0):<8} "
-                        if show_workers else "")
-        print(f"{record['run_id']:<28} {record['experiment']:<14} "
-              f"{record['scale']:<6} {cells:<9} {record['failed'] or 0:<7} "
-              f"{record['attempts']:<9} {workers_cell}{quarantined:<12} "
-              f"{record['status']}")
-    print(f"\n(catalogue: {catalog_file}; pass --no-catalog for the tree scan)")
+    for status in campaigns:
+        cells = f"{status['completed']}/{status['cells']}"
+        workers = (f"{draining.get(status['campaign'], 0):<8} "
+                   if draining else "")
+        print(f"{status['campaign']:<28} {status['experiment']:<14} "
+              f"{status['scale']:<6} {cells:<9} {status['failed']:<7} "
+              f"{status['attempts']:<9} {workers}{status['quarantined']:<12} "
+              f"{status['status']}")
+    if footer:
+        print(footer)
     return 0
 
 
@@ -399,11 +384,8 @@ def _command_submit(args: argparse.Namespace) -> int:
     from repro.store.worker import submit_campaign
 
     try:
-        submission = submit_campaign(
-            args.experiment, scale=args.scale, seed=args.seed, root=args.root,
-            out_dir=args.out_dir, checkpoint_every=args.checkpoint_every,
-            max_attempts=args.max_attempts, retry_backoff=args.retry_backoff,
-            fault_plan=args.fault_plan)
+        submission = submit_campaign(args.experiment,
+                                     **_campaign_options(args))
     except (KeyError, ValueError) as error:
         print(f"submit failed: {error}", file=sys.stderr)
         return 1
@@ -437,8 +419,9 @@ def _command_work(args: argparse.Namespace) -> int:
         print(f"worker protocol error: {error}", file=sys.stderr)
         return 2
     print(dump_json(summary.to_dict(), indent=2))
-    if summary.interrupted:
-        print("worker interrupted by signal; lease released", file=sys.stderr)
+    if summary.interrupted or any(cell["status"] == "interrupted"
+                                  for cell in summary.cells):
+        print("worker interrupted; lease released", file=sys.stderr)
         return 3
     return 0 if summary.failed == 0 else 4
 

@@ -20,8 +20,7 @@ campaign.  It owns the cell's artifact directory and provides:
   :class:`~repro.runs.faults.FaultInjector` can kill the cell at checkpoint
   boundaries, tear or bit-flip just-written artifacts, and stall the cell,
   which is how the chaos tests (and the CI chaos-matrix job) simulate
-  crashes deterministically.  The legacy ``interrupt_after_updates`` hook is
-  kept as a thin alias for a one-fault kill plan.
+  crashes deterministically.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class CellContext:
 
     cell_dir: Path
     checkpoint_every: int = 2
-    interrupt_after_updates: Optional[int] = None
     injector: Optional["FaultInjector"] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -115,11 +113,6 @@ class CellContext:
         """A trainer on-update callback that checkpoints (and maybe faults)."""
 
         def callback(trainer: PPOTrainer, update: int, _metrics) -> None:
-            if (self.interrupt_after_updates is not None
-                    and update >= self.interrupt_after_updates):
-                trainer.save_checkpoint(path)
-                raise CampaignInterrupted(
-                    f"injected interrupt after update {update} (checkpoint at {path})")
             boundary = bool(self.checkpoint_every
                             and update % self.checkpoint_every == 0)
             if self.injector is not None and self.injector.wants_checkpoint(update):

@@ -1,9 +1,7 @@
 """Deterministic chaos injection for campaign runs.
 
 A :class:`FaultPlan` is a frozen, JSON-round-trippable description of the
-faults to inject into one campaign — the generalization of the old
-``REPRO_RUN_INTERRUPT_AFTER_UPDATES`` single-kill hook into a real harness.
-Four fault kinds are supported:
+faults to inject into one campaign.  Four fault kinds are supported:
 
 ``kill``
     Raise :class:`InjectedFault` (a :class:`CampaignInterrupted`) right after
@@ -20,11 +18,10 @@ Four fault kinds are supported:
     resume.
 ``stall``
     Sleep ``delay_seconds`` at cell start — long enough to trip the
-    runner's per-cell watchdog timeout, which kills and reclaims the hung
-    worker.
+    executor's per-cell watchdog timeout, which kills the hung cell.
 
-Every fault names the cell it targets (``cell=None`` matches any cell, as
-the legacy interrupt hook did) and fires **once** by default: the injector
+Every fault names the cell it targets (``cell=None`` matches any cell) and
+fires **once** by default: the injector
 records fired faults under ``<out_dir>/faults/`` so a resumed campaign does
 not re-inject them — which is exactly what makes "run under a fault plan,
 then resume to completion" deterministic.  Plans travel three ways:
@@ -70,10 +67,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.runs.artifacts import atomic_write_json
 from repro.runs.context import CampaignInterrupted
@@ -99,8 +97,67 @@ class InjectedFault(CampaignInterrupted):
     """An injected crash: handled exactly like a real mid-campaign kill."""
 
 
+class _Record:
+    """A frozen dataclass with a dict round trip that rejects unknown fields."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        return cls(**dict(data))
+
+
+class _Plan(_Record):
+    """A seeded, serializable set of ``fault_type`` faults."""
+
+    fault_type: ClassVar[Any]
+    faults: Tuple[Any, ...]
+    seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "faults", tuple(
+            fault if isinstance(fault, self.fault_type)
+            else self.fault_type.from_dict(fault) for fault in self.faults))
+        object.__setattr__(self, "seed", int(self.seed))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"faults": [fault.to_dict() for fault in self.faults],
+                "seed": self.seed}
+
+    def to_json(self, **json_kwargs: Any) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def resolve(cls, plan: Any, env_var: str,
+                environ: Optional[Mapping[str, str]]) -> Any:
+        """The plan from the argument, else the env var, else None.
+
+        Accepts a plan, a mapping, inline JSON text, or a path to a JSON
+        file.
+        """
+        environ = os.environ if environ is None else environ
+        if plan is None and environ.get(env_var):
+            plan = environ[env_var]
+        if plan is None or isinstance(plan, cls):
+            return plan
+        if isinstance(plan, Mapping):
+            return cls.from_dict(plan)
+        text = str(plan).strip()
+        if not text.startswith("{"):
+            text = Path(text).read_text()
+        return cls.from_json(text)
+
+
 @dataclass(frozen=True)
-class Fault:
+class Fault(_Record):
     """One injected fault.
 
     Fields
@@ -123,8 +180,7 @@ class Fault:
         by a kill (a crash mid-write) or stays silent until the next load.
     once:
         Fire a single time across the campaign's whole life (recorded in the
-        artifact tree); False re-fires on every match, which is how the
-        legacy ``interrupt_after_updates`` behaved.
+        artifact tree); False re-fires on every match.
     """
 
     kind: str
@@ -142,59 +198,18 @@ class Fault:
             raise ValueError(
                 f"unknown artifact kind {self.artifact!r}; choose from {ARTIFACT_KINDS}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Fault":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown Fault fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(_Plan):
     """A seeded, serializable set of faults to inject into one campaign."""
 
+    fault_type: ClassVar[Any] = Fault
     faults: Tuple[Fault, ...] = ()
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(
-            fault if isinstance(fault, Fault) else Fault.from_dict(fault)
-            for fault in self.faults))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"faults": [fault.to_dict() for fault in self.faults],
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {"faults", "seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FaultPlan fields: {sorted(unknown)}")
-        return cls(faults=tuple(Fault.from_dict(f) for f in data.get("faults", ())),
-                   seed=int(data.get("seed", 0)))
-
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def interrupt_after_updates(cls, updates: int) -> "FaultPlan":
-        """The legacy hook: every cell is killed at its ``updates`` boundary."""
-        return cls(faults=(Fault(kind="kill", cell=None, artifact="checkpoint",
-                                 at_update=int(updates), once=False),))
-
 
 @dataclass(frozen=True)
-class NetworkFault:
+class NetworkFault(_Record):
     """One transport-level fault.
 
     Fields
@@ -225,100 +240,55 @@ class NetworkFault:
         if self.at_request < 0:
             raise ValueError("at_request must be a non-negative request index")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkFault":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown NetworkFault fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class NetworkChaosPlan:
+class NetworkChaosPlan(_Plan):
     """A serializable set of transport faults for one campaign drain."""
 
+    fault_type: ClassVar[Any] = NetworkFault
     faults: Tuple[NetworkFault, ...] = ()
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(
-            fault if isinstance(fault, NetworkFault)
-            else NetworkFault.from_dict(fault) for fault in self.faults))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"faults": [fault.to_dict() for fault in self.faults],
-                "seed": self.seed}
+class ChaosSchedule:
+    """Which faults of a :class:`NetworkChaosPlan` fire on each request.
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkChaosPlan":
-        known = {"faults", "seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown NetworkChaosPlan fields: {sorted(unknown)}")
-        return cls(faults=tuple(NetworkFault.from_dict(f)
-                                for f in data.get("faults", ())),
-                   seed=int(data.get("seed", 0)))
+    Each fault counts the requests whose path matches its ``op`` filter and
+    fires when that count reaches ``at_request``, so a plan always perturbs
+    the same protocol steps, whatever the timing.  Fired faults are
+    recorded in :attr:`fired`.
+    """
 
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
+    def __init__(self, plan: NetworkChaosPlan):
+        self.plan = plan
+        self.fired: List[Dict[str, Any]] = []
+        self._seen = [0] * len(plan.faults)
+        self._lock = threading.Lock()
 
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkChaosPlan":
-        return cls.from_dict(json.loads(text))
+    def faults_for(self, path: str) -> List[NetworkFault]:
+        matched = []
+        with self._lock:
+            for index, fault in enumerate(self.plan.faults):
+                if fault.op is not None and fault.op not in path:
+                    continue
+                if self._seen[index] == fault.at_request:
+                    matched.append(fault)
+                    self.fired.append({"kind": fault.kind, "path": path})
+                self._seen[index] += 1
+        return matched
 
 
 def resolve_network_chaos_plan(
         chaos_plan: Any = None,
         environ: Optional[Mapping[str, str]] = None) -> Optional[NetworkChaosPlan]:
-    """Normalize the chaos-plan channels: argument, then env var, then None.
-
-    Accepts a :class:`NetworkChaosPlan`, a mapping, inline JSON text, or a
-    path to a JSON file — mirroring :func:`resolve_fault_plan`.
-    """
-    environ = os.environ if environ is None else environ
-    if chaos_plan is None and environ.get(NET_CHAOS_ENV_VAR):
-        chaos_plan = environ[NET_CHAOS_ENV_VAR]
-    if chaos_plan is None:
-        return None
-    if isinstance(chaos_plan, NetworkChaosPlan):
-        return chaos_plan
-    if isinstance(chaos_plan, Mapping):
-        return NetworkChaosPlan.from_dict(chaos_plan)
-    text = str(chaos_plan).strip()
-    if not text.startswith("{"):
-        text = Path(text).read_text()
-    return NetworkChaosPlan.from_json(text)
+    """The network chaos plan: argument, then ``REPRO_NET_CHAOS_PLAN``."""
+    return NetworkChaosPlan.resolve(chaos_plan, NET_CHAOS_ENV_VAR, environ)
 
 
 def resolve_fault_plan(fault_plan: Any = None,
-                       interrupt_after_updates: Optional[int] = None,
                        environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
-    """Normalize the three fault-plan channels into one plan (or None).
-
-    Precedence: explicit ``fault_plan`` argument, then the
-    ``REPRO_RUN_FAULT_PLAN`` environment variable (inline JSON or a path to
-    a JSON file), then the legacy ``interrupt_after_updates`` hook.
-    """
-    environ = os.environ if environ is None else environ
-    if fault_plan is None and environ.get(FAULT_PLAN_ENV_VAR):
-        fault_plan = environ[FAULT_PLAN_ENV_VAR]
-    if fault_plan is not None:
-        if isinstance(fault_plan, FaultPlan):
-            return fault_plan
-        if isinstance(fault_plan, Mapping):
-            return FaultPlan.from_dict(fault_plan)
-        text = str(fault_plan).strip()
-        if not text.startswith("{"):
-            text = Path(text).read_text()
-        return FaultPlan.from_json(text)
-    if interrupt_after_updates is not None:
-        return FaultPlan.interrupt_after_updates(interrupt_after_updates)
-    return None
+    """The fault plan: argument, then ``REPRO_RUN_FAULT_PLAN``."""
+    return FaultPlan.resolve(fault_plan, FAULT_PLAN_ENV_VAR, environ)
 
 
 class FaultInjector:

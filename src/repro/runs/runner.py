@@ -1,9 +1,16 @@
 """The campaign runner behind ``repro.run()``.
 
 A *campaign* is one experiment × one scale × one seed, expanded into
-independent *cells* (one per table row).  The runner:
+independent *cells* (one per table row).  Every way of running a campaign
+goes through one engine: ``repro.run()`` submits the campaign to the lease
+queue (:func:`repro.store.worker.submit_campaign`) and drains it locally
+with the same :func:`repro.store.worker.work` loop that ``repro work``
+runs — in-process for ``workers=1``, in N child processes otherwise.  So
+serial, parallel, queue, HTTP, and resumed runs share one submission path,
+one executor (:func:`execute_cell`), one heartbeat, and one
+``results.json`` writer (:func:`repro.store.server.finalize_from_catalog`).
 
-* writes a **persistent run artifact** under ``out_dir`` (default
+* **Artifacts** live under ``out_dir`` (default
   ``runs/<experiment>-<scale>[-seed<seed>]``)::
 
       runs/table5-smoke/
@@ -21,45 +28,44 @@ independent *cells* (one per table row).  The runner:
             run0.checkpoint.pkl       # only while the training is in flight
 
   Every artifact is written atomically with a SHA-256 sidecar
-  (:mod:`repro.runs.artifacts`): a kill mid-write leaves the previous state,
-  and a corrupt/truncated file found on load is quarantined to
-  ``<name>.corrupt-N`` and its cell transparently re-run from its last good
-  checkpoint;
+  (:mod:`repro.runs.artifacts`); a corrupt file found on load is
+  quarantined to ``<name>.corrupt-N`` and its cell re-run from its last
+  good checkpoint.  The SQLite catalogue next to ``out_dir`` indexes the
+  tree and holds the queue (``catalog=False``: a throw-away catalogue).
 
-* executes cells **serially or across a pool of worker processes**
-  (``workers=N``).  Cells are seeded deterministically and share no state, so
-  serial and parallel execution produce identical rows.  Failed cells do not
-  abort the campaign: each gets a structured ``error.json`` record, bounded
-  in-process retries with deterministic exponential backoff
-  (``max_attempts`` / ``retry_backoff``), and — opt-in via ``timeout`` — a
-  per-cell wall-clock limit enforced by a watchdog that kills and reclaims
-  hung workers.  ``strict=True`` (the default, for CI parity) raises an
-  aggregated error afterwards; ``strict=False`` returns partial rows with
-  per-cell status instead;
+* **Failures** are isolated per cell: a structured ``error.json`` record,
+  bounded in-process retries with deterministic exponential backoff, and
+  an opt-in per-cell ``timeout`` — a job property every drainer's executor
+  enforces by running the cell in a child process under a watchdog.
+  ``strict=True`` raises one aggregated error afterwards; ``strict=False``
+  returns partial rows with per-cell status.
 
-* **resumes**: re-invoking ``repro.run()`` on an existing out_dir skips cells
-  whose ``result.json`` exists, re-attempts failed/timed-out cells, and
-  in-flight PPO trainings continue from their checkpoints — bit-identical to
-  a never-interrupted campaign;
+* **Resume**: re-invoking ``repro.run()`` submits the campaign again; cells
+  whose ``result.json`` loads report ``cached``, unfinished cells are
+  re-attempted, and in-flight PPO trainings continue from their
+  checkpoints, bit-identically.  A run killed hard (SIGKILL, out-of-memory)
+  cannot release its leases, so the resumed run waits up to one lease TTL
+  (60 s) before it reclaims the cells the dead process held.
 
-* **injects faults** on request: a :class:`~repro.runs.faults.FaultPlan`
-  (``fault_plan=`` argument, ``REPRO_RUN_FAULT_PLAN`` env var, or
-  ``--fault-plan`` on the CLI) deterministically kills cells at checkpoint
-  boundaries, tears or bit-flips just-written artifacts, and stalls workers
-  past the watchdog — subsuming the legacy
-  ``REPRO_RUN_INTERRUPT_AFTER_UPDATES`` hook.
+* **Fault injection**: a :class:`~repro.runs.faults.FaultPlan`
+  (``fault_plan=``, ``REPRO_RUN_FAULT_PLAN``, or ``--fault-plan``) kills
+  cells at checkpoint boundaries, tears or bit-flips artifacts, and stalls
+  cells past the watchdog.  An injected kill ends its drainer the way a
+  real one would.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
+import shutil
+import signal
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.experiments.common import ExperimentScale, ScaleLike, resolve_scale
@@ -72,21 +78,23 @@ from repro.runs.artifacts import (
     quarantined_files,
 )
 from repro.runs.context import CampaignInterrupted, CellContext
-from repro.runs.faults import FaultInjector, FaultPlan, resolve_fault_plan
+from repro.runs.faults import FaultInjector, FaultPlan
 from repro.runs.registry import ExperimentLike, resolve_experiment
 from repro.runs.spec import ExperimentSpec
 
 MANIFEST_FORMAT = "repro-campaign"
 MANIFEST_VERSION = 1
 
-# Legacy deterministic fault injection (now a one-kill FaultPlan; see faults.py).
-INTERRUPT_ENV_VAR = "REPRO_RUN_INTERRUPT_AFTER_UPDATES"
+#: Cell statuses without a row; the others are ``completed`` and ``cached``
+#: (``pending``: never claimed, because the campaign was interrupted first).
+UNFINISHED_STATUSES = ("failed", "timeout", "interrupted", "pending")
 
-#: Cell outcome statuses the runner reports.
-CELL_STATUSES = ("completed", "cached", "failed", "timeout", "interrupted")
-
-#: Seconds a terminated worker gets to exit before an uncatchable kill.
+#: Seconds a terminated process gets to exit before an uncatchable kill.
 _KILL_GRACE_SECONDS = 2.0
+
+#: Seconds an idle local drainer waits before claiming again while another
+#: drainer still holds a lease.
+_DRAIN_POLL_SECONDS = 0.1
 
 
 @dataclass
@@ -94,7 +102,7 @@ class CampaignResult:
     """What ``repro.run()`` returns: the rows plus the artifact locations.
 
     With ``strict=False`` the campaign may be *partial*: ``rows`` holds None
-    at the positions of failed/timed-out cells, and each entry of ``cells``
+    at the positions of unfinished cells, and each entry of ``cells``
     carries the cell's ``status`` plus its structured ``error`` record.
     """
 
@@ -122,8 +130,7 @@ class CampaignResult:
 
     @property
     def failed(self) -> int:
-        return sum(1 for cell in self.cells
-                   if cell["status"] in ("failed", "timeout", "interrupted"))
+        return len(self.errors)
 
     @property
     def partial(self) -> bool:
@@ -133,7 +140,7 @@ class CampaignResult:
     def errors(self) -> List[Dict]:
         """The per-cell error records of every non-completed cell."""
         return [cell for cell in self.cells
-                if cell["status"] in ("failed", "timeout", "interrupted")]
+                if cell["status"] in UNFINISHED_STATUSES]
 
     def format_results(self) -> str:
         return self.spec.format_rows(self.rows)
@@ -159,6 +166,19 @@ def campaign_id(experiment_id: str, scale: ExperimentScale, seed: int) -> str:
     return name
 
 
+def resolve_campaign(experiment: ExperimentLike, scale: Optional[ScaleLike],
+                     seed: Optional[int], root: os.PathLike,
+                     out_dir: Optional[os.PathLike]
+                     ) -> Tuple[ExperimentSpec, ExperimentScale, int, Path]:
+    """A campaign's spec, scale, seed, and directory, defaults filled in."""
+    spec = resolve_experiment(experiment)
+    scale = resolve_scale(scale if scale is not None else spec.default_scale)
+    seed = spec.base_seed if seed is None else int(seed)
+    out_dir = (Path(out_dir) if out_dir is not None
+               else Path(root) / campaign_id(spec.experiment_id, scale, seed))
+    return spec, scale, seed, out_dir
+
+
 def cell_slug(index: int, params: Dict) -> str:
     """Short stable directory name for one cell."""
     values = "-".join(str(v) for v in params.values() if isinstance(v, (str, int, float)))
@@ -170,9 +190,15 @@ def _cell_dir(out_dir: Path, index: int, params: Dict) -> Path:
     return out_dir / "cells" / cell_slug(index, params)
 
 
-def _manifest_payload(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
-                      cells: List[Dict]) -> Dict[str, Any]:
-    return {
+def ensure_manifest(out_dir: Path, spec: ExperimentSpec, scale: ExperimentScale,
+                    seed: int, cells: List[Dict]) -> Dict[str, Any]:
+    """Write the campaign's ``manifest.json``, or check the one already there.
+
+    A torn or corrupt manifest is quarantined and rewritten; a manifest of a
+    *different* campaign is refused, so a resume never mixes two campaigns
+    in one directory.
+    """
+    manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "experiment": spec.to_dict(),
@@ -181,20 +207,28 @@ def _manifest_payload(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
         "cells": [{"index": index, "slug": cell_slug(index, params), "params": params}
                   for index, params in enumerate(cells)],
     }
-
-
-def _check_manifest(existing: Dict, fresh: Dict, out_dir: Path) -> None:
-    """Refuse to resume into a directory holding a *different* campaign."""
+    manifest_file = out_dir / "manifest.json"
+    existing = None
+    if manifest_file.exists():
+        try:
+            existing = load_json(manifest_file)
+        except CorruptArtifactError:
+            existing = None  # quarantined; rewrite below
+    if existing is None:
+        atomic_write_json(manifest_file, manifest, indent=2)
+        return manifest
     for key in ("experiment", "scale", "seed", "cells"):
-        if existing.get(key) != fresh[key]:
+        if existing.get(key) != manifest[key]:
             raise ValueError(
                 f"{out_dir} already holds a different campaign ({key} differs); "
                 "pass a fresh out_dir or delete the old artifact")
+    return manifest
 
 
 # ----------------------------------------------------------- cell execution
-def _load_cached_row(result_file: Path) -> Optional[Dict]:
-    """The verified cached row, or None after quarantining a corrupt file."""
+def _load_result(result_file: Path) -> Optional[Dict]:
+    """A cell's verified ``result.json`` payload (its row + timing), or None
+    after quarantining a corrupt file."""
     if not result_file.exists():
         return None
     try:
@@ -202,36 +236,34 @@ def _load_cached_row(result_file: Path) -> Optional[Dict]:
     except CorruptArtifactError:
         telemetry.counter("runner.cells.quarantined").inc()
         return None
-    row = payload.get("row") if isinstance(payload, dict) else None
-    if row is None:
+    if not isinstance(payload, dict) or payload.get("row") is None:
         quarantine(result_file, "result.json without a row")
         telemetry.counter("runner.cells.quarantined").inc()
         return None
-    return row
+    return payload
 
 
 def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
                   params: Dict, cell_dir: str, out_dir: str, checkpoint_every: int,
-                  interrupt_after_updates: Optional[int],
                   fault_plan: Optional[Dict] = None, **_budget: Any) -> Dict:
     """Run one cell to completion (resuming in-flight training if any).
 
-    Takes and returns plain data so it can cross a multiprocessing boundary.
+    Takes and returns plain data so it can cross a process boundary.
     """
     spec = ExperimentSpec.from_dict(spec_data)
     scale = ExperimentScale.from_dict(scale_data)
     cell_path = Path(cell_dir)
     result_file = cell_path / "result.json"
-    cached = _load_cached_row(result_file)
-    if cached is not None:
-        return {"index": index, "row": cached, "status": "cached"}
+    result = _load_result(result_file)
+    if result is not None:
+        return {"index": index, "row": result["row"], "status": "cached",
+                "elapsed_seconds": result.get("elapsed_seconds")}
     cell_path.mkdir(parents=True, exist_ok=True)
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(FaultPlan.from_dict(fault_plan), Path(out_dir), index)
         injector.on_cell_start()
     ctx = CellContext(cell_path, checkpoint_every=checkpoint_every,
-                      interrupt_after_updates=interrupt_after_updates,
                       injector=injector)
     started = time.perf_counter()
     row = spec.run_cell(params, scale, seed=seed, ctx=ctx)
@@ -246,8 +278,8 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
     }
     atomic_write_json(result_file, payload, indent=2)
     # Round-trip the row through the same JSON path that resume uses, so
-    # serial, parallel, and resumed campaigns return identical rows.
-    row = load_json(result_file)["row"]
+    # fresh and resumed cells return identical rows.
+    payload = load_json(result_file)
     # The cell recovered: retire its failure record and quarantined corpses
     # (the quarantine.jsonl log keeps the history).
     (cell_path / "error.json").unlink(missing_ok=True)
@@ -255,7 +287,8 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
     clear_quarantine(cell_path)
     if injector is not None:
         injector.on_artifact_written("result", result_file)
-    return {"index": index, "row": row, "status": "completed"}
+    return {"index": index, "row": payload["row"], "status": "completed",
+            "elapsed_seconds": payload["elapsed_seconds"]}
 
 
 def _error_record(index: int, error: BaseException, attempt: int,
@@ -271,14 +304,23 @@ def _error_record(index: int, error: BaseException, attempt: int,
     }
 
 
-def _prior_attempts(cell_dir: Path) -> int:
-    """Cumulative attempt count recorded by previous invocations."""
+def _recorded_error(cell_dir: Path) -> Dict:
+    """The cell's ``error.json`` record ({} when absent or unreadable)."""
     error_file = Path(cell_dir) / "error.json"
     if not error_file.exists():
-        return 0
+        return {}
     try:
-        return int(load_json(error_file).get("attempt", 0))
-    except (CorruptArtifactError, TypeError, ValueError):
+        record = load_json(error_file)
+    except CorruptArtifactError:
+        return {}
+    return record if isinstance(record, dict) else {}
+
+
+def _prior_attempts(cell_dir: Path) -> int:
+    """Cumulative attempt count recorded by previous invocations."""
+    try:
+        return int(_recorded_error(cell_dir).get("attempt", 0))
+    except (TypeError, ValueError):
         return 0
 
 
@@ -287,7 +329,7 @@ def _attempt_cell(payload: Dict) -> Dict:
 
     Returns an outcome dict (never raises for ordinary failures).  Control
     flow — ``KeyboardInterrupt``/``SystemExit`` — is re-raised so Ctrl-C
-    tears the campaign down promptly; an (injected or real) kill comes back
+    tears the drain down promptly; an (injected or real) kill comes back
     as an ``interrupted`` outcome for the caller to surface.
     """
     index = payload["index"]
@@ -297,189 +339,133 @@ def _attempt_cell(payload: Dict) -> Dict:
     prior = _prior_attempts(cell_dir)
     run_label = Path(payload.get("out_dir", "")).name
     record: Dict = {}
-    try:
-        for attempt in range(1, max_attempts + 1):
-            started = time.perf_counter()
-            telemetry.counter("runner.cell.attempts").inc()
-            if attempt > 1:
-                telemetry.counter("runner.cell.retries").inc()
-            try:
-                with telemetry.span("runner.cell", run_id=run_label,
-                                    cell=index, attempt=prior + attempt):
-                    outcome = _execute_cell(**payload)
-                telemetry.counter(
-                    "runner.cells." + outcome.get("status", "completed")).inc()
-                return outcome
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except CampaignInterrupted as error:
-                # A (simulated) kill: a real crash would persist nothing, so
-                # no error.json — the cell's checkpoint is what resume picks
-                # up.
-                telemetry.counter("runner.cells.interrupted").inc()
-                return _error_record(index, error, prior + attempt,
-                                     time.perf_counter() - started,
-                                     status="interrupted")
-            except Exception as error:
-                telemetry.counter("runner.cells.failed").inc()
-                record = _error_record(index, error, prior + attempt,
-                                       time.perf_counter() - started)
-                atomic_write_json(cell_dir / "error.json", record, indent=2)
-                if attempt < max_attempts:
-                    time.sleep(backoff * (2 ** (attempt - 1)))
-        return record
-    finally:
-        # Local runs persist telemetry per cell: with a worker pool each
-        # cell runs in its own (short-lived) process, so this is the only
-        # point where the child's registry can reach the catalogue.  Queue
-        # workers omit catalog_file from their payloads — their drain loop
-        # owns a flusher (remote workers must never touch the catalogue).
-        catalog_file = payload.get("catalog_file")
-        if catalog_file:
-            telemetry.flush_to_catalog(Path(catalog_file))
-
-
-def _cell_worker(payload: Dict) -> Dict:
-    """Worker entry point: ordinary errors travel back as data.
-
-    ``KeyboardInterrupt``/``SystemExit`` are deliberately re-raised — turning
-    them into a generic "failed" record would swallow Ctrl-C and leave the
-    pool draining cells nobody wants anymore.
-    """
-    try:
-        return _attempt_cell(payload)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException as error:  # defensive: _attempt_cell already catches
-        return _error_record(payload["index"], error, _prior_attempts(
-            Path(payload["cell_dir"])) + 1, 0.0)
-
-
-def _managed_worker(payload: Dict, outcome_queue) -> None:
-    """Child-process entry: ship the outcome back over the queue."""
-    try:
-        outcome = _cell_worker(payload)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    outcome_queue.put(outcome)
-
-
-def _drain_outcomes(outcome_queue, outcomes: Dict[int, Dict],
-                    timeout: float, until_index: Optional[int] = None) -> None:
-    """Pull every queued outcome; optionally wait up to ``timeout`` for one
-    specific index (a worker that just exited)."""
-    deadline = time.perf_counter() + timeout
-    while True:
+    for attempt in range(1, max_attempts + 1):
+        started = time.perf_counter()
+        telemetry.counter("runner.cell.attempts").inc()
+        if attempt > 1:
+            telemetry.counter("runner.cell.retries").inc()
         try:
-            outcome = outcome_queue.get(
-                timeout=max(0.0, deadline - time.perf_counter()))
-        except queue_module.Empty:
-            return
-        outcomes[outcome["index"]] = outcome
-        if until_index is not None and outcome["index"] == until_index:
-            return
-
-
-def _run_worker_pool(pending: List[Dict], workers: int,
-                     timeout: Optional[float]) -> Dict[int, Dict]:
-    """Execute cells across managed worker processes with a watchdog.
-
-    One process per cell (cells are coarse units of work), at most
-    ``workers`` alive at a time.  When ``timeout`` is set, a cell running
-    past its wall-clock budget is killed, recorded as ``timeout``, and its
-    worker slot reclaimed.  Ctrl-C terminates every live worker before
-    re-raising.
-    """
-    ctx = multiprocessing.get_context()
-    outcome_queue = ctx.Queue()
-    outcomes: Dict[int, Dict] = {}
-    waiting = list(pending)
-    running: Dict[int, Dict] = {}  # index -> {process, payload, deadline}
-    try:
-        while waiting or running:
-            while waiting and len(running) < workers:
-                payload = waiting.pop(0)
-                process = ctx.Process(target=_managed_worker,
-                                      args=(payload, outcome_queue))
-                process.start()
-                running[payload["index"]] = {
-                    "process": process, "payload": payload,
-                    "deadline": (time.perf_counter() + timeout
-                                 if timeout is not None else None),
-                }
-            _drain_outcomes(outcome_queue, outcomes, timeout=0.05)
-            now = time.perf_counter()
-            for index in list(running):
-                entry = running[index]
-                process = entry["process"]
-                if index in outcomes:
-                    process.join()
-                    del running[index]
-                    continue
-                if not process.is_alive():
-                    # The worker exited: its outcome (if it posted one) may
-                    # still be in flight through the queue's feeder pipe.
-                    process.join()
-                    _drain_outcomes(outcome_queue, outcomes, timeout=0.2,
-                                    until_index=index)
-                    if index not in outcomes:
-                        outcomes[index] = _worker_death_record(entry)
-                    del running[index]
-                    continue
-                if entry["deadline"] is not None and now > entry["deadline"]:
-                    process.terminate()
-                    process.join(_KILL_GRACE_SECONDS)
-                    if process.is_alive():
-                        process.kill()
-                        process.join()
-                    outcomes[index] = _timeout_record(entry, timeout)
-                    del running[index]
-    except (KeyboardInterrupt, SystemExit):
-        for entry in running.values():
-            entry["process"].terminate()
-        for entry in running.values():
-            entry["process"].join(_KILL_GRACE_SECONDS)
-            if entry["process"].is_alive():
-                entry["process"].kill()
-        raise
-    finally:
-        outcome_queue.close()
-    return outcomes
-
-
-def _timeout_record(entry: Dict, timeout: Optional[float]) -> Dict:
-    """Record a watchdog kill (written by the parent; the child is gone)."""
-    payload = entry["payload"]
-    record = {
-        "index": payload["index"],
-        "status": "timeout",
-        "error_type": "CellTimeout",
-        "error": (f"CellTimeout: cell {payload['index']} exceeded the "
-                  f"{timeout:g}s wall-clock budget and was killed"),
-        "traceback": "",
-        "attempt": _prior_attempts(Path(payload["cell_dir"])) + 1,
-        "elapsed_seconds": timeout,
-    }
-    Path(payload["cell_dir"]).mkdir(parents=True, exist_ok=True)
-    atomic_write_json(Path(payload["cell_dir"]) / "error.json", record, indent=2)
+            with telemetry.span("runner.cell", run_id=run_label,
+                                cell=index, attempt=prior + attempt):
+                outcome = _execute_cell(**payload)
+            telemetry.counter(
+                "runner.cells." + outcome.get("status", "completed")).inc()
+            return outcome
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except CampaignInterrupted as error:
+            # A (simulated) kill: a real crash would persist nothing, so no
+            # error.json — the cell's checkpoint is what resume picks up.
+            telemetry.counter("runner.cells.interrupted").inc()
+            return _error_record(index, error, prior + attempt,
+                                 time.perf_counter() - started,
+                                 status="interrupted")
+        except Exception as error:
+            telemetry.counter("runner.cells.failed").inc()
+            record = _error_record(index, error, prior + attempt,
+                                   time.perf_counter() - started)
+            atomic_write_json(cell_dir / "error.json", record, indent=2)
+            if attempt < max_attempts:
+                time.sleep(backoff * (2 ** (attempt - 1)))
     return record
 
 
-def _worker_death_record(entry: Dict) -> Dict:
-    """Record a worker that died without reporting (hard crash / OOM kill)."""
-    payload = entry["payload"]
-    exitcode = entry["process"].exitcode
+def execute_cell(payload: Dict,
+                 sink: Optional[Callable[[List[dict], List[dict]], None]] = None
+                 ) -> Dict:
+    """Run one claimed cell payload: the executor behind every drain.
+
+    Without a ``timeout`` in the payload the cell runs in-process.  With
+    one, it runs in a child process under a watchdog: past its wall-clock
+    budget the child is terminated (and killed after a grace period) and
+    the cell is recorded as ``timeout``; a child that dies without
+    reporting is recorded as ``WorkerDied``.  The child ships its telemetry
+    back with its outcome, and the drainer hands it to ``sink``.
+    """
+    timeout = payload.get("timeout")
+    if timeout is None:
+        return _attempt_cell(payload)
+    context = multiprocessing.get_context()
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_cell_child, args=(payload, sender))
+    child.start()
+    sender.close()
+    reply, timed_out = None, False
+    try:
+        timed_out = not receiver.poll(timeout)
+        if not timed_out:
+            reply = receiver.recv()
+    except EOFError:
+        pass  # the child died before reporting
+    finally:
+        if reply is None:
+            child.terminate()
+        _reap(child)
+        receiver.close()
+    if reply is None and timed_out:
+        return _watchdog_record(
+            payload, "timeout", "CellTimeout",
+            f"cell {payload['index']} exceeded the {timeout:g}s wall-clock "
+            "budget and was killed", elapsed=timeout)
+    if reply is None:
+        return _watchdog_record(
+            payload, "failed", "WorkerDied",
+            f"worker exited with code {child.exitcode} before reporting",
+            elapsed=None)
+    outcome, points, spans = reply
+    if sink is not None and (points or spans):
+        try:
+            sink(points, spans)
+        except Exception:
+            pass  # telemetry is best-effort
+    return outcome
+
+
+def _cell_child(payload: Dict, sender: Any) -> None:
+    """Watchdog child: run the cell, send back its outcome and telemetry.
+
+    Signals belong to the drainer, which kills this child on any stop.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _forget_inherited_telemetry()
+    outcome = _attempt_cell(payload)
+    registry = telemetry.get_registry()
+    sender.send((outcome, registry.snapshot(reset=True), registry.drain_spans()))
+
+
+def _forget_inherited_telemetry() -> None:
+    """Give a forked child a registry of its own: the inherited one holds
+    the parent's unflushed metrics (the parent reports those) and maybe a
+    lock that another parent thread held at the fork."""
+    telemetry.configure(enabled=telemetry.enabled(), reset=True)
+
+
+def _reap(process: Any) -> None:
+    """Join a process, killing it if it outlives the grace period."""
+    process.join(_KILL_GRACE_SECONDS)
+    if process.is_alive():
+        process.kill()
+        process.join()
+
+
+def _watchdog_record(payload: Dict, status: str, error_type: str,
+                     message: str, elapsed: Optional[float]) -> Dict:
+    """Record a cell the watchdog lost (written by the parent; the child is
+    gone)."""
+    cell_dir = Path(payload["cell_dir"])
     record = {
         "index": payload["index"],
-        "status": "failed",
-        "error_type": "WorkerDied",
-        "error": f"WorkerDied: worker exited with code {exitcode} before reporting",
+        "status": status,
+        "error_type": error_type,
+        "error": f"{error_type}: {message}",
         "traceback": "",
-        "attempt": _prior_attempts(Path(payload["cell_dir"])) + 1,
-        "elapsed_seconds": None,
+        "attempt": _prior_attempts(cell_dir) + 1,
+        "elapsed_seconds": elapsed,
     }
-    Path(payload["cell_dir"]).mkdir(parents=True, exist_ok=True)
-    atomic_write_json(Path(payload["cell_dir"]) / "error.json", record, indent=2)
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_json(cell_dir / "error.json", record, indent=2)
+    telemetry.counter("runner.cells." + status).inc()
     return record
 
 
@@ -488,19 +474,11 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
                   fault_plan: Optional[FaultPlan] = None,
                   max_attempts: int = 1,
                   retry_backoff: float = 0.25,
-                  catalog_file: Optional[Path] = None) -> List[Dict]:
-    """One plain-data execution payload per cell.
-
-    This is the unit of work both execution backends share: ``repro.run()``
-    dispatches payloads to its worker pool, and the campaign service
-    (:mod:`repro.store.worker`) enqueues the very same payloads as catalogue
-    jobs — which is why a queue drain is bit-identical to a local run.
-
-    ``catalog_file`` is set only by local runs: it tells the (possibly
-    child-process) cell where to flush its telemetry.  Queue payloads leave
-    it unset — a drain worker's own flusher reports instead, through
-    whichever transport the worker is using.
-    """
+                  timeout: Optional[float] = None) -> List[Dict]:
+    """One plain-data execution payload per cell: the unit of work that the
+    campaign service enqueues as a catalogue job and every drainer executes
+    through :func:`execute_cell` — which is why every drain is bit-identical
+    to every other."""
     return [{
         "spec_data": spec.to_dict(),
         "scale_data": scale.to_dict(),
@@ -510,75 +488,60 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
         "cell_dir": str(_cell_dir(out_dir, index, params)),
         "out_dir": str(out_dir),
         "checkpoint_every": checkpoint_every,
-        "interrupt_after_updates": None,  # legacy hook rides the fault plan
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
         "max_attempts": max_attempts,
         "retry_backoff": retry_backoff,
-        "catalog_file": str(catalog_file) if catalog_file is not None else None,
+        "timeout": float(timeout) if timeout is not None else None,
     } for index, params in enumerate(cells)]
 
 
-def _record_campaign_in_catalog(catalog_file: Optional[Path], out_dir: Path,
-                                spec: ExperimentSpec, scale: ExperimentScale,
-                                seed: int, cells: List[Dict],
-                                plan: Optional[FaultPlan],
-                                outcomes: Dict[int, Dict]) -> None:
-    """Mirror a campaign's outcomes into the SQLite catalogue.
+# ------------------------------------------------------------ local drains
+def _drain(run_id: str, catalog_file: Path, drainers: int) -> None:
+    """Drain one campaign's jobs with ``drainers`` local ``work()`` loops.
 
-    The artifact tree already landed (atomically) by the time this runs; the
-    catalogue is the queryable index over it, kept in lock-step by recording
-    every run through here and through the queue workers.
+    One drainer runs in-process; more run as child processes.  Each cell
+    gets one queue claim (``max_job_attempts=1``), so a failed cell is not
+    re-claimed within one ``run()`` — its retry budget is ``max_attempts``,
+    in-process.  Ctrl-C sends SIGTERM to child drainers, whose signal guard
+    releases their leases, and reaches the caller as ``KeyboardInterrupt``.
     """
-    if catalog_file is None:
+    from repro.store.worker import work
+
+    options = {"run_id": run_id, "catalog_file": catalog_file,
+               "max_job_attempts": 1, "poll_seconds": _DRAIN_POLL_SECONDS}
+    if drainers == 1:
+        if work(**options).interrupted:
+            raise KeyboardInterrupt
         return
-    from repro.store.catalog import Catalog  # late: repro.store imports us
-
-    with Catalog(catalog_file) as catalog:
-        catalog.record_campaign(
-            out_dir.name, spec, scale.name, seed, out_dir, cells,
-            slugs=[cell_slug(index, params)
-                   for index, params in enumerate(cells)],
-            fault_plan=plan.to_dict() if plan is not None else None,
-            manifest_version=MANIFEST_VERSION)
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            attempts = outcome.get("attempt")
-            if attempts is None:
-                attempts = _prior_attempts(_cell_dir(out_dir, index,
-                                                     cells[index]))
-            catalog.record_cell(
-                out_dir.name, index, cells[index], outcome["status"],
-                row=outcome.get("row"), error=outcome.get("error"),
-                attempts=int(attempts),
-                elapsed_seconds=outcome.get("elapsed_seconds"))
-    # Drain the parent process's registry too (cached-cell counters, spans
-    # of serially executed cells) — child processes flushed their own.
-    telemetry.flush_to_catalog(catalog_file)
+    context = multiprocessing.get_context()
+    started: List[Any] = []
+    try:
+        for _ in range(drainers):
+            process = context.Process(target=_drain_child, kwargs=options)
+            process.start()
+            started.append(process)
+        for process in started:
+            process.join()
+    except BaseException:
+        for process in started:
+            process.terminate()
+        for process in started:
+            _reap(process)
+        raise
 
 
-def resolve_catalog_file(catalog: Any, out_dir: Path) -> Optional[Path]:
-    """Where a campaign's catalogue lives.
+def _drain_child(**options: Any) -> None:
+    from repro.store.worker import work
 
-    ``None`` (the default) puts ``catalog.sqlite`` next to the campaign
-    directory — so every campaign under one ``--root`` shares one catalogue;
-    ``False`` disables catalogue recording; anything else is an explicit
-    path.
-    """
-    if catalog is False:
-        return None
-    if catalog is None:
-        from repro.store.connection import catalog_path
-
-        return catalog_path(out_dir.parent)
-    return Path(catalog)
+    _forget_inherited_telemetry()
+    work(**options)
 
 
 # -------------------------------------------------------------------- run()
 def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         seed: Optional[int] = None, workers: int = 1,
         out_dir: Optional[os.PathLike] = None, root: os.PathLike = "runs",
-        checkpoint_every: int = 2,
-        interrupt_after_updates: Optional[int] = None, *,
+        checkpoint_every: int = 2, *,
         strict: bool = True, max_attempts: int = 1, retry_backoff: float = 0.25,
         timeout: Optional[float] = None,
         fault_plan: Any = None, catalog: Any = None) -> CampaignResult:
@@ -597,9 +560,8 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         derives its training seeds from it exactly like the legacy
         ``tableN.run(seed=...)`` functions.
     workers:
-        Number of processes for cell execution.  ``workers=1`` runs in-process
-        (unless ``timeout`` is set, which needs killable workers); results are
-        row-for-row identical either way.
+        Number of local drainers.  One drains in-process; more drain in
+        child processes.  Results are row-for-row identical either way.
     out_dir / root:
         Artifact location.  Default: ``<root>/<experiment>-<scale>[-seedN]``.
     checkpoint_every:
@@ -607,137 +569,104 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     strict:
         True (default): raise after the campaign if any cell failed, timed
         out, or was interrupted — with *every* affected cell aggregated into
-        one message.  False: return partial rows (None at failed positions)
-        plus structured per-cell error records; a later ``repro.run()`` on
-        the same out_dir re-attempts only the non-completed cells.
+        one message.  False: return partial rows (None at unfinished
+        positions) plus structured per-cell error records; a later
+        ``repro.run()`` on the same out_dir re-attempts only the
+        non-completed cells.
     max_attempts / retry_backoff:
         Bounded in-process retries per cell with deterministic exponential
         backoff (``retry_backoff * 2**(attempt-1)`` seconds between
         attempts).  Attempt counts accumulate across invocations in the
         cell's ``error.json``.
     timeout:
-        Opt-in per-cell wall-clock budget in seconds, enforced by a watchdog
-        that kills and reclaims hung worker processes (cells then report
-        status ``timeout``).
+        Opt-in per-cell wall-clock budget in seconds, stored on each job:
+        the executor runs the cell in a child process and a watchdog kills
+        it past the budget (the cell then reports status ``timeout``).
     fault_plan:
         A :class:`~repro.runs.faults.FaultPlan` (or its dict/JSON/path form)
         of deterministic faults to inject; also settable through the
-        ``REPRO_RUN_FAULT_PLAN`` env var.  Subsumes the legacy
-        ``interrupt_after_updates`` hook (still accepted, also via
-        ``REPRO_RUN_INTERRUPT_AFTER_UPDATES``).
+        ``REPRO_RUN_FAULT_PLAN`` env var.
     catalog:
-        Where to mirror the campaign in the SQLite catalogue
-        (:mod:`repro.store`): ``None`` (default) uses
-        ``<out_dir's parent>/catalog.sqlite``, ``False`` disables
-        recording, a path selects an explicit catalogue file.
+        The SQLite catalogue (:mod:`repro.store`) whose queue the campaign
+        drains through: ``None`` (default) uses
+        ``<out_dir's parent>/catalog.sqlite``, a path selects an explicit
+        file, and ``False`` uses a temporary catalogue that is removed when
+        ``run()`` returns.
     """
-    spec = resolve_experiment(experiment)
-    scale = resolve_scale(scale if scale is not None else spec.default_scale)
-    seed = spec.base_seed if seed is None else int(seed)
-    if interrupt_after_updates is None and os.environ.get(INTERRUPT_ENV_VAR):
-        interrupt_after_updates = int(os.environ[INTERRUPT_ENV_VAR])
-    plan = resolve_fault_plan(fault_plan, interrupt_after_updates)
+    from repro.store.catalog import Catalog, catalog_path  # late: repro.store imports us
+    from repro.store.queue import JobQueue
+    from repro.store.server import finalize_from_catalog
+    from repro.store.worker import submit_campaign
 
-    out_dir = (Path(out_dir) if out_dir is not None
-               else Path(root) / campaign_id(spec.experiment_id, scale, seed))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = spec.cells(scale)
-    manifest = _manifest_payload(spec, scale, seed, cells)
-    manifest_file = out_dir / "manifest.json"
-    existing_manifest = None
-    if manifest_file.exists():
-        try:
-            existing_manifest = load_json(manifest_file)
-        except CorruptArtifactError:
-            existing_manifest = None  # quarantined; rewrite below
-    if existing_manifest is not None:
-        _check_manifest(existing_manifest, manifest, out_dir)
-    else:
-        atomic_write_json(manifest_file, manifest, indent=2)
-
-    catalog_file = resolve_catalog_file(catalog, out_dir)
-    payloads = cell_payloads(spec, scale, seed, out_dir, cells,
-                             checkpoint_every=checkpoint_every,
-                             fault_plan=plan, max_attempts=max_attempts,
-                             retry_backoff=retry_backoff,
-                             catalog_file=catalog_file)
-
-    # Cached cells cost one JSON read; only dispatch real work to workers.
-    # A corrupt cached result quarantines here and the cell re-runs.
-    pending, outcomes = [], {}
-    for payload in payloads:
-        cached = _load_cached_row(Path(payload["cell_dir"]) / "result.json")
-        if cached is not None:
-            outcomes[payload["index"]] = {"index": payload["index"],
-                                          "row": cached, "status": "cached"}
-        else:
-            pending.append(payload)
-
-    use_workers = len(pending) > 1 and workers > 1
-    if timeout is not None and pending:
-        use_workers = True  # the watchdog needs killable worker processes
+    spec, scale, seed, out_dir = resolve_campaign(experiment, scale, seed, root,
+                                                  out_dir)
+    scratch = Path(tempfile.mkdtemp(prefix="repro-catalog-")) if catalog is False else None
+    catalog_file = (catalog_path(scratch) if scratch is not None
+                    else catalog_path(out_dir.parent) if catalog is None
+                    else Path(catalog))
     try:
-        if use_workers:
-            pool_outcomes = _run_worker_pool(
-                pending, max(1, min(workers, len(pending))), timeout)
-            outcomes.update(pool_outcomes)
-        else:
-            for payload in pending:
-                outcome = _attempt_cell(payload)
-                outcomes[payload["index"]] = outcome
-                if strict and outcome.get("status") == "interrupted":
-                    # A (simulated) crash: stop exactly where a real kill would.
-                    raise CampaignInterrupted(outcome["error"])
+        with Catalog(catalog_file) as store:
+            run_id = submit_campaign(
+                spec, scale, seed, out_dir=out_dir,
+                checkpoint_every=checkpoint_every, max_attempts=max_attempts,
+                retry_backoff=retry_backoff, fault_plan=fault_plan,
+                timeout=timeout, catalog=store).run_id
+            queued = JobQueue(store).outstanding(run_id)
+        cells = spec.cells(scale)
+        cached = {}
+        for index, params in enumerate(cells):
+            result = _load_result(_cell_dir(out_dir, index, params) / "result.json")
+            if result is not None:
+                cached[index] = result["row"]
+        if queued:
+            _drain(run_id, catalog_file, max(1, min(workers, queued)))
+        with Catalog(catalog_file) as store:
+            finalize_from_catalog(store, run_id)
+            rows = store.rows(run_id)
+            statuses = store.cell_statuses(run_id)
     finally:
-        # The catalogue mirrors whatever the artifact tree holds — including
-        # the partial state of an interrupted or strict-failing campaign.
-        _record_campaign_in_catalog(catalog_file, out_dir, spec, scale, seed,
-                                    cells, plan, outcomes)
-    if strict:
-        _raise_on_failures(outcomes)
+        # The drainers flushed their own metrics; this reports the caller's.
+        telemetry.flush_to_catalog(catalog_file)
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
-    ordered = [outcomes[index] for index in range(len(cells))]
-    rows = [outcome.get("row") for outcome in ordered]
-    cell_summaries = []
-    for index in range(len(cells)):
-        summary = {"index": index, "params": cells[index],
-                   "slug": cell_slug(index, cells[index]),
-                   "status": ordered[index]["status"]}
-        if ordered[index]["status"] not in ("completed", "cached"):
-            summary["error"] = ordered[index].get("error")
-            summary["attempt"] = ordered[index].get("attempt")
-        cell_summaries.append(summary)
-    if all(row is not None for row in rows):
-        atomic_write_json(out_dir / "results.json", {
-            "experiment": spec.experiment_id, "scale": scale.name, "seed": seed,
-            "rows": rows,
-        }, indent=2)
+    # Each cell's outcome: cached (its result.json loaded before the
+    # drain), or as the drain recorded it in the catalogue.
+    summaries = []
+    for cell in statuses:
+        index = int(cell["cell_index"])
+        summary = {"index": index, "params": cells[index], "slug": cell["slug"],
+                   "status": "cached" if index in cached else cell["status"]}
+        if summary["status"] in UNFINISHED_STATUSES:
+            summary["error"] = cell["error"] or "not attempted"
+            summary["attempt"] = cell["attempts"]
+        summaries.append(summary)
+        rows[index] = cached.get(index, rows[index])
+    if strict:
+        _raise_on_failures(summaries, out_dir)
     return CampaignResult(spec=spec, scale=scale, seed=seed, out_dir=out_dir,
-                          rows=rows, cells=cell_summaries, workers=workers,
+                          rows=rows, cells=summaries, workers=workers,
                           strict=strict)
 
 
-def _raise_on_failures(outcomes: Dict[int, Dict]) -> None:
-    """Aggregate every non-completed cell into one strict-mode error."""
-    interrupted = sorted((o for o in outcomes.values()
-                          if o.get("status") == "interrupted"),
-                         key=lambda o: o["index"])
-    failed = sorted((o for o in outcomes.values()
-                     if o.get("status") in ("failed", "timeout")),
-                    key=lambda o: o["index"])
+def _raise_on_failures(cells: List[Dict], out_dir: Path) -> None:
+    """Aggregate every unfinished cell into one strict-mode error."""
+    interrupted = [c for c in cells if c["status"] == "interrupted"]
+    unfinished = [c for c in cells
+                  if c["status"] in ("failed", "timeout", "pending")]
     if interrupted:
-        lines = [f"cell {o['index']}: {o['error']}" for o in interrupted]
-        lines += [f"cell {o['index']} ({o['status']}): {o['error']}" for o in failed]
+        lines = [f"cell {c['index']}: {c['error']}" for c in interrupted]
+        lines += [f"cell {c['index']} ({c['status']}): {c['error']}" for c in unfinished]
         raise CampaignInterrupted(
             f"{len(interrupted)} cell(s) interrupted"
-            + (f", {len(failed)} failed" if failed else "") + ":\n"
-            + "\n".join(lines))
-    if failed:
+            + (f", {len(unfinished)} not completed" if unfinished else "")
+            + ":\n" + "\n".join(lines))
+    if unfinished:
         details = "\n\n".join(
-            f"cell {o['index']} ({o['status']}, attempt {o.get('attempt')}): "
-            + (o.get("traceback") or o["error"]) for o in failed)
-        raise RuntimeError(f"{len(failed)} campaign cell(s) failed:\n{details}")
+            f"cell {c['index']} ({c['status']}, attempt {c['attempt']}): "
+            + (_recorded_error(out_dir / "cells" / c["slug"]).get("traceback")
+               or c["error"]) for c in unfinished)
+        raise RuntimeError(f"{len(unfinished)} campaign cell(s) failed:\n{details}")
 
 
 # --------------------------------------------------------------- inspection
@@ -807,18 +736,11 @@ def load_rows(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
               seed: Optional[int] = None, root: os.PathLike = "runs",
               out_dir: Optional[os.PathLike] = None) -> List[Dict]:
     """Rows of a finished (or partially finished) campaign artifact."""
-    spec = resolve_experiment(experiment)
-    scale = resolve_scale(scale if scale is not None else spec.default_scale)
-    seed = spec.base_seed if seed is None else int(seed)
-    out_dir = (Path(out_dir) if out_dir is not None
-               else Path(root) / campaign_id(spec.experiment_id, scale, seed))
+    out_dir = resolve_campaign(experiment, scale, seed, root, out_dir)[3]
     manifest_file = out_dir / "manifest.json"
     if not manifest_file.exists():
         raise FileNotFoundError(f"no campaign artifact at {out_dir}")
     manifest = load_json(manifest_file)
-    rows = []
-    for cell in manifest.get("cells", []):
-        row = _load_cached_row(out_dir / "cells" / cell["slug"] / "result.json")
-        if row is not None:
-            rows.append(row)
-    return rows
+    results = (_load_result(out_dir / "cells" / cell["slug"] / "result.json")
+               for cell in manifest.get("cells", []))
+    return [result["row"] for result in results if result is not None]

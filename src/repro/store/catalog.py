@@ -114,11 +114,6 @@ class Catalog:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    @classmethod
-    def for_root(cls, root: Path) -> "Catalog":
-        """The catalogue serving the campaign directories under ``root``."""
-        return cls(catalog_path(root))
-
     # ------------------------------------------------------------- recording
     def record_campaign(self, run_id: str, spec: Any, scale_name: str,
                         seed: int, out_dir: Path,
@@ -291,12 +286,6 @@ class Catalog:
             (run_id,))
         return [json.loads(r["row_json"]) if r["row_json"] is not None
                 else None for r in records]
-
-    def attempt_counts(self, run_id: str) -> Dict[int, int]:
-        return {int(r["cell_index"]): int(r["attempts"])
-                for r in self.conn.fetchall(
-                    "SELECT cell_index, attempts FROM cells"
-                    " WHERE run_id = ?", (run_id,))}
 
     # ------------------------------------------------------------- telemetry
     def record_telemetry(self, worker: str, points: Sequence[Mapping[str, Any]],

@@ -26,9 +26,8 @@ request to the upstream ``repro serve``, injecting faults from the same
 
 Determinism: the :class:`~repro.store.client.StoreClient` sends
 ``Connection: close`` on every request, so requests and proxy connections
-are one-to-one.  Each fault keeps its own counter of requests whose path
-matches its ``op`` filter and fires exactly when that counter reaches
-``at_request`` — the same plan always perturbs the same protocol step.
+are one-to-one, and faults fire on the same
+:class:`~repro.runs.faults.ChaosSchedule` as the in-process transport.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.runs.faults import NetworkChaosPlan
+from repro.runs.faults import ChaosSchedule, NetworkChaosPlan
 
 #: Socket read deadline inside the proxy (seconds) — a hung peer cannot
 #: wedge a proxy thread forever.
@@ -97,9 +96,8 @@ class ChaosProxy:
                  host: str = "127.0.0.1", port: int = 0):
         self.upstream = upstream
         self.plan = plan
-        self.fired: List[Dict[str, Any]] = []
-        self._seen = [0] * len(plan.faults)
-        self._lock = threading.Lock()
+        self.schedule = ChaosSchedule(plan)
+        self.fired = self.schedule.fired
         self._stop = threading.Event()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -130,18 +128,6 @@ class ChaosProxy:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    # ----------------------------------------------------------------- faults
-    def _matching(self, path: str) -> List[Any]:
-        matched = []
-        with self._lock:
-            for index, fault in enumerate(self.plan.faults):
-                if fault.op is not None and fault.op not in path:
-                    continue
-                if self._seen[index] == fault.at_request:
-                    matched.append(fault)
-                self._seen[index] += 1
-        return matched
-
     # ------------------------------------------------------------ the machine
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -163,10 +149,9 @@ class ChaosProxy:
                 client.close()
                 return
             path = _request_path(request)
-            faults = self._matching(path)
+            faults = self.schedule.faults_for(path)
             kinds = [fault.kind for fault in faults]
             for fault in faults:
-                self.fired.append({"kind": fault.kind, "path": path})
                 if fault.kind == "stall":
                     self._stop.wait(fault.delay_seconds)
             if "reset" in kinds:

@@ -42,7 +42,7 @@ from urllib.parse import urlsplit
 
 from repro import telemetry
 from repro.rl.stats import dump_json
-from repro.runs.faults import NetworkChaosPlan
+from repro.runs.faults import ChaosSchedule, NetworkChaosPlan
 
 #: Per-attempt socket deadline (seconds) unless the caller overrides it.
 DEFAULT_TIMEOUT_SECONDS = 30.0
@@ -131,40 +131,23 @@ class UrllibTransport:
 
 
 class ChaosTransport:
-    """Deterministic fault injection between the client and its transport.
-
-    Each fault of the plan keeps its own counter of requests matching its
-    ``op`` filter and fires when that counter reaches ``at_request`` — the
-    same plan always perturbs the same protocol steps, independent of
-    timing.  Fired faults are recorded in :attr:`fired` for tests.
-    """
+    """Deterministic fault injection between the client and its transport,
+    on the plan's :class:`~repro.runs.faults.ChaosSchedule` (fired faults
+    are recorded in :attr:`fired` for tests)."""
 
     def __init__(self, inner: Transport, plan: NetworkChaosPlan,
                  sleep: Callable[[float], None] = time.sleep):
         self.inner = inner
         self.plan = plan
-        self.fired: List[Dict[str, Any]] = []
+        self.schedule = ChaosSchedule(plan)
+        self.fired = self.schedule.fired
         self._sleep = sleep
-        self._seen = [0] * len(plan.faults)
-        self._lock = threading.Lock()
-
-    def _matching(self, path: str) -> List[Any]:
-        matched = []
-        with self._lock:
-            for index, fault in enumerate(self.plan.faults):
-                if fault.op is not None and fault.op not in path:
-                    continue
-                if self._seen[index] == fault.at_request:
-                    matched.append(fault)
-                self._seen[index] += 1
-        return matched
 
     def __call__(self, method: str, url: str, body: Optional[bytes],
                  headers: Mapping[str, str], timeout: float) -> Tuple[int, bytes]:
         path = urlsplit(url).path
-        faults = self._matching(path)
+        faults = self.schedule.faults_for(path)
         for fault in faults:
-            self.fired.append({"kind": fault.kind, "path": path})
             telemetry.counter("client.chaos.fired").inc()
             if fault.kind == "reset":
                 raise ConnectionResetError(
@@ -342,12 +325,14 @@ class StoreClient:
 
     def release(self, run_id: str, cell_index: int, *, status: str,
                 error: Optional[str], params: Mapping[str, Any],
-                attempts: int) -> Dict[str, Any]:
-        """Give a failed/interrupted job back to the queue (exactly-once)."""
+                attempts: int, max_job_attempts: int = 3) -> Dict[str, Any]:
+        """Give a failed/interrupted job back to the queue (exactly-once);
+        past ``max_job_attempts`` claims the job is retired as failed."""
         return self.post("/api/jobs/release", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "error": error,
             "params": dict(params), "attempts": int(attempts),
+            "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("release"),
         })
 

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.runs.artifacts import CorruptArtifactError, load_json
+from repro.runs.runner import _load_result, _recorded_error
 from repro.runs.spec import ExperimentSpec
 from repro.store.catalog import Catalog, catalog_path
 
@@ -75,26 +76,17 @@ def _ingest_campaign(catalog: Catalog, out_dir: Path) -> int:
 
 def _cell_outcome(cell_dir: Path) -> Optional[Dict[str, Any]]:
     """A cell's recorded outcome from its artifacts (None while pending)."""
-    result_file = cell_dir / "result.json"
-    if result_file.exists():
-        try:
-            payload = load_json(result_file)
-        except CorruptArtifactError:
-            return None
-        if isinstance(payload, dict) and payload.get("row") is not None:
-            return {"status": "completed", "row": payload["row"],
-                    "elapsed_seconds": payload.get("elapsed_seconds")}
-    error_file = cell_dir / "error.json"
-    if error_file.exists():
-        try:
-            record = load_json(error_file)
-        except CorruptArtifactError:
-            return None
-        return {"status": record.get("status", "failed"),
-                "error": record.get("error"),
-                "attempts": int(record.get("attempt", 0) or 0),
-                "elapsed_seconds": record.get("elapsed_seconds")}
-    return None
+    result = _load_result(cell_dir / "result.json")
+    if result is not None:
+        return {"status": "completed", "row": result["row"],
+                "elapsed_seconds": result.get("elapsed_seconds")}
+    record = _recorded_error(cell_dir)
+    if not record:
+        return None
+    return {"status": record.get("status", "failed"),
+            "error": record.get("error"),
+            "attempts": int(record.get("attempt", 0) or 0),
+            "elapsed_seconds": record.get("elapsed_seconds")}
 
 
 # --------------------------------------------------------------- bench files

@@ -11,7 +11,7 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
 * **heartbeat** — while a cell executes, the worker extends its lease every
   ``lease_ttl/3`` seconds on the catalogue's shared clock.  A worker that
   dies stops heartbeating, its lease expires, and the cell is claimable
-  again — the queue-level analogue of the runner's watchdog;
+  again — the queue-level analogue of the executor's watchdog;
 * **completion/release** — a finished cell marks its job ``done`` together
   with the catalogue cell row; a failed cell goes back to ``pending`` until
   the queue-level attempt budget is exhausted, then ``failed``.
@@ -63,16 +63,35 @@ class JobQueue:
         self.max_job_attempts = int(max_job_attempts)
 
     # ---------------------------------------------------------------- submit
-    def submit(self, run_id: str,
-               payloads: Sequence[Mapping[str, Any]]) -> int:
-        """Enqueue one job per cell payload (existing jobs are kept as-is)."""
+    def submit(self, run_id: str, payloads: Sequence[Mapping[str, Any]],
+               requeue: Sequence[int] = ()) -> int:
+        """Enqueue one job per cell payload; returns how many are new.
+
+        Jobs already queued take the fresh payload (unless leased).  Failed
+        jobs, and the done jobs of the ``requeue`` cells (whose results were
+        lost), go back to ``pending`` with a fresh attempt budget.
+        """
         with self.conn.transaction():
-            cursor = self.conn.executemany(
-                "INSERT OR IGNORE INTO jobs (run_id, cell_index, state,"
-                " payload_json) VALUES (?, ?, 'pending', ?)",
+            known = self.conn.scalar(
+                "SELECT COUNT(*) FROM jobs WHERE run_id = ?", (run_id,))
+            self.conn.executemany(
+                "INSERT INTO jobs (run_id, cell_index, state, payload_json)"
+                " VALUES (?, ?, 'pending', ?)"
+                " ON CONFLICT (run_id, cell_index) DO UPDATE"
+                " SET payload_json = excluded.payload_json"
+                " WHERE state != 'leased'",
                 [(run_id, int(payload["index"]), dump_json(payload))
                  for payload in payloads])
-        return cursor.rowcount if cursor.rowcount is not None else 0
+            self.conn.execute(
+                "UPDATE jobs SET state = 'pending', attempts = 0"
+                " WHERE run_id = ? AND state = 'failed'", (run_id,))
+            self.conn.executemany(
+                "UPDATE jobs SET state = 'pending', attempts = 0"
+                " WHERE run_id = ? AND cell_index = ? AND state = 'done'",
+                [(run_id, int(index)) for index in requeue])
+            total = self.conn.scalar(
+                "SELECT COUNT(*) FROM jobs WHERE run_id = ?", (run_id,))
+        return int(total) - int(known)
 
     # ----------------------------------------------------------------- claim
     def claim(self, worker: str, run_id: Optional[str] = None,

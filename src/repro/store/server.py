@@ -593,12 +593,12 @@ class _Responded(BaseException):
 def finalize_from_catalog(catalog: Catalog, run_id: str) -> None:
     """Write a drained run's ``results.json`` from its catalogue rows.
 
-    The server-side twin of the worker's tree-based ``_finalize_run``:
-    remote workers never touch the server host's artifact tree, so once the
-    queue has nothing outstanding and every cell row landed, the *server*
-    materializes ``results.json``.  Rows round-trip through the same
-    canonical ``dump_json`` as the runner's, so the file is byte-identical
-    to a serial ``repro.run()``.
+    The one writer of ``results.json``: the server calls it after each
+    remote completion (remote workers never touch the server host's
+    artifact tree), local drainers after each cell, and ``repro.run()``
+    after its drain.  It writes only once the queue has nothing outstanding
+    and every cell row landed; rows round-trip through the canonical
+    ``dump_json``, so every drain produces the same bytes.
     """
     if JobQueue(catalog).outstanding(run_id) != 0:
         return

@@ -1,23 +1,24 @@
 """Campaign submission and the ``repro work`` drain loop (local + remote).
 
-``submit_campaign`` turns an experiment into durable queue state: it writes
-the campaign's ``manifest.json`` (exactly as ``repro.run()`` would), records
-the run + provenance + pending cells in the catalogue, and enqueues one job
-per cell.  Nothing executes yet — execution belongs to workers.
+``submit_campaign`` is the one submission path (``repro submit``,
+``POST /api/campaigns`` and ``repro.run()``): it writes the campaign's
+``manifest.json``, records the run + provenance + pending cells in the
+catalogue, and enqueues one job per cell.  Nothing executes yet — execution
+belongs to drainers.
 
-``work()`` is one worker process: claim a job, execute its cell through the
-runner's own ``_attempt_cell`` path (same artifact tree, same
-strict/lenient/retry/fault semantics as ``repro.run()``), heartbeat the
-lease from a background thread while the cell runs, then mark the job done
-together with the catalogue cell row.  N workers on one catalogue drain a
-campaign cooperatively; a killed worker's lease expires and its cell is
-reclaimed and re-run, so the drained campaign is bit-identical to a serial
-``repro.run()`` of the same experiment.
+``work()`` is one drainer: claim a job, execute its cell through the
+runner's :func:`~repro.runs.runner.execute_cell` (same artifact tree, same
+retry/timeout/fault semantics everywhere), heartbeat the lease from a
+background thread while the cell runs, then mark the job done together with
+the catalogue cell row.  ``repro.run()`` is this same loop drained locally;
+N ``repro work`` processes on one catalogue drain a campaign cooperatively.
+A killed worker's lease expires and its cell is reclaimed and re-run, so
+every drain is bit-identical to a serial ``repro.run()``.
 
 Two queue backends share that loop:
 
 * **local** (the default): the worker opens the catalogue file directly —
-  same-host draining, exactly as in PR 8;
+  same-host draining;
 * **remote** (``server="http://host:port"``): the worker speaks the lease
   protocol over HTTP through :class:`~repro.store.client.StoreClient` —
   deadline, bounded deterministic retries, idempotency keys — and never
@@ -28,11 +29,12 @@ Two queue backends share that loop:
   reclaimed across hosts recomputes the identical row without any shared
   filesystem.
 
-Signals: SIGTERM/SIGINT interrupt the drain loop cleanly — the worker
-releases its current lease (recorded as ``released`` in ``lease_events``,
-job back to ``pending``), marks its summary ``interrupted``, and the CLI
-exits non-zero.  No cell is ever left leased to a dead worker longer than
-the signal handling takes.
+Stops: SIGTERM/SIGINT (or a ``KeyboardInterrupt`` raised by a cell)
+interrupt the drain loop cleanly — the worker releases its current lease
+(recorded as ``released`` in ``lease_events``), marks its summary
+``interrupted``, and the CLI exits non-zero.  An injected kill ends the
+drainer the same way a crash would: its lease is released and it claims no
+further cell.
 """
 
 from __future__ import annotations
@@ -43,21 +45,21 @@ import socket
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro import telemetry
-from repro.experiments.common import ScaleLike, resolve_scale
-from repro.runs.artifacts import atomic_write_json, load_json
+from repro.experiments.common import ScaleLike
 from repro.runs.faults import resolve_fault_plan, resolve_network_chaos_plan
-from repro.runs.registry import ExperimentLike, resolve_experiment
+from repro.runs.registry import ExperimentLike
 from repro.runs.runner import (
-    _attempt_cell,
-    _manifest_payload,
-    campaign_id,
+    _load_result,
     cell_payloads,
     cell_slug,
+    ensure_manifest,
+    execute_cell,
+    resolve_campaign,
 )
 from repro.store.catalog import Catalog, catalog_path
 from repro.store.client import (
@@ -75,6 +77,7 @@ from repro.store.queue import (
     Job,
     JobQueue,
 )
+from repro.store.server import finalize_from_catalog
 
 
 @dataclass
@@ -98,38 +101,30 @@ def submit_campaign(experiment: ExperimentLike,
                     out_dir: Optional[os.PathLike] = None,
                     checkpoint_every: int = 2,
                     max_attempts: int = 1, retry_backoff: float = 0.25,
-                    fault_plan: Any = None,
+                    fault_plan: Any = None, timeout: Optional[float] = None,
                     catalog: Optional[Catalog] = None) -> Submission:
     """Register a campaign in the catalogue and enqueue its cells.
 
-    Safe to call twice: the manifest check refuses a *different* campaign in
-    the same directory, existing cell/job rows are kept, and already-finished
-    cells complete instantly when a worker claims them (their ``result.json``
-    is the memo).
+    ``timeout`` is the per-cell wall-clock budget every drainer enforces.
+    Submitting a campaign again is how it resumes: the manifest check
+    refuses a *different* campaign in the same directory (a torn manifest
+    is quarantined and rewritten), queued jobs take the fresh payload, and
+    failed jobs plus done jobs whose ``result.json`` no longer loads go back
+    to ``pending``.  Done cells keep their ``result.json`` as the memo.
     """
-    from repro.runs.runner import _check_manifest  # late: keeps import graph flat
-
-    spec = resolve_experiment(experiment)
-    scale = resolve_scale(scale if scale is not None else spec.default_scale)
-    seed = spec.base_seed if seed is None else int(seed)
+    spec, scale, seed, out_dir = resolve_campaign(experiment, scale, seed, root,
+                                                  out_dir)
     plan = resolve_fault_plan(fault_plan)
-    root = Path(root)
-    out_dir = (Path(out_dir) if out_dir is not None
-               else root / campaign_id(spec.experiment_id, scale, seed))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = spec.cells(scale)
-    manifest = _manifest_payload(spec, scale, seed, cells)
-    manifest_file = out_dir / "manifest.json"
-    if manifest_file.exists():
-        _check_manifest(load_json(manifest_file), manifest, out_dir)
-    else:
-        atomic_write_json(manifest_file, manifest, indent=2)
-
+    manifest = ensure_manifest(out_dir, spec, scale, seed, cells)
     payloads = cell_payloads(spec, scale, seed, out_dir, cells,
                              checkpoint_every=checkpoint_every,
                              fault_plan=plan, max_attempts=max_attempts,
-                             retry_backoff=retry_backoff)
+                             retry_backoff=retry_backoff, timeout=timeout)
+    lost = [payload["index"] for payload in payloads
+            if _load_result(Path(payload["cell_dir"]) / "result.json") is None]
     run_id = out_dir.name
     owns_catalog = catalog is None
     catalog = catalog if catalog is not None else Catalog(
@@ -140,7 +135,7 @@ def submit_campaign(experiment: ExperimentLike,
             slugs=[cell_slug(i, params) for i, params in enumerate(cells)],
             fault_plan=plan.to_dict() if plan is not None else None,
             manifest_version=manifest["version"])
-        enqueued = JobQueue(catalog).submit(run_id, payloads)
+        enqueued = JobQueue(catalog).submit(run_id, payloads, requeue=lost)
     finally:
         if owns_catalog:
             catalog.close()
@@ -161,10 +156,7 @@ class WorkerSummary:
     cells: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"worker_id": self.worker_id, "completed": self.completed,
-                "failed": self.failed, "released": self.released,
-                "reclaimed": self.reclaimed,
-                "interrupted": self.interrupted, "cells": self.cells}
+        return asdict(self)
 
 
 class WorkerSignalled(BaseException):
@@ -186,7 +178,9 @@ class _SignalGuard:
 
     Only installs handlers on the main thread (``signal.signal`` refuses
     anywhere else — tests drive ``work()`` from helper threads); restores
-    the previous handlers on exit.
+    the previous handlers on exit.  The first signal wins: repeats (a
+    terminal's SIGINT followed by a parent's SIGTERM) are ignored until the
+    scope exits, so they cannot cut the lease release short.
     """
 
     def __init__(self) -> None:
@@ -196,6 +190,8 @@ class _SignalGuard:
     def __enter__(self) -> "_SignalGuard":
         if threading.current_thread() is threading.main_thread():
             def raise_signalled(signum: int, _frame: Any) -> None:
+                for repeat in (signal.SIGTERM, signal.SIGINT):
+                    signal.signal(repeat, signal.SIG_IGN)
                 raise WorkerSignalled(signum)
 
             for signum in (signal.SIGTERM, signal.SIGINT):
@@ -211,34 +207,39 @@ class _SignalGuard:
 
 
 class _Heartbeat:
-    """Background lease renewal while a cell executes (local backend).
+    """Background lease renewal while a cell executes.
 
-    Runs on its own catalogue connection (SQLite connections are
-    thread-bound); only touches the lease row, never the cell's computation,
-    so worker results stay deterministic.
+    ``beat()`` renews the lease once and returns False when it was lost to
+    a reclaim (the new owner re-runs the cell).  It only touches the lease,
+    never the cell's computation, so results stay deterministic.  A remote
+    beat's transport error is tolerated — the lease may lapse and be
+    reclaimed, exactly what a dead network should cause — and the gap
+    histogram only advances on success, so the next beat records the true
+    outage-spanning gap; a fatal protocol error stops the thread.
     """
 
-    def __init__(self, path: Path, job: Job, worker_id: str, lease_ttl: int):
-        self._path = path
-        self._job = job
-        self._worker_id = worker_id
-        self._ttl = int(lease_ttl)
+    def __init__(self, beat: Callable[[], bool], lease_ttl: int):
+        self._beat = beat
+        self._interval = max(1.0, int(lease_ttl) / 3.0)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
-        interval = max(1.0, self._ttl / 3.0)
         gap_seconds = telemetry.histogram("worker.heartbeat.gap_seconds")
         last = time.perf_counter()
-        with Catalog(self._path) as catalog:
-            queue = JobQueue(catalog)
-            while not self._stop.wait(interval):
-                if not queue.heartbeat(self._job, self._worker_id, self._ttl):
-                    telemetry.counter("worker.heartbeat.lost").inc()
-                    return  # lease lost; the claim's new owner re-runs the cell
-                now = time.perf_counter()
-                gap_seconds.record(now - last)
-                last = now
+        while not self._stop.wait(self._interval):
+            try:
+                alive = self._beat()
+            except RetryableTransportError:
+                continue
+            except FatalRequestError:
+                return
+            if not alive:
+                telemetry.counter("worker.heartbeat.lost").inc()
+                return
+            now = time.perf_counter()
+            gap_seconds.record(now - last)
+            last = now
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -249,78 +250,8 @@ class _Heartbeat:
         self._thread.join(timeout=5.0)
 
 
-class _RemoteHeartbeat:
-    """Background lease renewal over HTTP (remote backend).
-
-    Uses a dedicated **chaos-free** client: heartbeats fire on a timer, so
-    letting them consume chaos request indices would make the drain
-    protocol's fault schedule nondeterministic.  A transport error here is
-    tolerated (the lease may lapse and be reclaimed — exactly the semantics
-    a dead network should have); a fatal protocol error stops the thread.
-    """
-
-    def __init__(self, client: StoreClient, job: Job, lease_ttl: int):
-        self._client = client
-        self._job = job
-        self._ttl = int(lease_ttl)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        interval = max(1.0, self._ttl / 3.0)
-        gap_seconds = telemetry.histogram("worker.heartbeat.gap_seconds")
-        last = time.perf_counter()
-        while not self._stop.wait(interval):
-            try:
-                if not self._client.heartbeat(self._job.run_id,
-                                              self._job.cell_index,
-                                              self._ttl):
-                    telemetry.counter("worker.heartbeat.lost").inc()
-                    return  # lease lost to a reclaim
-            except RetryableTransportError:
-                # Server unreachable; keep trying until told to stop.  The
-                # gap histogram only advances on success, so the next
-                # successful beat records the true outage-spanning gap.
-                continue
-            except FatalRequestError:
-                return
-            now = time.perf_counter()
-            gap_seconds.record(now - last)
-            last = now
-
-    def __enter__(self) -> "_RemoteHeartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _finalize_run(catalog: Catalog, out_dir: Path) -> None:
-    """Write ``results.json`` once every cell of a drained run completed.
-
-    Rows come from the cells' ``result.json`` files (the artifact tree is
-    the source of truth), matching ``repro.run()`` byte-for-byte.  Multiple
-    workers may race here; the content is deterministic and the write
-    atomic, so the race is harmless.
-    """
-    from repro.runs.runner import _load_cached_row
-
-    manifest = load_json(out_dir / "manifest.json")
-    rows = [_load_cached_row(out_dir / "cells" / cell["slug"] / "result.json")
-            for cell in manifest["cells"]]
-    if any(row is None for row in rows):
-        return
-    atomic_write_json(out_dir / "results.json", {
-        "experiment": manifest["experiment"]["experiment_id"],
-        "scale": manifest["scale"]["name"], "seed": manifest["seed"],
-        "rows": rows,
-    }, indent=2)
 
 
 class _LocalBackend:
@@ -336,8 +267,11 @@ class _LocalBackend:
         return self.queue.claim(self.worker_id, run_id=run_id,
                                 lease_ttl=lease_ttl)
 
-    def heartbeat_channel(self, job: Job, lease_ttl: int) -> Any:
-        return _Heartbeat(self.path, job, self.worker_id, lease_ttl)
+    def renew_lease(self, job: Job, lease_ttl: int) -> bool:
+        # Called on the heartbeat thread: SQLite connections are
+        # thread-bound, so each beat opens its own.
+        with Catalog(self.path) as catalog:
+            return JobQueue(catalog).heartbeat(job, self.worker_id, lease_ttl)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         return dict(job.payload)
@@ -363,8 +297,7 @@ class _LocalBackend:
         return self.queue.outstanding(run_id)
 
     def finalize(self, job: Job) -> None:
-        if self.queue.outstanding(job.run_id) == 0:
-            _finalize_run(self.catalog, Path(job.payload["out_dir"]))
+        finalize_from_catalog(self.catalog, job.run_id)
 
     def telemetry_sink(self, worker_id: str) -> Any:
         return telemetry.CatalogSink(self.path, worker=worker_id)
@@ -413,8 +346,12 @@ class _RemoteBackend:
                    attempts=int(record["attempts"]),
                    reclaimed_from=record.get("reclaimed_from"))
 
-    def heartbeat_channel(self, job: Job, lease_ttl: int) -> Any:
-        return _RemoteHeartbeat(self.heartbeat_client, job, lease_ttl)
+    def renew_lease(self, job: Job, lease_ttl: int) -> bool:
+        # The chaos-free client: heartbeats fire on a timer, so letting them
+        # consume chaos request indices would make the drain protocol's
+        # fault schedule nondeterministic.
+        return self.heartbeat_client.heartbeat(job.run_id, job.cell_index,
+                                               lease_ttl)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         """Remap the payload's artifact paths onto this worker's host."""
@@ -438,7 +375,8 @@ class _RemoteBackend:
         response = self.client.release(job.run_id, job.cell_index,
                                        status=status, error=error,
                                        params=job.payload["params"],
-                                       attempts=attempts)
+                                       attempts=attempts,
+                                       max_job_attempts=self.max_job_attempts)
         return str(response.get("state", "pending"))
 
     def outstanding(self, run_id: Optional[str]) -> int:
@@ -494,14 +432,13 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
         backend = _LocalBackend(path, worker_id,
                                 max_job_attempts=max_job_attempts)
     claim_seconds = telemetry.histogram("worker.claim.seconds")
-    flusher = telemetry.TelemetryFlusher(backend.telemetry_sink(worker_id))
+    sink = backend.telemetry_sink(worker_id)
+    flusher = telemetry.TelemetryFlusher(sink)
     flusher.start()
     job: Optional[Job] = None
-    try:
-        with _SignalGuard():
-            while True:
-                if max_cells is not None and len(summary.cells) >= max_cells:
-                    break
+    with _SignalGuard():
+        try:
+            while max_cells is None or len(summary.cells) < max_cells:
                 claim_started = time.perf_counter()
                 job = backend.claim(run_id, lease_ttl)
                 claim_seconds.record(time.perf_counter() - claim_started)
@@ -517,18 +454,18 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                     summary.reclaimed += 1
                     telemetry.counter("worker.claims.reclaimed").inc()
                 payload = backend.localize(job)
-                with backend.heartbeat_channel(job, lease_ttl):
-                    outcome = _attempt_cell(payload)
+                with _Heartbeat(lambda: backend.renew_lease(job, lease_ttl),
+                                lease_ttl):
+                    outcome = execute_cell(payload, sink)
                 status = outcome.get("status", "failed")
                 record = {"index": job.cell_index, "run_id": job.run_id,
                           "status": status, "attempts": job.attempts}
                 attempts = outcome.get("attempt", job.attempts)
                 if status in ("completed", "cached"):
-                    if backend.complete(job, status, outcome.get("row"),
+                    if backend.complete(job, status, outcome["row"],
                                         attempts,
-                                        _elapsed_from(Path(payload["cell_dir"]))):
+                                        outcome.get("elapsed_seconds")):
                         summary.completed += 1
-                        telemetry.counter("worker.cells.completed").inc()
                     # else: the lease was reclaimed while we ran; the new
                     # owner re-executes the (idempotent) cell and records it.
                 else:
@@ -536,45 +473,35 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                                                 outcome.get("error"), attempts)
                     if new_state == "failed":
                         summary.failed += 1
-                        telemetry.counter("worker.cells.failed").inc()
                     else:
                         summary.released += 1
-                        telemetry.counter("worker.cells.released").inc()
                     record["error"] = outcome.get("error")
+                finished, job = job, None
                 summary.cells.append(record)
-                backend.finalize(job)
-                job = None
-    except WorkerSignalled as signalled:
-        summary.interrupted = True
-        if job is not None:
-            # Give the in-flight cell straight back to the queue so another
-            # worker picks it up without waiting out the lease TTL.  If the
-            # network is also gone, the lease expiring does the same job.
-            try:
-                backend.release(job, "interrupted", str(signalled),
-                                job.attempts)
-            except (RetryableTransportError, FatalRequestError):
-                pass
-            summary.released += 1
-            summary.cells.append({"index": job.cell_index,
-                                  "run_id": job.run_id,
-                                  "status": "interrupted",
-                                  "attempts": job.attempts,
-                                  "error": str(signalled)})
-    finally:
-        flusher.stop()
-        backend.close()
+                backend.finalize(finished)
+                if status == "interrupted":
+                    break  # an injected kill ends the drainer, as a crash would
+        except (WorkerSignalled, KeyboardInterrupt) as interrupt:
+            summary.interrupted = True
+            if job is not None:
+                # Give the in-flight cell straight back to the queue so another
+                # worker picks it up without waiting out the lease TTL.  If the
+                # network is also gone, the lease expiring does the same job.
+                reason = str(interrupt) or type(interrupt).__name__
+                try:
+                    backend.release(job, "interrupted", reason, job.attempts)
+                except (RetryableTransportError, FatalRequestError):
+                    pass
+                summary.released += 1
+                summary.cells.append({"index": job.cell_index,
+                                      "run_id": job.run_id,
+                                      "status": "interrupted",
+                                      "attempts": job.attempts,
+                                      "error": reason})
+        finally:
+            flusher.stop()
+            backend.close()
     return summary
-
-
-def _elapsed_from(cell_dir: Path) -> Optional[float]:
-    """The cell's recorded wall-clock seconds (from its result.json)."""
-    try:
-        payload = load_json(cell_dir / "result.json")
-    except Exception:
-        return None
-    value = payload.get("elapsed_seconds") if isinstance(payload, dict) else None
-    return float(value) if isinstance(value, (int, float)) else None
 
 
 __all__ = [

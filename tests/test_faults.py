@@ -144,23 +144,19 @@ class TestFaultPlan:
 
     def test_resolution_precedence(self, tmp_path):
         plan = FaultPlan(faults=(Fault(kind="kill", at_update=4),), seed=1)
-        assert resolve_fault_plan(plan, None, {}) is plan
-        assert resolve_fault_plan(plan.to_dict(), None, {}) == plan
-        assert resolve_fault_plan(plan.to_json(), None, {}) == plan
+        assert resolve_fault_plan(plan, {}) is plan
+        assert resolve_fault_plan(plan.to_dict(), {}) == plan
+        assert resolve_fault_plan(plan.to_json(), {}) == plan
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(plan.to_json())
-        assert resolve_fault_plan(str(plan_file), None, {}) == plan
+        assert resolve_fault_plan(str(plan_file), {}) == plan
         # env var: inline JSON or a file path; the explicit argument wins
         env = {FAULT_PLAN_ENV_VAR: plan.to_json()}
-        assert resolve_fault_plan(None, None, env) == plan
-        assert resolve_fault_plan(None, None, {FAULT_PLAN_ENV_VAR: str(plan_file)}) == plan
+        assert resolve_fault_plan(None, env) == plan
+        assert resolve_fault_plan(None, {FAULT_PLAN_ENV_VAR: str(plan_file)}) == plan
         other = FaultPlan(seed=9)
-        assert resolve_fault_plan(other, None, env) is other
-        # legacy hook becomes a repeating kill plan; loses to both channels
-        legacy = resolve_fault_plan(None, 3, {})
-        assert legacy.faults[0] == Fault(kind="kill", at_update=3, once=False)
-        assert resolve_fault_plan(None, 3, env) == plan
-        assert resolve_fault_plan(None, None, {}) is None
+        assert resolve_fault_plan(other, env) is other
+        assert resolve_fault_plan(None, {}) is None
 
 
 # --------------------------------------------------------------------------
@@ -252,14 +248,6 @@ class TestChaosTrainingCampaigns:
         assert dump_json(resumed.rows) == table5_baseline
         assert quarantine_log_entries(tmp_path)
         assert_clean_tree(tmp_path)
-
-    def test_legacy_interrupt_hook_still_resumes(self, tmp_path, table5_baseline):
-        with pytest.raises(CampaignInterrupted):
-            repro.run("table5", scale="smoke", out_dir=tmp_path,
-                      interrupt_after_updates=3)
-        assert campaign_status(tmp_path)["status"] == "in-flight"
-        resumed = repro.run("table5", scale="smoke", out_dir=tmp_path)
-        assert dump_json(resumed.rows) == table5_baseline
 
 
 class TestChaosFastCampaigns:

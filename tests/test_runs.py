@@ -14,6 +14,8 @@ from repro.runs import (
     CampaignInterrupted,
     CellContext,
     ExperimentSpec,
+    Fault,
+    FaultPlan,
     campaign_status,
     get_experiment,
     list_campaigns,
@@ -150,9 +152,11 @@ class TestCampaignTraining:
                              out_dir=tmp_path / "parallel")
         assert dump_json(parallel.rows) == dump_json(serial.rows)
 
+        kill = FaultPlan(faults=(
+            Fault(kind="kill", artifact="checkpoint", at_update=3),))
         with pytest.raises(CampaignInterrupted):
             repro.run("table5", scale="smoke", out_dir=tmp_path / "resume",
-                      interrupt_after_updates=3)
+                      fault_plan=kill)
         status = campaign_status(tmp_path / "resume")
         assert status["status"] == "in-flight"
         assert status["in_flight"] >= 1
