@@ -42,6 +42,8 @@ import argparse
 import contextlib
 import json
 import os
+import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -77,7 +79,7 @@ def _make_trainer(mode: str, scenario: str, seed: int = 0) -> PPOTrainer:
 
 
 def measure_updates(scenario: str, repeats: int, trials: int) -> dict:
-    """Best-of-``trials`` PPO updates/sec per mode, over one fixed rollout.
+    """PPO updates/sec of every trial per mode, over one fixed rollout.
 
     The modes are timed alternately within each trial so transient machine
     load hits all of them rather than biasing one.
@@ -90,7 +92,7 @@ def measure_updates(scenario: str, repeats: int, trials: int) -> dict:
             buffer, _ = trainer._collect_rollout(observations)
             trainer.updater.update(buffer)  # warm up workspaces/moments
             states[mode] = (trainer, buffer)
-    best = {mode: 0.0 for mode in MODES}
+    rates: dict = {mode: [] for mode in MODES}
     for _ in range(trials):
         for mode in MODES:
             trainer, buffer = states[mode]
@@ -98,17 +100,16 @@ def measure_updates(scenario: str, repeats: int, trials: int) -> dict:
                 start = time.perf_counter()
                 for _ in range(repeats):
                     trainer.updater.update(buffer)
-                best[mode] = max(best[mode],
-                                 repeats / (time.perf_counter() - start))
-    return best
+                rates[mode].append(repeats / (time.perf_counter() - start))
+    return rates
 
 
 def measure_end_to_end(scenario: str, max_updates: int, trials: int) -> dict:
     """Aggregate env-steps/sec of full train() loops (rollout+update+eval).
 
-    Modes alternate within each trial; best of ``trials`` per mode.
+    Modes alternate within each trial; every trial's rate per mode.
     """
-    best = {mode: 0.0 for mode in MODES}
+    rates: dict = {mode: [] for mode in MODES}
     for _ in range(trials):
         for mode in MODES:
             with _mode(mode):
@@ -119,8 +120,8 @@ def measure_end_to_end(scenario: str, max_updates: int, trials: int) -> dict:
                 trainer.train(max_updates=max_updates, eval_every=5,
                               target_accuracy=2.0)
                 elapsed = time.perf_counter() - start
-                best[mode] = max(best[mode], trainer.env_steps / elapsed)
-    return best
+                rates[mode].append(trainer.env_steps / elapsed)
+    return rates
 
 
 def measure_telemetry_overhead(scenario: str, max_updates: int,
@@ -155,6 +156,32 @@ def measure_telemetry_overhead(scenario: str, max_updates: int,
             "overhead_pct": round(overhead_pct, 2)}
 
 
+def _spread(name: str, rates: list, digits: int) -> dict:
+    """Best (the headline figure), median, worst and every trial of a rate."""
+    return {name: round(max(rates), digits),
+            f"{name}_median": round(statistics.median(rates), digits),
+            f"{name}_min": round(min(rates), digits),
+            f"{name}_trials": [round(rate, digits) for rate in rates]}
+
+
+def fingerprint() -> dict:
+    """Machine and build facts, including the effective BLAS thread count."""
+    import numpy
+
+    from repro._blas import blas_threads
+
+    blas: dict = {}
+    try:
+        config = numpy.show_config(mode="dicts")
+        blas = dict(config.get("Build Dependencies", {}).get("blas", {}))
+    except (TypeError, ValueError):
+        pass
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown"),
+            "blas_threads": blas_threads()}
+
+
 def run(scenario: str = DEFAULT_SCENARIO, repeats: int = 5, trials: int = 3,
         train_updates: int = 10, train_trials: int = 2) -> dict:
     config = PPOConfig()
@@ -165,9 +192,9 @@ def run(scenario: str = DEFAULT_SCENARIO, repeats: int = 5, trials: int = 3,
     results = []
     for mode in MODES:
         row = {"mode": mode,
-               "dtype": "float32" if mode == "fast-float32" else "float64",
-               "updates_per_second": round(update_rates[mode], 2),
-               "env_steps_per_second": round(step_rates[mode], 1)}
+               "dtype": "float32" if mode == "fast-float32" else "float64"}
+        row.update(_spread("updates_per_second", update_rates[mode], 2))
+        row.update(_spread("env_steps_per_second", step_rates[mode], 1))
         results.append(row)
         print(f"{mode:13s} {row['updates_per_second']:8.2f} updates/s  "
               f"{row['env_steps_per_second']:9.0f} env-steps/s")
@@ -191,6 +218,7 @@ def run(scenario: str = DEFAULT_SCENARIO, repeats: int = 5, trials: int = 3,
         "train_updates": train_updates,
         "train_trials": train_trials,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "fingerprint": fingerprint(),
         "results": results,
         "speedups": speedups,
         "telemetry": telemetry_overhead,

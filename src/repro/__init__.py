@@ -36,6 +36,10 @@ and whole training campaigns through the experiment registry (see
 
 __version__ = "1.2.0"
 
+from repro._blas import budget_threads as _budget_threads
+
+_budget_threads()
+
 from repro.cache import Cache, CacheConfig
 from repro.defenses import (
     DefenseSpec,

@@ -92,7 +92,7 @@ class Tensor:
     """A numpy-backed tensor that records a reverse-mode autodiff graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
-                 "_grad_buffer")
+                 "_grad_view")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
@@ -101,9 +101,9 @@ class Tensor:
         self._backward: Optional[Callable[[], None]] = None
         self._parents: tuple = ()
         self.name = name
-        # Retired gradient array, reused by the next backward pass instead of
-        # a fresh allocation (stashed by ``Optimizer.zero_grad``).
-        self._grad_buffer: Optional[np.ndarray] = None
+        # Where ``grad`` lives once set: a view into an optimizer's flat
+        # gradient buffer (bound by ``Optimizer``), or ``None``.
+        self._grad_view: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ utils
     @property
@@ -169,15 +169,11 @@ class Tensor:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            # Reuse the retired gradient buffer (stashed by Optimizer.zero_grad)
-            # instead of allocating a fresh array every backward pass.
-            buffer = self._grad_buffer
-            if buffer is not None and buffer.shape == grad.shape:
-                np.copyto(buffer, grad)
-                self.grad = buffer
-                self._grad_buffer = None
-            else:
+            if self._grad_view is None:
                 self.grad = grad.copy()
+            else:
+                np.copyto(self._grad_view, grad)
+                self.grad = self._grad_view
         else:
             self.grad += grad
 

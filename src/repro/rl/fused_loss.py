@@ -34,19 +34,15 @@ from repro.nn.compiled import UnsupportedArchitecture, _flatten_feedforward
 from repro.rl.buffer import RolloutBatch
 
 
-def _store_grad(parameter, compute_into) -> None:
-    """Assign a parameter gradient, reusing the retired grad buffer.
+def _grad_out(parameter) -> np.ndarray:
+    """The array to write ``parameter``'s gradient into, set as its ``.grad``.
 
-    ``compute_into(out_or_none)`` must return the gradient array, writing into
-    ``out`` when one is provided.  Mirrors ``Tensor._accumulate`` for the
+    That is the parameter's view into the flat gradient buffer of the
+    updater's optimizer.  Mirrors ``Tensor._accumulate`` for the
     single-contribution case.
     """
-    buffer = parameter._grad_buffer
-    if buffer is not None and buffer.shape == parameter.data.shape:
-        parameter.grad = compute_into(buffer)
-        parameter._grad_buffer = None
-    else:
-        parameter.grad = compute_into(None)
+    parameter.grad = parameter._grad_view
+    return parameter.grad
 
 
 class FusedPPOLoss:
@@ -247,10 +243,10 @@ class FusedPPOLoss:
         features_grad = ws["features_grad"]
         np.matmul(logits_grad, head_w.data.T, out=features_grad)
         features_grad += grad_values2d @ value_w.data.T
-        _store_grad(head_w, lambda out: np.matmul(features.T, logits_grad, out=out))
-        _store_grad(head_b, lambda out: np.sum(logits_grad, axis=0, out=out))
-        _store_grad(value_w, lambda out: np.matmul(features.T, grad_values2d, out=out))
-        _store_grad(value_b, lambda out: np.sum(grad_values2d, axis=0, out=out))
+        np.matmul(features.T, logits_grad, out=_grad_out(head_w))
+        np.sum(logits_grad, axis=0, out=_grad_out(head_b))
+        np.matmul(features.T, grad_values2d, out=_grad_out(value_w))
+        np.sum(grad_values2d, axis=0, out=_grad_out(value_b))
 
         # backbone, in reverse
         grad_current = features_grad
@@ -265,12 +261,8 @@ class FusedPPOLoss:
                 target *= grad_current
                 grad_current = target
             else:  # linear
-                _store_grad(module.weight,
-                            lambda out, a=below, g=grad_current:
-                            np.matmul(a.T, g, out=out))
-                _store_grad(module.bias,
-                            lambda out, g=grad_current:
-                            np.sum(g, axis=0, out=out))
+                np.matmul(below.T, grad_current, out=_grad_out(module.weight))
+                np.sum(grad_current, axis=0, out=_grad_out(module.bias))
                 if position > 0:
                     np.matmul(grad_current, module.weight.data.T, out=target)
                     grad_current = target

@@ -10,7 +10,8 @@ Endpoints
 ---------
 ``GET  /api/health``                     liveness + queue depth + lease count
                                          + draining flag + schema version,
-                                         start time, and code version (so
+                                         start time, effective BLAS threads,
+                                         and code version (so
                                          fleet operators can detect version
                                          skew before a drain)
 ``GET  /api/experiments``                registered experiment ids
@@ -82,6 +83,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry
+from repro._blas import blas_threads
 from repro.rl.stats import dump_json
 from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog, catalog_path, code_version
@@ -280,6 +282,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             "started_unix": self.server.started_unix,
             "uptime_seconds": round(self.server.uptime_seconds(), 3),
             "code_version": self.server.code_version,
+            "blas_threads": blas_threads(),
         })
 
     def _workers(self, query: Dict[str, str]) -> None:

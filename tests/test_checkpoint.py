@@ -125,6 +125,38 @@ class TestOptimizerStateDict:
         for a, b in zip(other._m, optimizer._m):
             assert np.array_equal(a, b)
 
+    def test_adam_loads_per_parameter_state_into_its_flat_buffers(self, rng):
+        """The checkpoint format is one plain array per parameter, written
+        before the optimizer kept its moments in flat buffers; loading copies
+        into the views, and the next step continues the textbook update."""
+        layer = Linear(4, 3, rng=rng)
+        parameters = layer.parameters()
+        shapes = [parameter.data.shape for parameter in parameters]
+        state = {"step": 3,
+                 "m": [rng.standard_normal(shape) for shape in shapes],
+                 "v": [rng.random(shape) for shape in shapes]}
+        optimizer = Adam(parameters, lr=1e-2)
+        moments = list(optimizer._m)
+        optimizer.load_state_dict(state)
+        assert all(a is b for a, b in zip(optimizer._m, moments))
+        assert all(m.base is optimizer._flat_m[0] for m in optimizer._m)
+
+        expected = [parameter.data.copy() for parameter in parameters]
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        beta1, beta2 = 0.9, 0.999
+        bias1, bias2 = 1.0 - beta1 ** 4, 1.0 - beta2 ** 4
+        for index, grad in enumerate(grads):
+            m = beta1 * state["m"][index] + (1.0 - beta1) * grad
+            v = beta2 * state["v"][index] + (1.0 - beta2) * grad ** 2
+            expected[index] -= 1e-2 * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+            parameters[index].grad = grad
+        optimizer.step()
+        for parameter, value in zip(parameters, expected):
+            assert np.array_equal(parameter.data, value)
+        saved = optimizer.state_dict()
+        assert saved["step"] == 4
+        assert [m.shape for m in saved["m"]] == shapes
+
     def test_adam_rejects_mismatched_state(self, rng):
         layer = Linear(4, 3, rng=rng)
         optimizer = Adam(layer.parameters())

@@ -345,16 +345,76 @@ class TestInPlaceOptimizerParity:
         for tensor, grad in zip(tensors, grads):
             assert np.array_equal(tensor.grad, grad * scale)
 
-    def test_grad_buffer_reuse_across_minibatches(self):
-        tensor = Tensor(np.zeros(4), requires_grad=True)
-        optimizer = Adam([tensor])
-        tensor._accumulate(np.ones(4))
-        first_grad = tensor.grad
+    def test_grads_are_views_into_one_flat_buffer(self):
+        trainer = PPOTrainer("guessing/lru-4way", seed=0,
+                             ppo_config=PPOConfig(horizon=16, num_envs=4,
+                                                  minibatch_size=32,
+                                                  update_epochs=2))
+        trainer.train(max_updates=1, eval_every=5)
+        optimizer = trainer.updater.optimizer
+        (group,) = optimizer._groups
+        grads = [parameter.grad for parameter in optimizer.parameters]
+        for parameter, grad in zip(optimizer.parameters, grads):
+            assert grad.base is group.grad
+            assert parameter.data.base is group.data
+        # Later minibatches write into the same arrays: none is allocated.
+        trainer.train(max_updates=2, eval_every=5)
+        assert trainer.updater.fused_minibatches == 8
+        for parameter, grad in zip(optimizer.parameters, grads):
+            assert parameter.grad is grad
         optimizer.zero_grad()
-        assert tensor.grad is None
-        tensor._accumulate(np.full(4, 2.0))
-        assert tensor.grad is first_grad  # same array object, no reallocation
-        assert np.array_equal(tensor.grad, np.full(4, 2.0))
+        assert all(parameter.grad is None for parameter in optimizer.parameters)
+
+    def test_optimizer_step_allocates_nothing(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(2)
+        tensors = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in [(64, 32), (32,), (32, 8), (8,)]]
+        optimizer = Adam(tensors)
+        grads = [rng.standard_normal(t.shape) for t in tensors]
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                optimizer.zero_grad()
+                for tensor, grad in zip(tensors, grads):
+                    tensor._accumulate(grad)
+                optimizer.clip_grad_norm(0.5)
+                optimizer.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 32 * 8  # smaller than the largest parameter
+
+    def test_missing_gradient_skips_that_parameter(self):
+        rng = np.random.default_rng(3)
+        tensors = [Tensor(rng.standard_normal((3, 2)), requires_grad=True),
+                   Tensor(rng.standard_normal(2), requires_grad=True)]
+        optimizer = Adam(tensors, lr=0.1)
+        untouched = tensors[1].data.copy()
+        for _ in range(2):
+            optimizer.zero_grad()
+            tensors[0]._accumulate(rng.standard_normal((3, 2)))
+            optimizer.clip_grad_norm(0.5)
+            optimizer.step()
+        assert np.array_equal(tensors[1].data, untouched)
+        assert not optimizer._v[1].any()
+        assert optimizer._v[0].all()
+
+    def test_fortran_ordered_parameter_keeps_its_layout(self):
+        rng = np.random.default_rng(4)
+        weight = np.asfortranarray(rng.standard_normal((5, 7)))
+        tensor = Tensor(weight, requires_grad=True)
+        reference = weight.copy(order="F")
+        optimizer = Adam([tensor, Tensor(np.zeros(7), requires_grad=True)], lr=3e-4)
+        state = {"step": 0, "m": [np.zeros((5, 7))], "v": [np.zeros((5, 7))]}
+        grad = rng.standard_normal((5, 7))
+        tensor._accumulate(grad)
+        optimizer.step()
+        self._reference_adam_step([reference], [grad], state, lr=3e-4)
+        assert tensor.data.flags.f_contiguous and not tensor.data.flags.c_contiguous
+        assert tensor.grad.flags.f_contiguous
+        assert np.array_equal(tensor.data, reference)
 
 
 class TestMinibatchScratch:

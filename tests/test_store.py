@@ -562,7 +562,8 @@ class TestIngest:
         """The repo's own BENCH_*.json trajectories must flatten cleanly."""
         with Catalog(tmp_path / "catalog.sqlite") as catalog:
             rows = 0
-            for name in ("BENCH_throughput.json", "BENCH_train.json"):
+            for name in ("BENCH_throughput.json", "BENCH_train.json",
+                         "BENCH_campaign.json"):
                 rows += ingest_bench_file(catalog, REPO_ROOT / name)
             assert rows > 0
             speedups = aggregate_bench(catalog, "speedup", by="num_envs",
@@ -653,6 +654,16 @@ class TestServer:
         assert health["uptime_seconds"] >= 0.0
         assert health["code_version"]
         assert "queue_depth" in health
+
+    def test_health_reports_effective_blas_threads(self, server_root):
+        from repro._blas import USER_VARIABLES, blas_threads
+
+        root, port = server_root
+        health = _get(port, "/api/health")
+        assert health["blas_threads"] == blas_threads()
+        if blas_threads() is not None and not any(
+                os.environ.get(name) for name in USER_VARIABLES):
+            assert health["blas_threads"] == 1
 
     def test_telemetry_report_read_and_roster(self, server_root):
         from repro.store.client import StoreClient
