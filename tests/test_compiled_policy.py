@@ -345,6 +345,23 @@ class TestInPlaceOptimizerParity:
         for tensor, grad in zip(tensors, grads):
             assert np.array_equal(tensor.grad, grad * scale)
 
+    def test_clip_norm_sums_per_parameter_in_order(self):
+        # Policy-sized parameters: one reduction over the whole flat buffer
+        # would round differently from these per-parameter partial sums.
+        rng = np.random.default_rng(5)
+        shapes = [(168, 128), (128,), (128, 128), (128,), (128, 8), (8,)]
+        tensors = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+        optimizer = Adam(tensors)
+        for _ in range(5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            optimizer.zero_grad()
+            for tensor, grad in zip(tensors, grads):
+                tensor._accumulate(grad)
+            total = 0.0
+            for grad in grads:
+                total += float(np.sum(grad * grad))
+            assert optimizer.clip_grad_norm(0.5) == float(np.sqrt(total))
+
     def test_grads_are_views_into_one_flat_buffer(self):
         trainer = PPOTrainer("guessing/lru-4way", seed=0,
                              ppo_config=PPOConfig(horizon=16, num_envs=4,
@@ -391,15 +408,24 @@ class TestInPlaceOptimizerParity:
         tensors = [Tensor(rng.standard_normal((3, 2)), requires_grad=True),
                    Tensor(rng.standard_normal(2), requires_grad=True)]
         optimizer = Adam(tensors, lr=0.1)
-        untouched = tensors[1].data.copy()
+        for tensor in tensors:
+            tensor._accumulate(rng.standard_normal(tensor.shape))
+        optimizer.step()
+        # From here on tensors[1] gets no gradient: its value and moments
+        # must stay put (a zero gradient would still decay and apply them).
+        untouched = [tensors[1].data.copy(), optimizer._m[1].copy(),
+                     optimizer._v[1].copy()]
+        before = tensors[0].data.copy()
         for _ in range(2):
             optimizer.zero_grad()
             tensors[0]._accumulate(rng.standard_normal((3, 2)))
             optimizer.clip_grad_norm(0.5)
             optimizer.step()
-        assert np.array_equal(tensors[1].data, untouched)
-        assert not optimizer._v[1].any()
-        assert optimizer._v[0].all()
+        assert tensors[1].grad is None
+        for now, then in zip([tensors[1].data, optimizer._m[1], optimizer._v[1]],
+                             untouched):
+            assert np.array_equal(now, then)
+        assert not np.array_equal(tensors[0].data, before)
 
     def test_fortran_ordered_parameter_keeps_its_layout(self):
         rng = np.random.default_rng(4)
