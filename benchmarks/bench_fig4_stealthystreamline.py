@@ -7,14 +7,15 @@ miss, so it bypasses µarch-statistics detection.
 
 import pytest
 
-from benchmarks._common import emit
+from benchmarks._common import emit, run_campaign
 from repro.experiments import fig4
 
 
 @pytest.mark.figure
-def test_fig4_stealthystreamline(benchmark):
-    rows = benchmark(fig4.run, num_ways=8, message_bits=512)
-    emit("Figure 4", fig4.format_results(rows))
+def test_fig4_stealthystreamline(benchmark, tmp_path_factory):
+    campaign = benchmark(run_campaign, tmp_path_factory, "fig4")
+    rows = campaign.rows
+    emit("Figure 4", campaign.format_results())
     by_name = {row["channel"]: row for row in rows}
     stealthy = by_name["stealthy_streamline"]
     assert stealthy["bypasses_miss_detection"]

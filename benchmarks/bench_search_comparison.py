@@ -7,14 +7,14 @@ magnitude at 8 ways and beyond.
 
 import pytest
 
-from benchmarks._common import emit
-from repro.experiments import search_comparison
+from benchmarks._common import emit, run_campaign
 
 
 @pytest.mark.table
-def test_search_comparison(benchmark, bench_scale):
-    rows = benchmark(search_comparison.run, scale=bench_scale)
-    emit("Section VI-A", search_comparison.format_results(rows))
+def test_search_comparison(benchmark, bench_scale, tmp_path_factory):
+    campaign = benchmark(run_campaign, tmp_path_factory, "search", bench_scale)
+    rows = campaign.rows
+    emit("Section VI-A", campaign.format_results())
     analytical = {row["num_ways"]: row for row in rows if row["kind"] == "analytical"}
     assert analytical[8]["brute_force_steps"] > 100 * analytical[8]["rl_steps_reference"]
     assert analytical[16]["brute_force_steps"] > analytical[8]["brute_force_steps"]

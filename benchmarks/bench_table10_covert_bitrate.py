@@ -7,14 +7,14 @@ on the 8-way parts (the paper reports up to 24% and up to 71% respectively).
 
 import pytest
 
-from benchmarks._common import emit
-from repro.experiments import table10_fig5
+from benchmarks._common import emit, run_campaign
 
 
 @pytest.mark.table
-def test_table10_covert_bitrate(benchmark):
-    rows = benchmark(table10_fig5.run, message_bits=2048)
-    emit("Table X", table10_fig5.format_results(rows))
+def test_table10_covert_bitrate(benchmark, tmp_path_factory):
+    campaign = benchmark(run_campaign, tmp_path_factory, "table10")
+    rows = campaign.rows
+    emit("Table X", campaign.format_results())
     assert len(rows) == 4
     for row in rows:
         assert row["ss_bit_rate_mbps"] > row["lru_bit_rate_mbps"]

@@ -8,14 +8,14 @@ extracted sequence.  At bench scale a single 4-way L2 partition is explored;
 
 import pytest
 
-from benchmarks._common import emit, run_once
-from repro.experiments import table3
+from benchmarks._common import emit, run_campaign, run_once
 
 
 @pytest.mark.table
-def test_table3_real_hardware(benchmark, bench_scale):
-    rows = run_once(benchmark, table3.run, scale=bench_scale)
-    emit("Table III", table3.format_results(rows))
+def test_table3_real_hardware(benchmark, bench_scale, tmp_path_factory):
+    campaign = run_once(benchmark, run_campaign, tmp_path_factory, "table3", bench_scale)
+    rows = campaign.rows
+    emit("Table III", campaign.format_results())
     assert rows
     # Sanity: the agent is at least at the accuracy of always guessing one of
     # the two possible secrets; the table records how far beyond that the

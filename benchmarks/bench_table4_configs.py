@@ -4,17 +4,24 @@ All 17 configurations are verified with their textbook attack; RL training
 runs on a subset at bench scale (every configuration at paper scale).
 """
 
+import dataclasses
+
 import pytest
 
-from benchmarks._common import emit, run_once
-from repro.experiments import table4
+from benchmarks._common import emit, run_campaign, run_once
+from repro.runs import get_experiment
 
 
 @pytest.mark.table
-def test_table4_configs(benchmark, bench_scale):
-    rl_subset = (5, 6) if bench_scale.name == "bench" else None
-    rows = run_once(benchmark, table4.run, scale=bench_scale, rl_configs=rl_subset)
-    emit("Table IV", table4.format_results(rows))
+def test_table4_configs(benchmark, bench_scale, tmp_path_factory):
+    spec = get_experiment("table4")
+    if bench_scale.name == "bench":
+        # Train RL on configs 5 and 6 only; the textbook check covers all 17.
+        spec = dataclasses.replace(spec, grid=tuple({"config": n, "rl": n in (5, 6)}
+                                                    for n in range(1, 18)))
+    campaign = run_once(benchmark, run_campaign, tmp_path_factory, spec, bench_scale)
+    rows = campaign.rows
+    emit("Table IV", campaign.format_results())
     assert len(rows) == 17
     assert all(row["textbook_accuracy"] >= 0.5 for row in rows)
     trained = [row for row in rows if row["rl_trained"]]

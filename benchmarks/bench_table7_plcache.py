@@ -6,14 +6,14 @@ but needs at least as much training as against the unprotected baseline.
 
 import pytest
 
-from benchmarks._common import emit, run_once
-from repro.experiments import table7
+from benchmarks._common import emit, run_campaign, run_once
 
 
 @pytest.mark.table
-def test_table7_plcache(benchmark, bench_scale):
-    rows = run_once(benchmark, table7.run, scale=bench_scale)
-    emit("Table VII", table7.format_results(rows))
+def test_table7_plcache(benchmark, bench_scale, tmp_path_factory):
+    campaign = run_once(benchmark, run_campaign, tmp_path_factory, "table7", bench_scale)
+    rows = campaign.rows
+    emit("Table VII", campaign.format_results())
     by_cache = {row["cache"]: row for row in rows}
     assert set(by_cache) == {"PL Cache", "Baseline"}
     assert by_cache["PL Cache"]["epochs_to_converge"] >= 0.0

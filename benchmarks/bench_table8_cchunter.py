@@ -7,14 +7,14 @@ agent stays well below the textbook attacker's autocorrelation.
 
 import pytest
 
-from benchmarks._common import emit, run_once
-from repro.experiments import table8_fig3
+from benchmarks._common import emit, run_campaign, run_once
 
 
 @pytest.mark.table
-def test_table8_cchunter_bypass(benchmark, bench_scale):
-    rows = run_once(benchmark, table8_fig3.run, scale=bench_scale)
-    emit("Table VIII", table8_fig3.format_results(rows))
+def test_table8_cchunter_bypass(benchmark, bench_scale, tmp_path_factory):
+    campaign = run_once(benchmark, run_campaign, tmp_path_factory, "table8", bench_scale)
+    rows = campaign.rows
+    emit("Table VIII", campaign.format_results())
     by_attack = {row["attack"]: row for row in rows}
     assert set(by_attack) == {"textbook", "RL baseline", "RL autocor"}
     assert by_attack["textbook"]["max_autocorrelation"] > 0.75

@@ -7,14 +7,14 @@ attacker.
 
 import pytest
 
-from benchmarks._common import emit, run_once
-from repro.experiments import table9
+from benchmarks._common import emit, run_campaign, run_once
 
 
 @pytest.mark.table
-def test_table9_svm_bypass(benchmark, bench_scale):
-    rows = run_once(benchmark, table9.run, scale=bench_scale)
-    emit("Table IX", table9.format_results(rows))
+def test_table9_svm_bypass(benchmark, bench_scale, tmp_path_factory):
+    campaign = run_once(benchmark, run_campaign, tmp_path_factory, "table9", bench_scale)
+    rows = campaign.rows
+    emit("Table IX", campaign.format_results())
     by_attack = {row["attack"]: row for row in rows}
     assert set(by_attack) == {"textbook", "RL baseline", "RL SVM"}
     assert by_attack["textbook"]["detection_rate"] > 0.5

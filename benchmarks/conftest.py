@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper and prints the
 rows it produced.  The training budget is controlled by the
 ``REPRO_BENCH_SCALE`` environment variable (``smoke``, ``bench`` — the
-default — or ``paper``); see EXPERIMENTS.md for how the bench-scale budgets
-relate to the paper's GPU-cluster budgets.
+default — or ``paper``); the presets and how they shrink the paper's
+GPU-cluster budgets are in :mod:`repro.experiments.common`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import pytest
 
 import repro
-from repro.experiments.common import get_scale
+from repro.experiments.common import resolve_scale
 
 
 def pytest_configure(config):
@@ -25,7 +25,7 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def bench_scale():
     """The experiment scale used by all RL-based benchmarks."""
-    return get_scale(os.environ.get("REPRO_BENCH_SCALE", "bench"))
+    return resolve_scale(os.environ.get("REPRO_BENCH_SCALE", "bench"))
 
 
 @pytest.fixture(scope="session")
@@ -38,9 +38,3 @@ def make_env():
 def scenario_ids():
     """All registered scenario ids (the benchmark workload catalogue)."""
     return repro.list_scenarios()
-
-
-def emit(title: str, text: str) -> None:
-    """Print a regenerated table so it appears in the benchmark log."""
-    print(f"\n=== {title} ===")
-    print(text)

@@ -16,26 +16,25 @@ Run with:  python examples/stealthy_streamline_covert.py
 
 from __future__ import annotations
 
-from repro.attacks import (
-    LRUAddressBasedChannel,
-    StealthyStreamlineChannel,
-    StreamlineChannel,
-    run_spectre_demo,
-)
-from repro.experiments import table10_fig5
-from repro.experiments.fig4 import run as fig4_run
+import tempfile
+
+import repro
+from repro.attacks import run_spectre_demo
+from repro.experiments import fig4, table10_fig5
 from repro.experiments.common import format_table
 
 
 def main() -> None:
     print("1. Covert channels on the cache simulator (8-way LRU set)")
-    rows = fig4_run(num_ways=8, message_bits=2048)
+    rows = [fig4.run_cell({"channel": name, "num_ways": 8, "message_bits": 2048})
+            for name in fig4.CHANNEL_BUILDERS]
     print(format_table(rows, ["channel", "bits_per_symbol", "bits_per_access",
                               "error_rate", "victim_misses", "bypasses_miss_detection"]))
 
     print("\n2. Bit rates on the simulated real machines (Table X)")
-    table_rows = table10_fig5.run(message_bits=2048)
-    print(table10_fig5.format_results(table_rows))
+    with tempfile.TemporaryDirectory() as out_dir:
+        campaign = repro.run("table10", scale="smoke", out_dir=out_dir, catalog=False)
+    print(campaign.format_results())
 
     print("\n3. Bit rate vs error rate (Figure 5, lowest-noise point per machine)")
     curves = table10_fig5.figure5_curves(message_bits=2048, trials=3)

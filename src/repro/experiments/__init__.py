@@ -1,7 +1,9 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
-Each module exposes a ``run(scale=...)`` function returning structured rows
-plus a ``format_table(rows)`` helper printing them in the paper's layout.  The
+Each module implements the cell protocol of one registered experiment
+(:mod:`repro.runs.builtin`): ``run_cell(params, scale, seed=0, ctx=None)``
+computes one table row, and ``repro.run(<id>)`` expands the registered grid
+into a campaign and renders its rows in the paper's column order.  The
 :class:`repro.experiments.common.ExperimentScale` controls the training budget
 so the same driver powers quick tests, the benchmark harness, and full
 paper-scale runs.

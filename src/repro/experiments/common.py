@@ -6,8 +6,8 @@ budget (and, for the most expensive studies, the cache size) while preserving
 the comparisons the paper makes.  ``PAPER`` approximates the original budgets;
 ``BENCH`` is what the benchmark harness runs; ``SMOKE`` is for tests.
 
-Scale resolution is normalized in one place: every ``run()`` /
-``run_cell()`` entry point accepts a :data:`ScaleLike` — either an
+Scale resolution is normalized in one place: every ``run_cell()`` /
+``cells()`` entry point accepts a :data:`ScaleLike` — either an
 :class:`ExperimentScale` instance or a preset name string — and calls
 :func:`resolve_scale` exactly once at the boundary.
 
@@ -107,10 +107,6 @@ def resolve_scale(scale: Optional[ScaleLike]) -> ExperimentScale:
     if scale in SCALES:
         return SCALES[scale]
     raise KeyError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-
-
-# Backwards-compatible alias (pre-campaign-API name).
-get_scale = resolve_scale
 
 
 @dataclass

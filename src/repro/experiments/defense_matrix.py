@@ -42,17 +42,8 @@ from repro.experiments.common import (
     resolve_scale,
     train_agent,
 )
+from repro.runs.registry import get_experiment
 from repro.scenarios import make_factory
-
-#: The default matrix: disjoint-range base scenarios x defense columns
-#: ("none" is the undefended baseline).
-SCENARIOS = ("guessing/lru-4way-disjoint", "guessing/plcache-baseline-4way",
-             "guessing/sa-4set-2way")
-DEFENSES = ("none", "plcache", "keyed-remap", "way-partition", "random-fill")
-
-COLUMNS = ("scenario", "defense", "probe_accuracy", "accuracy",
-           "bits_per_episode", "episode_length", "epochs_to_converge",
-           "converged")
 
 #: Training-update budgets per scale name (None = keep the scale's own).
 _UPDATE_BUDGETS = {"smoke": 160}
@@ -60,12 +51,6 @@ _UPDATE_BUDGETS = {"smoke": 160}
 #: Probe evaluation trials per secret (the probe is deterministic up to the
 #: episode warm-up, so a few dozen trials pin the signature -> secret map).
 PROBE_TRIALS = 60
-
-
-def matrix_cells() -> List[Dict]:
-    """The default cell grid (also registered statically in repro.runs)."""
-    return [{"scenario": scenario, "defense": defense}
-            for scenario in SCENARIOS for defense in DEFENSES]
 
 
 def replacement_probe_sequence(env) -> List[int]:
@@ -138,13 +123,8 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
     }
 
 
-def run(scale: ScaleLike = "bench", seed: int = 0) -> List[Dict]:
-    """Run the full matrix in-process (campaigns prefer ``repro.run``)."""
-    scale = resolve_scale(scale)
-    return [run_cell(params, scale, seed=seed) for params in matrix_cells()]
-
-
 def format_results(rows: List[Dict]) -> str:
+    """Pivot views per metric, then the per-cell table over the spec's columns."""
     parts = ["Defense matrix: scripted-probe accuracy per scenario x defense",
              pivot_matrix(rows, "probe_accuracy"),
              "",
@@ -154,6 +134,6 @@ def format_results(rows: List[Dict]) -> str:
              "Leaked bits per episode (Fano bound from RL guess accuracy)",
              pivot_matrix(rows, "bits_per_episode"),
              "",
-             format_table(rows, list(COLUMNS),
+             format_table(rows, get_experiment("defense_matrix").columns,
                           title="Per-cell detail")]
     return "\n".join(parts)

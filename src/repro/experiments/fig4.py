@@ -16,7 +16,6 @@ from typing import Dict, List
 from repro.attacks.lru_attacks import LRUAddressBasedChannel
 from repro.attacks.stealthy_streamline import StealthyStreamlineChannel
 from repro.attacks.streamline import StreamlineChannel
-from repro.experiments.common import format_table
 
 CHANNEL_BUILDERS = {
     "lru_address_based": LRUAddressBasedChannel,
@@ -43,13 +42,6 @@ def run_cell(params: Dict, scale=None, seed: int = 0, ctx=None) -> Dict:
     }
 
 
-def run(scale=None, num_ways: int = 8, message_bits: int = 512, seed: int = 0) -> List[Dict]:
-    """Transmit the same message through each channel; compare rate and stealth."""
-    return [run_cell({"channel": name, "num_ways": num_ways, "message_bits": message_bits},
-                     scale, seed=seed)
-            for name in CHANNEL_BUILDERS]
-
-
 def cache_state_walkthrough(num_ways: int = 8, seed: int = 0) -> List[Dict]:
     """Figure 4(d): per-symbol decode trace of the StealthyStreamline channel."""
     channel = StealthyStreamlineChannel(num_ways=num_ways, seed=seed)
@@ -67,10 +59,3 @@ def cache_state_walkthrough(num_ways: int = 8, seed: int = 0) -> List[Dict]:
             "replacement_state": channel.cache.replacement_state(0),
         })
     return rows
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["channel", "bits_per_symbol", "bits_per_access",
-                               "measured_fraction", "error_rate", "victim_misses",
-                               "bypasses_miss_detection"],
-                        title="Figure 4: StealthyStreamline vs prior attacks (simulator)")

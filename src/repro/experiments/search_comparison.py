@@ -8,18 +8,16 @@ degrades compared to the RL agent's step budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.analysis.search_space import brute_force_steps_estimate, prime_probe_search_space
 from repro.cache.config import CacheConfig
 from repro.env.config import EnvConfig
-from repro.experiments.common import ScaleLike, format_table, resolve_scale
+from repro.experiments.common import ScaleLike, resolve_scale
 from repro.rl.baselines import RandomSearchBaseline
 
 # The paper quotes ~1 million RL steps to converge for the 8-way case.
 RL_STEPS_REFERENCE = 1_000_000
-
-ANALYTICAL_WAYS = (2, 4, 6, 8, 12, 16)
 
 
 def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
@@ -50,19 +48,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "speedup_vs_rl": float("nan"),
         "kind": "empirical random search" + ("" if result.found else " (not found)"),
     }
-
-
-def run(scale: ScaleLike = "bench", ways: Optional[List[int]] = None,
-        empirical_ways: int = 2, seed: int = 0) -> List[Dict]:
-    """Analytical estimates for several associativities plus one empirical search."""
-    scale = resolve_scale(scale)
-    ways = ways or list(ANALYTICAL_WAYS)
-    cells = ([{"kind": "analytical", "num_ways": n} for n in ways]
-             + [{"kind": "empirical", "num_ways": empirical_ways}])
-    return [run_cell(params, scale, seed=seed) for params in cells]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["num_ways", "kind", "brute_force_sequences",
-                               "brute_force_steps", "rl_steps_reference"],
-                        title="Section VI-A: brute-force search vs RL")

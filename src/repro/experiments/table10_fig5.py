@@ -11,9 +11,8 @@ fraction of accesses that must be timed per transmitted symbol — is preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.experiments.common import format_table
 from repro.hardware.machines import TABLE10_MACHINES, get_table10_machine
 from repro.hardware.timing import CovertChannelTimingModel, TimingParameters
 
@@ -45,13 +44,6 @@ def run_cell(params: Dict, scale=None, seed: int = 0, ctx=None) -> Dict:
     }
 
 
-def run(scale=None, message_bits: int = 2048, seed: int = 0) -> List[Dict]:
-    """Table X rows: per machine, the two channels' bit rates at <5% error."""
-    return [run_cell({"machine": machine.name, "message_bits": message_bits},
-                     scale, seed=seed)
-            for machine in TABLE10_MACHINES]
-
-
 def figure5_curves(message_bits: int = 2048, seed: int = 0, trials: int = 5) -> Dict[str, Dict]:
     """Figure 5: bit-rate vs error-rate curves for both channels on every machine."""
     curves: Dict[str, Dict] = {}
@@ -66,9 +58,3 @@ def figure5_curves(message_bits: int = 2048, seed: int = 0, trials: int = 5) -> 
                                                               trials=trials),
         }
     return curves
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["cpu", "microarchitecture", "l1d_config", "os",
-                               "lru_bit_rate_mbps", "ss_bit_rate_mbps", "improvement"],
-                        title="Table X: covert channels on (simulated) real machines")

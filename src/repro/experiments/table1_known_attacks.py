@@ -8,7 +8,7 @@ the simulator that its observations fully distinguish the possible secrets
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.attacks.evaluate import evaluate_action_sequence
 from repro.attacks.lru_attacks import lru_address_based_sequence
@@ -17,7 +17,7 @@ from repro.attacks.textbook import (
     flush_reload_sequence,
     prime_probe_sequence,
 )
-from repro.experiments.common import ScaleLike, format_table
+from repro.experiments.common import ScaleLike
 from repro.scenarios import get_spec, make
 
 # (row name, registered scenario, textbook sequence generator)
@@ -47,15 +47,3 @@ def run_cell(params: Dict, scale: ScaleLike = None, seed: int = 0, ctx=None) -> 
         "sequence": sequence.render(),
         "accuracy": accuracy,
     }
-
-
-def run(scale=None) -> List[Dict]:
-    """Evaluate every known attack category on its matching scenario."""
-    return [run_cell({"attack_category": name}, scale)
-            for name, _scenario, _builder in KNOWN_ATTACK_CASES]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["attack_category", "attacker_actions", "victim_actions",
-                               "observation", "accuracy"],
-                        title="Table I: known cache timing attacks (verified on the simulator)")

@@ -10,11 +10,11 @@ extracted sequence, and its category.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.classifier import classify_sequence
 from repro.attacks.sequences import AttackSequence
-from repro.experiments.common import ScaleLike, format_table, resolve_scale, train_agent
+from repro.experiments.common import ScaleLike, resolve_scale, train_agent
 from repro.hardware.machines import TABLE3_MACHINES, MachineSpec, get_machine
 from repro.scenarios import machine_scenario_id, make, make_factory
 
@@ -71,18 +71,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "attack_category": category,
         "env_steps": result.env_steps,
     }
-
-
-def run(scale: ScaleLike = "bench", machines: Optional[Sequence[str]] = None,
-        seed: int = 0) -> List[Dict]:
-    """Train an agent per machine and report accuracy, sequence, and category."""
-    scale = resolve_scale(scale)
-    cell_params = (cells(scale) if machines is None
-                   else [{"machine": key} for key in machines])
-    return [run_cell(params, scale, seed=seed) for params in cell_params]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["cpu", "cache_level", "ways", "documented_policy",
-                               "victim_addr", "attack_addr", "accuracy", "attack_category"],
-                        title="Table III: attacks found on simulated real hardware")

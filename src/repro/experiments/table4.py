@@ -16,14 +16,14 @@ scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.classifier import classify_sequence
 from repro.attacks.evaluate import evaluate_action_sequence
 from repro.attacks.sequences import AttackSequence
 from repro.attacks.textbook import textbook_attack_for_config
 from repro.env.config import EnvConfig
-from repro.experiments.common import ScaleLike, format_table, resolve_scale, train_agent
+from repro.experiments.common import ScaleLike, resolve_scale, train_agent
 from repro.scenarios import get_spec, make, make_factory
 
 
@@ -82,7 +82,10 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
     rl_trained = params.get("rl")
     if rl_trained is None:
         rl_trained = number in default_rl_configs(scale)
-    entry = next(e for e in table4_configs() if e.number == number)
+    entry = next((e for e in table4_configs() if e.number == number), None)
+    if entry is None:
+        raise KeyError(f"unknown Table IV config {number!r}; "
+                       f"choose from 1-{len(EXPECTED_ATTACKS)}")
     env_config = entry.build()
     env = make(entry.scenario)
     textbook = textbook_attack_for_config(env_config)
@@ -100,8 +103,8 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "rl_category": "",
     }
     if rl_trained:
-        factory = _make_factory(entry)
-        result = train_agent(factory, scale, seed=seed + entry.number, ctx=ctx)
+        result = train_agent(make_factory(entry.scenario), scale,
+                             seed=seed + entry.number, ctx=ctx)
         row["rl_accuracy"] = result.final_accuracy
         if result.extraction is not None:
             representative = result.extraction.representative
@@ -109,24 +112,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
             sequence = AttackSequence.from_labels(representative)
             row["rl_category"] = classify_sequence(sequence, env_config).value
     return row
-
-
-def run(scale: ScaleLike = "bench", rl_configs: Optional[Sequence[int]] = None,
-        seed: int = 0) -> List[Dict]:
-    """Verify textbook feasibility for all configs; run RL on the selected subset."""
-    scale = resolve_scale(scale)
-    rl_set = set(default_rl_configs(scale) if rl_configs is None else rl_configs)
-    return [run_cell({"config": entry.number, "rl": entry.number in rl_set},
-                     scale, seed=seed)
-            for entry in table4_configs()]
-
-
-def _make_factory(entry: TableIVConfig):
-    return make_factory(entry.scenario)
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["config", "description", "expected_attacks",
-                               "textbook_category", "textbook_accuracy",
-                               "rl_trained", "rl_accuracy", "rl_category"],
-                        title="Table IV: attacks across cache/attack configurations")

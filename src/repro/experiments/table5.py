@@ -11,18 +11,15 @@ LRU/PLRU.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.experiments.common import (
     ScaleLike,
     average_over_runs,
-    format_table,
     resolve_scale,
     train_agent,
 )
 from repro.scenarios import make_factory
-
-POLICIES = ("lru", "plru", "rrip")
 
 
 def _offset_factory(factory, seed_offset: int, seed: int):
@@ -74,17 +71,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "runs": scale.runs,
         "example_sequence": example_sequence,
     }
-
-
-def run(scale: ScaleLike = "bench", policies: Sequence[str] = POLICIES,
-        num_ways: int = 4, seed: int = 0) -> List[Dict]:
-    """Train one agent per policy (times ``scale.runs``) and aggregate statistics."""
-    scale = resolve_scale(scale)
-    return [run_cell({"policy": policy, "num_ways": num_ways}, scale, seed=seed)
-            for policy in policies]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["replacement_policy", "epochs_to_converge", "episode_length",
-                               "accuracy", "converged_runs", "runs"],
-                        title="Table V: RL training statistics per replacement policy")

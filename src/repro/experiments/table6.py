@@ -8,12 +8,10 @@ agent towards shorter, less reliable attacks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.experiments.common import ScaleLike, format_table, resolve_scale, train_agent
+from repro.experiments.common import ScaleLike, resolve_scale, train_agent
 from repro.scenarios import make_factory
-
-STEP_REWARDS = (-0.02, -0.01, -0.005)
 
 
 def make_env_factory(step_reward: float, num_ways: int = 4, max_steps: int = 24):
@@ -45,16 +43,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "converged": result.converged,
         "env_steps": result.env_steps,
     }
-
-
-def run(scale: ScaleLike = "bench", step_rewards: Sequence[float] = STEP_REWARDS,
-        num_ways: int = 4, seed: int = 0) -> List[Dict]:
-    """Train one agent per step-reward value; report accuracy and episode length."""
-    scale = resolve_scale(scale)
-    return [run_cell({"step_reward": step_reward, "num_ways": num_ways}, scale, seed=seed)
-            for step_reward in step_rewards]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["step_reward", "end_accuracy", "episode_length", "converged"],
-                        title="Table VI: RL-generated attacks on the random replacement policy")

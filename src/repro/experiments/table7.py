@@ -14,7 +14,6 @@ from typing import Dict, List
 from repro.experiments.common import (
     ScaleLike,
     average_over_runs,
-    format_table,
     resolve_scale,
     train_agent,
 )
@@ -69,16 +68,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "accuracy": average_over_runs(accuracies),
         "example_sequence": example,
     }
-
-
-def run(scale: ScaleLike = "bench", num_ways: int = 4, seed: int = 0) -> List[Dict]:
-    """Train agents against the PL cache and the unprotected baseline."""
-    scale = resolve_scale(scale)
-    return [run_cell({"cache": label, "pl_cache": pl_cache, "num_ways": num_ways},
-                     scale, seed=seed)
-            for label, pl_cache in (("PL Cache", True), ("Baseline", False))]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["cache", "epochs_to_converge", "final_episode_length", "accuracy"],
-                        title="Table VII: PLRU cache with and without PL-cache locking")

@@ -26,7 +26,6 @@ from repro.detection.autocorrelation import AutocorrelationDetector
 from repro.env.config import EnvConfig
 from repro.experiments.common import (
     ScaleLike,
-    format_table,
     resolve_scale,
     train_agent_with_trainer,
 )
@@ -153,14 +152,6 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
             "trains": trains}
 
 
-def run(scale: ScaleLike = "bench", seed: int = 0,
-        eval_episodes: int = 5) -> List[Dict]:
-    """Produce the three Table VIII rows (textbook, RL baseline, RL autocor)."""
-    scale = resolve_scale(scale)
-    return [run_cell({"attack": attack, "eval_episodes": eval_episodes}, scale, seed=seed)
-            for attack in ("textbook", "RL baseline", "RL autocor")]
-
-
 def figure3_data(rows: List[Dict], max_lag: int = 30) -> Dict[str, Dict]:
     """Event trains and autocorrelograms for one episode of each agent (Figure 3)."""
     figure: Dict[str, Dict] = {}
@@ -168,8 +159,3 @@ def figure3_data(rows: List[Dict], max_lag: int = 30) -> Dict[str, Dict]:
         trains = row.get("trains") or [[]]
         figure[row["attack"]] = event_train_autocorrelogram(trains[0], max_lag=max_lag)
     return figure
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["attack", "bit_rate", "guess_accuracy", "max_autocorrelation"],
-                        title="Table VIII: bit rate, accuracy, and autocorrelation")

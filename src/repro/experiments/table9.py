@@ -18,7 +18,6 @@ from repro.attacks.scripted import TextbookPrimeProbeAttacker, run_scripted_atta
 from repro.detection.cyclone import CycloneDetector
 from repro.experiments.common import (
     ScaleLike,
-    format_table,
     resolve_scale,
     train_agent_with_trainer,
 )
@@ -44,9 +43,9 @@ def train_detector(num_sets: int, episode_length: int, seed: int = 0,
     """Train the Cyclone SVM on benign workloads plus textbook attack traces.
 
     Deterministically seeded, so the result is cached per argument tuple:
-    the serial ``run()`` shim trains the detector once for its three rows,
-    while campaign workers (separate processes) each train their own
-    identical copy.  Callers must treat the returned objects as read-only.
+    an in-process drain (one worker) trains the detector once for its three
+    cells, while separate drainer processes each train their own identical
+    copy.  Callers must treat the returned objects as read-only.
     """
     env = make_covert_env_factory(num_sets, episode_length)(seed)
     textbook_stats = run_scripted_attacker(env, TextbookPrimeProbeAttacker(env), episodes=4)
@@ -96,16 +95,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "detection_rate": _detection_rate(detector, stats["traces"]),
         "svm_validation_accuracy": detector.validation_accuracy,
     }
-
-
-def run(scale: ScaleLike = "bench", seed: int = 0, eval_episodes: int = 5) -> List[Dict]:
-    """Produce the three Table IX rows (textbook, RL baseline, RL SVM)."""
-    scale = resolve_scale(scale)
-    return [run_cell({"attack": attack, "eval_episodes": eval_episodes}, scale, seed=seed)
-            for attack in ("textbook", "RL baseline", "RL SVM")]
-
-
-def format_results(rows: List[Dict]) -> str:
-    return format_table(rows, ["attack", "bit_rate", "guess_accuracy", "detection_rate",
-                               "svm_validation_accuracy"],
-                        title="Table IX: bit rate, accuracy, and SVM detection rate")

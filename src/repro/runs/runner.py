@@ -556,9 +556,9 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         :class:`~repro.experiments.common.ExperimentScale`; defaults to the
         spec's ``default_scale``.
     seed:
-        Campaign seed (defaults to the spec's ``base_seed``).  Every cell
-        derives its training seeds from it exactly like the legacy
-        ``tableN.run(seed=...)`` functions.
+        Campaign seed (defaults to the spec's ``base_seed``), passed to
+        every cell's ``run_cell(params, scale, seed=...)``; the drivers
+        derive their training seeds from it.
     workers:
         Number of local drainers.  One drains in-process; more drain in
         child processes.  Results are row-for-row identical either way.

@@ -28,7 +28,10 @@ implementing the cell protocol:
     machines at paper scale).  Specs with a static ``grid`` don't need it.
 
 ``format_results(rows) -> str`` (optional)
-    Paper-layout rendering; falls back to a generic table over ``columns``.
+    An override for experiments whose layout is not one table over
+    ``columns`` (only ``defense_matrix``, which adds per-metric pivots).
+    Without it, rows render as a table over ``columns`` titled with the
+    spec's ``description``.
 """
 
 from __future__ import annotations
@@ -135,11 +138,11 @@ class ExperimentSpec:
                                               seed=seed, ctx=ctx)
 
     def format_rows(self, rows: List[Optional[Dict]]) -> str:
-        """Render rows in the paper's layout (driver formatter or generic table).
+        """Render rows as a table over ``columns`` (or the driver's override).
 
         A partial campaign (``strict=False`` with failed cells) carries None
         at the failed positions; those rows are dropped from the rendering
-        and counted in a trailing note, so driver formatters only ever see
+        and counted in a trailing note, so the driver override only ever sees
         real rows.
         """
         present = [row for row in rows if row is not None]

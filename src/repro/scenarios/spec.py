@@ -141,13 +141,6 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         payload = dict(data)
-        # Backward compatibility: specs serialized before the defense layer
-        # carried PL locks as a bespoke field; fold them into the generic
-        # defense (an explicit defense wins over the legacy key).
-        locked = payload.pop("pl_locked_addresses", None)
-        if locked and payload.get("defense") is None:
-            payload["defense"] = {"defense_id": "plcache", "kind": "plcache",
-                                  "params": {"locked_addresses": [int(a) for a in locked]}}
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:

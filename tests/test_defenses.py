@@ -119,9 +119,9 @@ class TestScenarioDefenseField:
         inline = spec.with_overrides(defense={"kind": "skew", "params": {}})
         assert ScenarioSpec.from_dict(inline.to_dict()) == inline
 
-    def test_legacy_pl_locked_addresses_still_loads(self):
-        # Specs serialized before the defense layer carried PL locks as a
-        # bespoke field; from_dict folds them into the generic defense.
+    def test_legacy_pl_locked_addresses_rejected(self):
+        # PL locks are expressed through the defense field only; the
+        # pre-defense-layer spec key is an unknown field like any other.
         legacy = {
             "scenario_id": "legacy/pl",
             "cache": {"num_sets": 1, "num_ways": 4, "rep_policy": "plru",
@@ -129,15 +129,8 @@ class TestScenarioDefenseField:
             "env_kwargs": {"attacker_addr_s": 1, "attacker_addr_e": 5},
             "pl_locked_addresses": [0],
         }
-        spec = ScenarioSpec.from_dict(legacy)
-        assert spec.defense is not None
-        env = spec.build(seed=0)
-        env.reset()
-        assert env.backend.pl_locked_addresses == [0]
-        assert env.backend.cache.contains(0)
-        # The re-serialized form uses the defense field and round-trips.
-        assert "pl_locked_addresses" not in spec.to_dict()
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ValueError, match="pl_locked_addresses"):
+            ScenarioSpec.from_dict(legacy)
 
     def test_plcache_defense_locks_the_victim_range(self):
         env = make("guessing/quickstart", defense="plcache")

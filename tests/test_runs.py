@@ -7,7 +7,6 @@ import json
 import pytest
 
 import repro
-from repro.experiments import table1_known_attacks, table5
 from repro.experiments.common import SMOKE, resolve_scale
 from repro.rl.stats import dump_json
 from repro.runs import (
@@ -29,6 +28,13 @@ from repro.runs.runner import cell_slug
 
 EXPECTED_EXPERIMENTS = {"table1", "table3", "table4", "table5", "table6", "table7",
                         "table8", "table9", "table10", "fig4", "search"}
+
+
+def in_process_rows(experiment_id, scale="smoke"):
+    """Every cell of an experiment run in-process, without the campaign runner."""
+    spec = get_experiment(experiment_id)
+    return [spec.run_cell(params, scale, seed=spec.base_seed)
+            for params in spec.cells(scale)]
 
 
 class TestExperimentSpec:
@@ -75,17 +81,18 @@ class TestExperimentSpec:
             get_experiment("tmp/exp")
 
     def test_format_rows_uses_driver_formatter(self):
-        spec = get_experiment("table1")
-        rows = [{"attack_category": "prime+probe", "accuracy": 1.0}]
-        assert "Table I" in spec.format_rows(rows)
+        spec = get_experiment("defense_matrix")
+        rows = [{"scenario": "guessing/lru-4way", "defense": "none",
+                 "probe_accuracy": 1.0, "accuracy": 0.5}]
+        assert spec.format_rows(rows).startswith("Defense matrix")
 
 
 class TestCampaignFastExperiments:
     """Fast, training-free experiments exercise the whole runner cheaply."""
 
-    def test_rows_identical_to_legacy_shim(self, tmp_path):
+    def test_rows_identical_to_in_process_cells(self, tmp_path):
         campaign = repro.run("table1", scale="smoke", out_dir=tmp_path / "c")
-        assert dump_json(campaign.rows) == dump_json(table1_known_attacks.run("smoke"))
+        assert dump_json(campaign.rows) == dump_json(in_process_rows("table1"))
 
     def test_artifact_layout(self, tmp_path):
         out = tmp_path / "c"
@@ -144,9 +151,8 @@ class TestCampaignTraining:
     """SMOKE-scale RL campaigns: determinism and checkpointed resume."""
 
     def test_table5_serial_parallel_resume_all_identical(self, tmp_path):
-        legacy = table5.run(SMOKE)
         serial = repro.run("table5", scale="smoke", out_dir=tmp_path / "serial")
-        assert dump_json(serial.rows) == dump_json(legacy)
+        assert dump_json(serial.rows) == dump_json(in_process_rows("table5"))
 
         parallel = repro.run("table5", scale="smoke", workers=3,
                              out_dir=tmp_path / "parallel")
@@ -229,7 +235,7 @@ class TestCLI:
         assert cli_main(["results", "table1", "--scale", "smoke", "--root", root,
                          "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert dump_json(rows) == dump_json(table1_known_attacks.run("smoke"))
+        assert dump_json(rows) == dump_json(in_process_rows("table1"))
 
         assert cli_main(["status", "--root", root]) == 0
         assert "table1-smoke" in capsys.readouterr().out
