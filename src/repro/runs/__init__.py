@@ -38,7 +38,6 @@ from repro.runs.faults import (
     InjectedFault,
     NetworkChaosPlan,
     NetworkFault,
-    resolve_network_chaos_plan,
 )
 from repro.runs.registry import (
     ExperimentLike,
@@ -75,7 +74,6 @@ __all__ = [
     "InjectedFault",
     "NetworkChaosPlan",
     "NetworkFault",
-    "resolve_network_chaos_plan",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_pickle",

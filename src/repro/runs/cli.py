@@ -163,11 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     work_parser.add_argument("--client-backoff", type=float, default=0.25,
                              help="base retry backoff seconds, doubling per "
                                   "retry up to 8s (remote mode)")
-    work_parser.add_argument("--net-chaos", default=None,
-                             help="deterministic network fault injection: a "
-                                  "NetworkChaosPlan JSON file or inline JSON "
-                                  "(also via REPRO_NET_CHAOS_PLAN; remote "
-                                  "mode only)")
 
     serve_parser = commands.add_parser(
         "serve", help="run the campaign service HTTP API")
@@ -186,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="listen port (0 picks a free one)")
     proxy_parser.add_argument("--plan", default=None,
                               help="NetworkChaosPlan JSON file or inline JSON "
-                                   "(also via REPRO_NET_CHAOS_PLAN)")
+                                   "(default: pass traffic through unchanged)")
 
     query_parser = commands.add_parser(
         "query", help="aggregate a metric across all catalogued runs")
@@ -410,8 +405,7 @@ def _command_work(args: argparse.Namespace) -> int:
                        server=args.server,
                        client_timeout=args.client_timeout,
                        client_retries=args.client_retries,
-                       client_backoff=args.client_backoff,
-                       chaos_plan=args.net_chaos)
+                       client_backoff=args.client_backoff)
     except RetryableTransportError as error:
         print(f"worker gave up: {error}", file=sys.stderr)
         return 5
@@ -434,7 +428,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_proxy(args: argparse.Namespace) -> int:
-    from repro.runs.faults import NetworkChaosPlan, resolve_network_chaos_plan
+    from repro.runs.faults import NetworkChaosPlan
     from repro.store.chaos import run_proxy
 
     host, _, port = args.upstream.rpartition(":")
@@ -442,9 +436,7 @@ def _command_proxy(args: argparse.Namespace) -> int:
         print(f"--upstream must be host:port, got {args.upstream!r}",
               file=sys.stderr)
         return 2
-    plan = resolve_network_chaos_plan(args.plan)
-    if plan is None:
-        plan = NetworkChaosPlan(faults=())
+    plan = NetworkChaosPlan.resolve(args.plan) or NetworkChaosPlan()
     run_proxy((host, int(port)), plan, host=args.host, port=args.port)
     return 0
 

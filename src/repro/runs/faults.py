@@ -51,15 +51,12 @@ injects, by request index rather than by artifact, with kinds
     Deliver the same request twice — the network-duplication case the
     idempotency-key dedup must absorb.
 
-Two enforcement points consume these plans deterministically:
-:class:`repro.store.client.ChaosTransport` (in-process, wraps the
-``StoreClient`` transport) and :class:`repro.store.chaos.ChaosProxy` (a real
-TCP proxy for subprocess/CI drains).  Each fault names the request index it
-fires at, counted per fault over the requests matching its ``op`` filter,
-so a given plan always perturbs the same protocol steps.  Plans travel as
-``work(chaos_plan=...)``, the ``REPRO_NET_CHAOS_PLAN`` environment variable
-(inline JSON or a file path), and ``python -m repro work --net-chaos`` /
-``python -m repro proxy --plan``.
+One enforcement point consumes these plans:
+:class:`repro.store.chaos.ChaosProxy`, a real TCP proxy between workers and
+``repro serve`` (``python -m repro proxy --plan``, inline JSON or a file
+path).  Each fault names the request index it fires at, counted per fault
+over the requests matching its ``op`` filter, so a given plan always
+perturbs the same protocol steps.
 """
 
 from __future__ import annotations
@@ -78,9 +75,6 @@ from repro.runs.context import CampaignInterrupted
 
 #: Environment variable carrying a fault plan (inline JSON or a file path).
 FAULT_PLAN_ENV_VAR = "REPRO_RUN_FAULT_PLAN"
-
-#: Environment variable carrying a network chaos plan (JSON or file path).
-NET_CHAOS_ENV_VAR = "REPRO_NET_CHAOS_PLAN"
 
 FAULT_KINDS = ("kill", "torn-write", "bit-flip", "stall")
 
@@ -136,16 +130,9 @@ class _Plan(_Record):
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def resolve(cls, plan: Any, env_var: str,
-                environ: Optional[Mapping[str, str]]) -> Any:
-        """The plan from the argument, else the env var, else None.
-
-        Accepts a plan, a mapping, inline JSON text, or a path to a JSON
-        file.
-        """
-        environ = os.environ if environ is None else environ
-        if plan is None and environ.get(env_var):
-            plan = environ[env_var]
+    def resolve(cls, plan: Any) -> Any:
+        """The plan from a plan, a mapping, inline JSON text, or a path to a
+        JSON file (None stays None)."""
         if plan is None or isinstance(plan, cls):
             return plan
         if isinstance(plan, Mapping):
@@ -223,7 +210,8 @@ class NetworkFault(_Record):
         requests deterministically.
     op:
         Substring matched against the request path (``"complete"`` targets
-        ``POST /api/jobs/complete``); None matches every request.
+        ``POST /api/jobs/complete``); None matches every request through
+        the proxy, heartbeats and telemetry flushes included.
     delay_seconds:
         ``stall`` only: how long the request is delayed.
     """
@@ -278,17 +266,12 @@ class ChaosSchedule:
         return matched
 
 
-def resolve_network_chaos_plan(
-        chaos_plan: Any = None,
-        environ: Optional[Mapping[str, str]] = None) -> Optional[NetworkChaosPlan]:
-    """The network chaos plan: argument, then ``REPRO_NET_CHAOS_PLAN``."""
-    return NetworkChaosPlan.resolve(chaos_plan, NET_CHAOS_ENV_VAR, environ)
-
-
 def resolve_fault_plan(fault_plan: Any = None,
                        environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
     """The fault plan: argument, then ``REPRO_RUN_FAULT_PLAN``."""
-    return FaultPlan.resolve(fault_plan, FAULT_PLAN_ENV_VAR, environ)
+    environ = os.environ if environ is None else environ
+    return FaultPlan.resolve(fault_plan if fault_plan is not None
+                             else environ.get(FAULT_PLAN_ENV_VAR) or None)
 
 
 class FaultInjector:

@@ -11,7 +11,8 @@ multi-tenant, queryable system (ROADMAP open item 3):
   independent ``repro work`` processes drain one campaign with rows
   bit-identical to serial execution and crashed workers' cells are
   reclaimed;
-* ``repro serve`` — a stdlib HTTP JSON API for submit/status/stream — and
+* ``repro serve`` — a stdlib HTTP JSON API for submit/status/stream and the
+  lease protocol (``repro proxy`` puts a network chaos proxy in front) — and
   ``repro query`` — cross-run aggregation ("accuracy by defense across all
   runs") with table/json/csv output.
 
@@ -29,7 +30,6 @@ imports cycle-free.
 
 from repro.store.catalog import Catalog, catalog_path, code_version, spec_hash
 from repro.store.client import (
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
@@ -49,7 +49,6 @@ from repro.store.schema import SCHEMA_VERSION, ensure_schema
 __all__ = [
     "CATALOG_NAME",
     "Catalog",
-    "ChaosTransport",
     "FatalRequestError",
     "Job",
     "JobQueue",

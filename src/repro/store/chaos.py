@@ -1,12 +1,11 @@
 """``repro proxy`` — a deterministic TCP chaos proxy for the lease protocol.
 
-The in-process :class:`~repro.store.client.ChaosTransport` perturbs requests
-before they reach a socket; this module is the other half of the network
-chaos harness — a real TCP intermediary that exercises the full stack
-(kernel sockets, HTTP framing, the server's threaded handler pool).  Point a
+The network chaos harness: a real TCP intermediary that exercises the full
+stack (the worker's own :class:`~repro.store.client.StoreClient`, kernel
+sockets, HTTP framing, the server's threaded handler pool).  Point a
 ``repro work --server`` worker at the proxy and the proxy forwards each
-request to the upstream ``repro serve``, injecting faults from the same
-:class:`~repro.runs.faults.NetworkChaosPlan` vocabulary:
+request to the upstream ``repro serve``, injecting faults from a
+:class:`~repro.runs.faults.NetworkChaosPlan`:
 
 ``reset``
     close the client connection with an RST (``SO_LINGER`` zero) before
@@ -26,8 +25,9 @@ request to the upstream ``repro serve``, injecting faults from the same
 
 Determinism: the :class:`~repro.store.client.StoreClient` sends
 ``Connection: close`` on every request, so requests and proxy connections
-are one-to-one, and faults fire on the same
-:class:`~repro.runs.faults.ChaosSchedule` as the in-process transport.
+are one-to-one, and faults fire on the plan's
+:class:`~repro.runs.faults.ChaosSchedule`.  To keep chaos per worker, give
+each perturbed worker its own proxy.
 """
 
 from __future__ import annotations

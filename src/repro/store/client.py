@@ -22,9 +22,9 @@ this is where the reliability contract lives:
   exactly-once: a retried ``complete`` whose first response was lost
   replays the recorded response instead of double-applying.
 
-:class:`ChaosTransport` wraps any transport with a deterministic
-:class:`~repro.runs.faults.NetworkChaosPlan` — the in-process half of the
-network chaos harness (the TCP half is :mod:`repro.store.chaos`).
+Network faults are injected outside the client, by the TCP
+:class:`~repro.store.chaos.ChaosProxy`, so the client under test is the
+client that runs.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
-from urllib.parse import urlsplit
 
 from repro import telemetry
 from repro.rl.stats import dump_json
-from repro.runs.faults import ChaosSchedule, NetworkChaosPlan
 
 #: Per-attempt socket deadline (seconds) unless the caller overrides it.
 DEFAULT_TIMEOUT_SECONDS = 30.0
@@ -128,47 +126,6 @@ class UrllibTransport:
             # A non-2xx response with a body is still a response; the
             # client classifies it by status.
             return error.code, error.read()
-
-
-class ChaosTransport:
-    """Deterministic fault injection between the client and its transport,
-    on the plan's :class:`~repro.runs.faults.ChaosSchedule` (fired faults
-    are recorded in :attr:`fired` for tests)."""
-
-    def __init__(self, inner: Transport, plan: NetworkChaosPlan,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.inner = inner
-        self.plan = plan
-        self.schedule = ChaosSchedule(plan)
-        self.fired = self.schedule.fired
-        self._sleep = sleep
-
-    def __call__(self, method: str, url: str, body: Optional[bytes],
-                 headers: Mapping[str, str], timeout: float) -> Tuple[int, bytes]:
-        path = urlsplit(url).path
-        faults = self.schedule.faults_for(path)
-        for fault in faults:
-            telemetry.counter("client.chaos.fired").inc()
-            if fault.kind == "reset":
-                raise ConnectionResetError(
-                    f"chaos: injected connection reset on {path}")
-            if fault.kind == "http-500":
-                return 500, b'{"error": "chaos: injected server error"}'
-            if fault.kind == "stall":
-                self._sleep(fault.delay_seconds)
-        status, payload = self.inner(method, url, body, headers, timeout)
-        for fault in faults:
-            if fault.kind == "duplicate":
-                # Deliver the identical request a second time — the server's
-                # idempotency dedup must make this a no-op replay.
-                status, payload = self.inner(method, url, body, headers,
-                                             timeout)
-            elif fault.kind == "drop-response":
-                # The mutation was applied but the response never arrives:
-                # the client must retry with the same idempotency key.
-                raise ConnectionResetError(
-                    f"chaos: response dropped after delivering {path}")
-        return status, payload
 
 
 class StoreClient:
@@ -311,27 +268,26 @@ class StoreClient:
         return bool(response.get("alive"))
 
     def complete(self, run_id: str, cell_index: int, *, status: str,
-                 row: Optional[Mapping[str, Any]],
-                 params: Mapping[str, Any], attempts: int,
+                 row: Optional[Mapping[str, Any]], attempts: int,
                  elapsed_seconds: Optional[float] = None) -> Dict[str, Any]:
         """Upload a finished cell's row and mark its job done (exactly-once)."""
         return self.post("/api/jobs/complete", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "row": row,
-            "params": dict(params), "attempts": int(attempts),
+            "attempts": int(attempts),
             "elapsed_seconds": elapsed_seconds,
             "idempotency_key": self._next_key("complete"),
         })
 
     def release(self, run_id: str, cell_index: int, *, status: str,
-                error: Optional[str], params: Mapping[str, Any],
-                attempts: int, max_job_attempts: int = 3) -> Dict[str, Any]:
+                error: Optional[str], attempts: int,
+                max_job_attempts: int = 3) -> Dict[str, Any]:
         """Give a failed/interrupted job back to the queue (exactly-once);
         past ``max_job_attempts`` claims the job is retired as failed."""
         return self.post("/api/jobs/release", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "error": error,
-            "params": dict(params), "attempts": int(attempts),
+            "attempts": int(attempts),
             "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("release"),
         })
@@ -465,7 +421,6 @@ class StoreClient:
 
 __all__ = [
     "BACKOFF_CAP_SECONDS",
-    "ChaosTransport",
     "DEFAULT_BACKOFF_SECONDS",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_TIMEOUT_SECONDS",

@@ -12,9 +12,11 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
   ``lease_ttl/3`` seconds on the catalogue's shared clock.  A worker that
   dies stops heartbeating, its lease expires, and the cell is claimable
   again — the queue-level analogue of the executor's watchdog;
-* **completion/release** — a finished cell marks its job ``done`` together
-  with the catalogue cell row; a failed cell goes back to ``pending`` until
-  the queue-level attempt budget is exhausted, then ``failed``.
+* **completion/release** — a finished cell marks its job ``done`` and a
+  failed cell goes back to ``pending`` (``failed`` once the queue-level
+  attempt budget is exhausted).  Either transition lands the catalogue cell
+  row in the same transaction, and only if the worker still owns the lease:
+  a late worker whose cell was reclaimed changes nothing.
 
 Every transition appends to ``lease_events`` (claimed / heartbeat /
 completed / failed / released / reclaimed), which is what the chaos tests
@@ -150,8 +152,12 @@ class JobQueue:
             (job.run_id, job.cell_index, worker)) is not None
 
     # ------------------------------------------------------------ completion
-    def complete(self, job: Job, worker: str) -> bool:
-        """Mark a job done (only if this worker still owns its lease)."""
+    def complete(self, job: Job, worker: str, *, status: str = "completed",
+                 row: Optional[Mapping[str, Any]] = None,
+                 attempts: Optional[int] = None,
+                 elapsed_seconds: Optional[float] = None) -> bool:
+        """Mark a job done and land its cell row, in one transaction; a
+        ``worker`` that no longer owns the lease changes no row (False)."""
         with self.conn.transaction():
             cursor = self.conn.execute(
                 "UPDATE jobs SET state = 'done', lease_expires_unix = NULL"
@@ -162,13 +168,19 @@ class JobQueue:
             if done:
                 self._event(job.run_id, job.cell_index, worker, "completed",
                             None)
+                self._record_cell(job, status, row=row, attempts=attempts,
+                                  elapsed_seconds=elapsed_seconds)
         return done
 
-    def release(self, job: Job, worker: str, error: Optional[str] = None) -> str:
-        """Give a failed/interrupted job back (or retire it past the budget).
+    def release(self, job: Job, worker: str, *, status: str = "failed",
+                error: Optional[str] = None,
+                attempts: Optional[int] = None) -> Optional[str]:
+        """Give a failed/interrupted job back (or retire it past the budget)
+        and land its cell row, in one transaction.
 
         Returns the job's new state: ``"pending"`` (re-claimable) or
-        ``"failed"`` (queue-level attempt budget exhausted).
+        ``"failed"`` (queue-level attempt budget exhausted).  A ``worker``
+        that no longer owns the lease changes no row and gets None.
         """
         state = ("failed" if job.attempts >= self.max_job_attempts
                  else "pending")
@@ -178,10 +190,11 @@ class JobQueue:
                 " lease_expires_unix = NULL WHERE run_id = ?"
                 " AND cell_index = ? AND worker = ? AND state = 'leased'",
                 (state, job.run_id, job.cell_index, worker))
-            if cursor.rowcount == 1:
-                self._event(job.run_id, job.cell_index, worker,
-                            "failed" if state == "failed" else "released",
-                            error)
+            if cursor.rowcount != 1:
+                return None
+            self._event(job.run_id, job.cell_index, worker,
+                        "failed" if state == "failed" else "released", error)
+            self._record_cell(job, status, error=error, attempts=attempts)
         return state
 
     # ------------------------------------------------------------ inspection
@@ -206,6 +219,13 @@ class JobQueue:
         return [dict(row) for row in rows]
 
     # -------------------------------------------------------------- internal
+    def _record_cell(self, job: Job, status: str,
+                     attempts: Optional[int], **outcome: Any) -> None:
+        self.catalog.record_cell(
+            job.run_id, job.cell_index, job.payload["params"], status,
+            attempts=job.attempts if attempts is None else int(attempts),
+            **outcome)
+
     def _event(self, run_id: str, cell_index: int, worker: Optional[str],
                event: str, detail: Optional[str]) -> None:
         self.conn.execute(

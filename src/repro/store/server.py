@@ -17,6 +17,7 @@ Endpoints
 ``GET  /api/experiments``                registered experiment ids
 ``POST /api/campaigns``                  submit: ``{"experiment": "table5",
                                          "scale": "smoke", "seed": 0}``
+                                         (unknown keys are a 400)
 ``GET  /api/campaigns``                  every run with progress counters
 ``GET  /api/campaigns/<id>``             one run: cells, provenance, queue
 ``GET  /api/campaigns/<id>/rows``        finished rows in cell order
@@ -29,7 +30,8 @@ Endpoints
                                          draining)
 ``POST /api/jobs/heartbeat``             extend a lease
 ``POST /api/jobs/complete``              upload a finished row, mark done
-``POST /api/jobs/release``               give a failed job back
+``POST /api/jobs/release``               give a failed job back (either is
+                                         ``applied: false`` without the lease)
 ``GET  /api/query?metric=..&by=..``      cross-run aggregation
 ``GET  /api/workers``                    live worker roster (leases +
                                          heartbeats + telemetry: host, pid,
@@ -49,8 +51,9 @@ server's own metrics into the catalogue it serves.  All of it is inert
 under ``REPRO_TELEMETRY=0``.
 
 Exactly-once mutations: every mutating job request may carry an
-``idempotency_key``; the key lookup, the queue transition, the catalogue
-cell upsert, and the response recording all commit in **one** transaction
+``idempotency_key``; the key lookup, the queue transition (which lands its
+catalogue cell row, see :class:`~repro.store.queue.JobQueue`), and the
+response recording all commit in **one** transaction
 (see :meth:`~repro.store.connection.StoreConnection.transaction` —
 re-entrant precisely for this).  A retried or duplicated delivery replays
 the recorded response with ``"replayed": true`` instead of re-applying, so
@@ -71,6 +74,7 @@ and worker writes coexist under WAL.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -110,6 +114,11 @@ REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: Largest accepted request body; anything bigger is answered with 413.
 MAX_BODY_BYTES = 8_000_000
+
+#: The keys a ``POST /api/campaigns`` body may carry; any other is a 400.
+SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "checkpoint_every",
+                         "max_attempts", "retry_backoff", "fault_plan",
+                         "timeout"})
 
 
 class CampaignServer(ThreadingHTTPServer):
@@ -323,13 +332,17 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         if "experiment" not in body:
             raise ValueError('body must be a JSON object with "experiment"')
+        unknown = sorted(set(body) - SUBMIT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown submit keys {unknown}; "
+                             f"choose from {sorted(SUBMIT_KEYS)}")
         submission = submit_campaign(
             body["experiment"], scale=body.get("scale"),
             seed=body.get("seed"), root=self.server.root,
             checkpoint_every=int(body.get("checkpoint_every", 2)),
             max_attempts=int(body.get("max_attempts", 1)),
             retry_backoff=float(body.get("retry_backoff", 0.25)),
-            fault_plan=body.get("fault_plan"))
+            fault_plan=body.get("fault_plan"), timeout=body.get("timeout"))
         self._json(201, {"submitted": submission.to_dict()})
 
     # ----------------------------------------------------- the lease protocol
@@ -372,11 +385,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             if job is None:
                 return {"job": None,
                         "outstanding": queue.outstanding(body.get("run_id"))}
-            return {"job": {"run_id": job.run_id,
-                            "cell_index": job.cell_index,
-                            "payload": job.payload,
-                            "attempts": job.attempts,
-                            "reclaimed_from": job.reclaimed_from}}
+            return {"job": dataclasses.asdict(job)}
 
         self._mutate("claim", body, apply)
 
@@ -411,18 +420,13 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
     def _job_complete(self) -> None:
         body = self._read_body()
         worker = str(body["worker"])
-        status = str(body.get("status", "completed"))
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             job = self._job_from(catalog, body)
-            applied = JobQueue(catalog).complete(job, worker)
-            if applied:
-                catalog.record_cell(
-                    job.run_id, job.cell_index,
-                    body.get("params") or job.payload.get("params", {}),
-                    status, row=body.get("row"),
-                    attempts=int(body.get("attempts", job.attempts)),
-                    elapsed_seconds=body.get("elapsed_seconds"))
+            applied = JobQueue(catalog).complete(
+                job, worker, status=str(body.get("status", "completed")),
+                row=body.get("row"), attempts=body.get("attempts"),
+                elapsed_seconds=body.get("elapsed_seconds"))
             return {"applied": applied, "run_id": job.run_id,
                     "cell_index": job.cell_index}
 
@@ -438,14 +442,11 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             job = self._job_from(catalog, body)
             queue = JobQueue(catalog, max_job_attempts=int(
                 body.get("max_job_attempts", DEFAULT_JOB_ATTEMPTS)))
-            state = queue.release(job, worker, error=body.get("error"))
-            catalog.record_cell(
-                job.run_id, job.cell_index,
-                body.get("params") or job.payload.get("params", {}),
-                str(body.get("status", "failed")), error=body.get("error"),
-                attempts=int(body.get("attempts", job.attempts)))
-            return {"state": state, "run_id": job.run_id,
-                    "cell_index": job.cell_index}
+            state = queue.release(
+                job, worker, status=str(body.get("status", "failed")),
+                error=body.get("error"), attempts=body.get("attempts"))
+            return {"applied": state is not None, "state": state,
+                    "run_id": job.run_id, "cell_index": job.cell_index}
 
         self._mutate("release", body, apply)
 

@@ -9,8 +9,9 @@ belongs to drainers.
 ``work()`` is one drainer: claim a job, execute its cell through the
 runner's :func:`~repro.runs.runner.execute_cell` (same artifact tree, same
 retry/timeout/fault semantics everywhere), heartbeat the lease from a
-background thread while the cell runs, then mark the job done together with
-the catalogue cell row.  ``repro.run()`` is this same loop drained locally;
+background thread while the cell runs, then mark the job done (the
+:class:`~repro.store.queue.JobQueue` transition lands the catalogue cell row
+in the same transaction).  ``repro.run()`` is this same loop drained locally;
 N ``repro work`` processes on one catalogue drain a campaign cooperatively.
 A killed worker's lease expires and its cell is reclaimed and re-run, so
 every drain is bit-identical to a serial ``repro.run()``.
@@ -20,14 +21,15 @@ Two queue backends share that loop:
 * **local** (the default): the worker opens the catalogue file directly —
   same-host draining;
 * **remote** (``server="http://host:port"``): the worker speaks the lease
-  protocol over HTTP through :class:`~repro.store.client.StoreClient` —
+  protocol over HTTP through one :class:`~repro.store.client.StoreClient` —
   deadline, bounded deterministic retries, idempotency keys — and never
-  touches the catalogue.  Cell artifacts land under a *local* root
-  (payload paths are remapped per host); the finished row is uploaded with
-  ``complete`` and the **server** materializes ``results.json`` from the
-  catalogue.  Cells are deterministic in (params, scale, seed), so a cell
-  reclaimed across hosts recomputes the identical row without any shared
-  filesystem.
+  touches the catalogue (network chaos comes from pointing it at a
+  :class:`~repro.store.chaos.ChaosProxy`).  Cell artifacts land under a
+  *local* root (payload paths are remapped per host); the finished row is
+  uploaded with ``complete`` and the **server** materializes
+  ``results.json`` from the catalogue.  Cells are deterministic in (params,
+  scale, seed), so a cell reclaimed across hosts recomputes the identical
+  row without any shared filesystem.
 
 Stops: SIGTERM/SIGINT (or a ``KeyboardInterrupt`` raised by a cell)
 interrupt the drain loop cleanly — the worker releases its current lease
@@ -51,7 +53,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro import telemetry
 from repro.experiments.common import ScaleLike
-from repro.runs.faults import resolve_fault_plan, resolve_network_chaos_plan
+from repro.runs.faults import resolve_fault_plan
 from repro.runs.registry import ExperimentLike
 from repro.runs.runner import (
     _load_result,
@@ -66,7 +68,6 @@ from repro.store.client import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_MAX_RETRIES,
     DEFAULT_TIMEOUT_SECONDS,
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
@@ -278,20 +279,14 @@ class _LocalBackend:
 
     def complete(self, job: Job, status: str, row: Optional[Mapping[str, Any]],
                  attempts: int, elapsed: Optional[float]) -> bool:
-        if not self.queue.complete(job, self.worker_id):
-            return False
-        self.catalog.record_cell(job.run_id, job.cell_index,
-                                 job.payload["params"], status, row=row,
-                                 attempts=attempts, elapsed_seconds=elapsed)
-        return True
+        return self.queue.complete(job, self.worker_id, status=status,
+                                   row=row, attempts=attempts,
+                                   elapsed_seconds=elapsed)
 
     def release(self, job: Job, status: str, error: Optional[str],
-                attempts: int) -> str:
-        state = self.queue.release(job, self.worker_id, error=error)
-        self.catalog.record_cell(job.run_id, job.cell_index,
-                                 job.payload["params"], status, error=error,
-                                 attempts=attempts)
-        return state
+                attempts: int) -> Optional[str]:
+        return self.queue.release(job, self.worker_id, status=status,
+                                  error=error, attempts=attempts)
 
     def outstanding(self, run_id: Optional[str]) -> int:
         return self.queue.outstanding(run_id)
@@ -316,42 +311,21 @@ class _RemoteBackend:
 
     def __init__(self, server: str, worker_id: str, local_root: Path,
                  max_job_attempts: int, timeout: float, retries: int,
-                 backoff: float, chaos_plan: Any = None):
+                 backoff: float):
         self.worker_id = worker_id
         self.local_root = Path(local_root)
         self.max_job_attempts = int(max_job_attempts)
-        seed = zlib.crc32(worker_id.encode("utf-8"))
-        self.client = StoreClient(server, worker_id=worker_id,
-                                  timeout=timeout, max_retries=retries,
-                                  backoff=backoff, retry_seed=seed)
-        if chaos_plan is not None and chaos_plan.faults:
-            self.client.transport = ChaosTransport(self.client.transport,
-                                                   chaos_plan)
-        # Heartbeats go through their own chaos-free client so their
-        # timer-driven requests never consume chaos request indices.
-        self.heartbeat_client = StoreClient(server, worker_id=worker_id,
-                                            timeout=timeout,
-                                            max_retries=retries,
-                                            backoff=backoff,
-                                            retry_seed=seed ^ 0xBEEF)
+        self.client = StoreClient(
+            server, worker_id=worker_id, timeout=timeout, max_retries=retries,
+            backoff=backoff, retry_seed=zlib.crc32(worker_id.encode("utf-8")))
 
     def claim(self, run_id: Optional[str], lease_ttl: int) -> Optional[Job]:
         record = self.client.claim(run_id=run_id, lease_ttl=lease_ttl,
                                    max_job_attempts=self.max_job_attempts)
-        if record is None:
-            return None
-        return Job(run_id=record["run_id"],
-                   cell_index=int(record["cell_index"]),
-                   payload=dict(record["payload"]),
-                   attempts=int(record["attempts"]),
-                   reclaimed_from=record.get("reclaimed_from"))
+        return None if record is None else Job(**record)
 
     def renew_lease(self, job: Job, lease_ttl: int) -> bool:
-        # The chaos-free client: heartbeats fire on a timer, so letting them
-        # consume chaos request indices would make the drain protocol's
-        # fault schedule nondeterministic.
-        return self.heartbeat_client.heartbeat(job.run_id, job.cell_index,
-                                               lease_ttl)
+        return self.client.heartbeat(job.run_id, job.cell_index, lease_ttl)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         """Remap the payload's artifact paths onto this worker's host."""
@@ -366,18 +340,16 @@ class _RemoteBackend:
                  attempts: int, elapsed: Optional[float]) -> bool:
         response = self.client.complete(
             job.run_id, job.cell_index, status=status, row=row,
-            params=job.payload["params"], attempts=attempts,
-            elapsed_seconds=elapsed)
+            attempts=attempts, elapsed_seconds=elapsed)
         return bool(response.get("applied"))
 
     def release(self, job: Job, status: str, error: Optional[str],
-                attempts: int) -> str:
+                attempts: int) -> Optional[str]:
         response = self.client.release(job.run_id, job.cell_index,
                                        status=status, error=error,
-                                       params=job.payload["params"],
                                        attempts=attempts,
                                        max_job_attempts=self.max_job_attempts)
-        return str(response.get("state", "pending"))
+        return response.get("state")
 
     def outstanding(self, run_id: Optional[str]) -> int:
         return self.client.outstanding(run_id)
@@ -386,10 +358,7 @@ class _RemoteBackend:
         pass  # the server materializes results.json from catalogue rows
 
     def telemetry_sink(self, worker_id: str) -> Any:
-        # Telemetry reports ride the chaos-free heartbeat client: flushes
-        # fire on a timer, so letting them consume chaos request indices
-        # would make the drain protocol's fault schedule nondeterministic.
-        return telemetry.ClientSink(self.heartbeat_client, worker=worker_id)
+        return telemetry.ClientSink(self.client, worker=worker_id)
 
     def close(self) -> None:
         pass
@@ -406,16 +375,14 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
          local_root: Optional[os.PathLike] = None,
          client_timeout: float = DEFAULT_TIMEOUT_SECONDS,
          client_retries: int = DEFAULT_MAX_RETRIES,
-         client_backoff: float = DEFAULT_BACKOFF_SECONDS,
-         chaos_plan: Any = None) -> WorkerSummary:
+         client_backoff: float = DEFAULT_BACKOFF_SECONDS) -> WorkerSummary:
     """Drain the queue (optionally one campaign) as one worker.
 
     ``server=None`` drains through the catalogue file at ``root`` /
     ``catalog_file``; ``server="http://host:port"`` drains over HTTP with
-    artifacts under ``local_root`` (default: ``root``).  ``chaos_plan`` (or
-    the ``REPRO_NET_CHAOS_PLAN`` env var) wraps the remote transport in
-    deterministic fault injection — drain-protocol calls only, never
-    heartbeats.
+    artifacts under ``local_root`` (default: ``root``), sending every claim,
+    heartbeat, completion and telemetry flush through one
+    :class:`StoreClient`.
     """
     worker_id = worker_id or default_worker_id()
     summary = WorkerSummary(worker_id=worker_id)
@@ -424,8 +391,7 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
             server, worker_id,
             local_root=Path(local_root if local_root is not None else root),
             max_job_attempts=max_job_attempts, timeout=client_timeout,
-            retries=client_retries, backoff=client_backoff,
-            chaos_plan=resolve_network_chaos_plan(chaos_plan))
+            retries=client_retries, backoff=client_backoff)
     else:
         path = (Path(catalog_file) if catalog_file is not None
                 else catalog_path(Path(root)))

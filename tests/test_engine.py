@@ -208,6 +208,33 @@ class TestStops:
             assert catalog.cell_statuses("chaos-smoke")[0]["status"] == \
                 "interrupted"
 
+    def test_interrupted_completion_lands_nothing(self, tmp_path,
+                                                  monkeypatch):
+        # The job's ``done`` and its cell row commit together: an interrupt
+        # while the row is recorded rolls both back, the lease is released,
+        # and a resume writes the serial results.json.
+        spec = chaos_spec(*ok_cells(2))
+        repro.run(spec, root=tmp_path / "serial")
+        record_cell = Catalog.record_cell
+        calls = []
+
+        def interrupted_once(catalog, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return record_cell(catalog, *args, **kwargs)
+
+        root = tmp_path / "runs"
+        monkeypatch.setattr(Catalog, "record_cell", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            repro.run(spec, root=root)
+        monkeypatch.undo()
+        assert job_states(root)[0] != "done"
+        repro.run(spec, root=root)
+        results = Path("chaos-smoke") / "results.json"
+        assert (root / results).read_bytes() == \
+            (tmp_path / "serial" / results).read_bytes()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sigint_releases_leases_and_exits_3(self, tmp_path, workers):
         root = tmp_path / "runs"

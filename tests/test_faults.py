@@ -37,11 +37,9 @@ from repro.runs.artifacts import (
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import (
     FAULT_PLAN_ENV_VAR,
-    NET_CHAOS_ENV_VAR,
     NetworkChaosPlan,
     NetworkFault,
     resolve_fault_plan,
-    resolve_network_chaos_plan,
 )
 
 
@@ -180,20 +178,15 @@ class TestNetworkChaosPlan:
     def test_resolution_precedence(self, tmp_path):
         plan = NetworkChaosPlan(faults=(
             NetworkFault(kind="duplicate", at_request=2, op="complete"),))
-        assert resolve_network_chaos_plan(plan, {}) is plan
-        assert resolve_network_chaos_plan(plan.to_dict(), {}) == plan
-        assert resolve_network_chaos_plan(plan.to_json(), {}) == plan
+        # what ``repro proxy --plan`` accepts: a plan, a mapping, inline
+        # JSON, or a file path; no plan stays None
+        assert NetworkChaosPlan.resolve(plan) is plan
+        assert NetworkChaosPlan.resolve(plan.to_dict()) == plan
+        assert NetworkChaosPlan.resolve(plan.to_json()) == plan
         plan_file = tmp_path / "net.json"
         plan_file.write_text(plan.to_json())
-        assert resolve_network_chaos_plan(str(plan_file), {}) == plan
-        # env var: inline JSON or a file path; the explicit argument wins
-        env = {NET_CHAOS_ENV_VAR: plan.to_json()}
-        assert resolve_network_chaos_plan(None, env) == plan
-        assert resolve_network_chaos_plan(
-            None, {NET_CHAOS_ENV_VAR: str(plan_file)}) == plan
-        other = NetworkChaosPlan(seed=5)
-        assert resolve_network_chaos_plan(other, env) is other
-        assert resolve_network_chaos_plan(None, {}) is None
+        assert NetworkChaosPlan.resolve(str(plan_file)) == plan
+        assert NetworkChaosPlan.resolve(None) is None
 
 
 # --------------------------------------------------------------------------

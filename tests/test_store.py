@@ -34,7 +34,12 @@ from repro.store.ingest import (
 from repro.store.query import aggregate_bench, aggregate_metric, format_rows
 from repro.store.queue import Job
 from repro.store.server import make_server
-from repro.store.worker import submit_campaign, work
+from repro.store.worker import (
+    _LocalBackend,
+    _RemoteBackend,
+    submit_campaign,
+    work,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -251,13 +256,15 @@ class TestJobQueue:
         submission, catalog, queue = self._submitted(tmp_path, cells=1)
         try:
             queue.claim("w1", lease_ttl=60)
-            queue.release(Job(run_id=submission.run_id, cell_index=0,
-                              payload={}, attempts=1), "imposter",
-                          error="not mine")
+            assert queue.release(Job(run_id=submission.run_id, cell_index=0,
+                                     payload={}, attempts=1), "imposter",
+                                 error="not mine") is None
             assert queue.counts(submission.run_id) == {"leased": 1}
             events = [e["event"] for e in
                       queue.lease_events(submission.run_id)]
             assert events == ["claimed"]
+            [cell] = catalog.cell_statuses(submission.run_id)
+            assert (cell["status"], cell["error"]) == ("pending", None)
         finally:
             catalog.close()
 
@@ -288,6 +295,67 @@ class TestJobQueue:
             assert events == ["claimed", "reclaimed", "completed"]
         finally:
             catalog.close()
+
+
+def _cell_snapshot(root, run_id):
+    """Everything a late release must leave alone: the cell row, its metric
+    rows, the job state, and the lease events."""
+    with Catalog(catalog_path(root)) as catalog:
+        queue = JobQueue(catalog)
+        return {"cells": catalog.cell_statuses(run_id),
+                "rows": catalog.rows(run_id),
+                "metrics": [tuple(row) for row in catalog.conn.fetchall(
+                    "SELECT cell_index, key, value_num, value_text"
+                    " FROM metrics WHERE run_id = ? ORDER BY cell_index, key",
+                    (run_id,))],
+                "jobs": queue.counts(run_id),
+                "events": queue.lease_events(run_id)}
+
+
+class TestStaleRelease:
+    """A's lease expires, B reclaims and completes the cell, then A releases
+    it as failed: through either backend, B's row must survive."""
+
+    @pytest.mark.parametrize("transport", ["local", "http"])
+    def test_stale_release_keeps_the_winners_cell(self, tmp_path, transport):
+        root = tmp_path / "runs"
+        run_id = submit_campaign(chaos_spec({"mode": "ok", "name": "c0"}),
+                                 root=root).run_id
+        server = None
+        if transport == "http":
+            server = make_server(root, port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            a, b = (_RemoteBackend(url, name, local_root=tmp_path / name,
+                                   max_job_attempts=3, timeout=5.0,
+                                   retries=1, backoff=0.01)
+                    for name in ("A", "B"))
+        else:
+            a, b = (_LocalBackend(catalog_path(root), name, max_job_attempts=3)
+                    for name in ("A", "B"))
+        try:
+            stale = a.claim(run_id, lease_ttl=-1)  # born expired
+            fresh = b.claim(run_id, lease_ttl=60)
+            assert fresh.reclaimed_from == "A"
+            assert b.complete(fresh, "completed", {"name": "c0", "value": 7},
+                              2, 0.5) is True
+            before = _cell_snapshot(root, run_id)
+            assert a.release(stale, "failed", "boom", 1) is None
+            if server is not None:
+                response = a.client.release(run_id, 0, status="failed",
+                                            error="boom", attempts=1)
+                assert response["applied"] is False
+        finally:
+            a.close()
+            b.close()
+            if server is not None:
+                server.shutdown()
+                server.server_close()
+        after = _cell_snapshot(root, run_id)
+        assert after == before
+        assert after["cells"][0]["status"] == "completed"
+        assert after["rows"] == [{"name": "c0", "value": 7}]
+        assert after["metrics"] and after["jobs"] == {"done": 1}
 
 
 # --------------------------------------------------------------------------
@@ -645,6 +713,32 @@ class TestServer:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
         assert err.value.code == 400
+
+    def test_submit_carries_the_timeout(self, server_root):
+        root, port = server_root
+        body = {"experiment": "fig4", "scale": "smoke", "timeout": 30}
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/api/campaigns",
+            data=json.dumps(body).encode(), method="POST")
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 201
+        with Catalog(catalog_path(root)) as catalog:
+            job = JobQueue(catalog).claim("w1", run_id="fig4-smoke")
+        assert job.payload["timeout"] == 30.0
+
+    def test_submit_rejects_unknown_keys(self, server_root):
+        root, port = server_root
+        body = {"experiment": "fig4", "scale": "smoke", "max_atempts": 2}
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/api/campaigns",
+            data=json.dumps(body).encode(), method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert "max_atempts" in json.loads(err.value.read())["error"]
+        with Catalog(catalog_path(root)) as catalog:
+            assert JobQueue(catalog).counts("fig4-smoke") == {}
+            assert not catalog.has_run("fig4-smoke")
 
     def test_health_reports_version_and_uptime(self, server_root):
         root, port = server_root

@@ -1,8 +1,9 @@
 """Tests for the remote-worker transport: StoreClient, chaos, lease HTTP.
 
 Unit tests drive :class:`~repro.store.client.StoreClient` against a fake
-in-memory transport (taxonomy, deterministic backoff, idempotency keys,
-ChaosTransport semantics); the live tests run a real
+in-memory transport (taxonomy, deterministic backoff, idempotency keys) and
+the :class:`~repro.store.chaos.ChaosProxy` against a counting stub upstream
+(fault semantics); the live tests run a real
 :class:`~repro.store.server.CampaignServer` and prove the acceptance
 criterion — a chaos-perturbed multi-worker HTTP drain, including a
 mid-drain server kill + restart, yields rows bit-identical to serial
@@ -12,25 +13,28 @@ mid-drain server kill + restart, yields rows bit-identical to serial
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
 import repro
 from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
-from repro.runs.faults import NetworkChaosPlan, NetworkFault
+from repro.runs.faults import ChaosSchedule, NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, JobQueue, catalog_path
 from repro.store.chaos import ChaosProxy
 from repro.store.client import (
     BACKOFF_CAP_SECONDS,
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
+    UrllibTransport,
     backoff_schedule,
 )
 from repro.store.server import make_server
@@ -156,7 +160,7 @@ class TestIdempotencyKeys:
                                   (200, b'{"applied": true}'))
         client = client_with(transport, max_retries=4)
         client.complete("run", 0, status="completed", row={"v": 1},
-                        params={}, attempts=1)
+                        attempts=1)
         keys = self._keys_of(transport)
         assert len(keys) == 3
         assert len(set(keys)) == 1  # one logical mutation, one key
@@ -170,6 +174,31 @@ class TestIdempotencyKeys:
         client_with(t2).claim()
         assert self._keys_of(t1) != self._keys_of(t2)
 
+    def test_concurrent_mutations_get_unique_keys(self):
+        # A remote worker's one client is shared by the drain loop, the
+        # heartbeat thread and the telemetry flusher.
+        keys = []
+
+        def transport(method, url, body, headers, timeout):
+            keys.append(json.loads(body)["idempotency_key"])
+            return 200, b'{"job": null}'
+
+        client = client_with(transport)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [client.claim() for _ in range(200)])
+                for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(keys) == len(set(keys)) == 8 * 200
+
     def test_heartbeats_carry_no_key(self):
         transport = FakeTransport((200, b'{"alive": true}'))
         client = client_with(transport)
@@ -178,49 +207,78 @@ class TestIdempotencyKeys:
             transport.requests[0]["body"])
 
 
-class TestChaosTransport:
-    def _wrapped(self, plan, *script):
-        inner = FakeTransport(*script)
-        chaos = ChaosTransport(inner, plan, sleep=lambda _s: None)
-        return inner, chaos
+class _CountingHandler(BaseHTTPRequestHandler):
+    def do_POST(self):  # noqa: N802 (http.server naming)
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.paths.append(self.path)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"{}")
 
-    def test_reset_fires_before_delivery(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="reset"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"))
-        with pytest.raises(ConnectionResetError):
-            chaos("GET", "http://s/api/health", None, {}, 1.0)
-        assert inner.requests == []  # request never reached the wire
+    def log_message(self, format, *args):  # noqa: A002
+        pass
 
-    def test_http_500_is_synthetic(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="http-500"),))
-        inner, chaos = self._wrapped(plan)
-        status, _body = chaos("GET", "http://s/api/health", None, {}, 1.0)
-        assert status == 500
-        assert inner.requests == []
 
-    def test_drop_response_delivers_then_raises(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="drop-response"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"))
-        with pytest.raises(ConnectionResetError):
-            chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)
-        assert len(inner.requests) == 1  # the mutation WAS applied
+@pytest.fixture
+def counting_upstream():
+    """A stub upstream that answers every POST with ``{}`` and records its
+    path, so a test can count what the proxy delivered."""
+    upstream = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+    upstream.paths = []
+    threading.Thread(target=upstream.serve_forever, daemon=True).start()
+    try:
+        yield upstream
+    finally:
+        upstream.shutdown()
+        upstream.server_close()
 
-    def test_duplicate_delivers_twice(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="duplicate"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"), (200, b"{}"))
-        chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)
-        assert len(inner.requests) == 2
+
+class TestChaosProxy:
+    def _send(self, upstream, kind):
+        """One POST through a proxy planned with a single ``kind`` fault."""
+        plan = NetworkChaosPlan(faults=(NetworkFault(kind=kind),))
+        with ChaosProxy(upstream.server_address[:2], plan) as proxy:
+            host, port = proxy.address
+            try:
+                return UrllibTransport()(
+                    "POST", f"http://{host}:{port}/api/jobs/complete", b"{}",
+                    {"Content-Type": "application/json"}, 5.0)
+            finally:
+                assert proxy.fired == [{"kind": kind,
+                                        "path": "/api/jobs/complete"}]
+
+    def test_reset_never_reaches_upstream(self, counting_upstream):
+        with pytest.raises(ConnectionError):
+            self._send(counting_upstream, "reset")
+        assert counting_upstream.paths == []
+
+    def test_http_500_never_reaches_upstream(self, counting_upstream):
+        status, body = self._send(counting_upstream, "http-500")
+        assert status == 500 and b"chaos" in body
+        assert counting_upstream.paths == []
+
+    def test_drop_response_delivers_then_resets(self, counting_upstream):
+        with pytest.raises(ConnectionError):
+            self._send(counting_upstream, "drop-response")
+        # The mutation WAS delivered; only its response was lost.
+        assert counting_upstream.paths == ["/api/jobs/complete"]
+
+    def test_duplicate_delivers_twice(self, counting_upstream):
+        assert self._send(counting_upstream, "duplicate") == (200, b"{}")
+        assert counting_upstream.paths == ["/api/jobs/complete"] * 2
 
     def test_op_filter_and_request_index(self):
-        plan = NetworkChaosPlan(faults=(
-            NetworkFault(kind="reset", at_request=1, op="claim"),))
-        inner, chaos = self._wrapped(
-            plan, (200, b"{}"), (200, b"{}"), (200, b"{}"))
-        chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)  # no match
-        chaos("POST", "http://s/api/jobs/claim", b"{}", {}, 1.0)     # index 0
-        with pytest.raises(ConnectionResetError):
-            chaos("POST", "http://s/api/jobs/claim", b"{}", {}, 1.0)  # index 1
-        assert chaos.fired == [{"kind": "reset", "path": "/api/jobs/claim"}]
+        schedule = ChaosSchedule(NetworkChaosPlan(faults=(
+            NetworkFault(kind="reset", at_request=1, op="claim"),)))
+        assert schedule.faults_for("/api/jobs/complete") == []  # no match
+        assert schedule.faults_for("/api/jobs/claim") == []     # index 0
+        assert [f.kind for f in schedule.faults_for("/api/jobs/claim")] \
+            == ["reset"]                                         # index 1
+        assert schedule.faults_for("/api/jobs/claim") == []     # index 2
+        assert schedule.fired == [{"kind": "reset",
+                                   "path": "/api/jobs/claim"}]
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +309,6 @@ class TestLeaseProtocolHTTP:
         assert client.heartbeat("chaos-smoke", 0) is True
         response = client.complete("chaos-smoke", 0, status="completed",
                                    row={"name": "c0", "value": 1.0},
-                                   params=job["payload"]["params"],
                                    attempts=1)
         assert response["applied"] is True
         assert client.outstanding("chaos-smoke") == 1
@@ -267,8 +324,7 @@ class TestLeaseProtocolHTTP:
         job = client.claim(run_id="chaos-smoke")
         body = {"worker": "w1", "run_id": "chaos-smoke",
                 "cell_index": job["cell_index"], "status": "completed",
-                "row": {"name": "c0", "value": 1.0},
-                "params": job["payload"]["params"], "attempts": 1,
+                "row": {"name": "c0", "value": 1.0}, "attempts": 1,
                 "idempotency_key": "w1.feed.000001.complete"}
         first = client.post("/api/jobs/complete", body)
         second = client.post("/api/jobs/complete", body)  # duplicated delivery
@@ -290,12 +346,10 @@ class TestLeaseProtocolHTTP:
         assert reclaimed["reclaimed_from"] == "loser"
         assert loser.heartbeat("chaos-smoke", job["cell_index"]) is False
         late = loser.complete("chaos-smoke", job["cell_index"],
-                              status="completed", row={"v": 1},
-                              params={}, attempts=1)
+                              status="completed", row={"v": 1}, attempts=1)
         assert late["applied"] is False
         good = winner.complete("chaos-smoke", reclaimed["cell_index"],
-                               status="completed", row={"v": 1},
-                               params={}, attempts=2)
+                               status="completed", row={"v": 1}, attempts=2)
         assert good["applied"] is True
 
     def test_draining_server_refuses_claims_with_503(self, lease_server):
@@ -342,12 +396,23 @@ class TestLeaseProtocolHTTP:
 
 
 # --------------------------------------------------------------------------
-def _drain_remote(url, root, name, chaos_plan=None, **kwargs):
+def _drain_remote(url, root, name, plan=None, **kwargs):
+    """One HTTP worker draining ``chaos-smoke``; returns its summary and the
+    faults that fired.  With a chaos ``plan`` the worker talks to the server
+    through its own :class:`ChaosProxy`, so the chaos is this worker's
+    alone."""
     kwargs.setdefault("client_backoff", 0.05)
     kwargs.setdefault("client_retries", 8)
     kwargs.setdefault("poll_seconds", 0.1)
-    return work(root=root, run_id="chaos-smoke", worker_id=name, server=url,
-                chaos_plan=chaos_plan, **kwargs)
+    if plan is None:
+        return work(root=root, run_id="chaos-smoke", worker_id=name,
+                    server=url, **kwargs), []
+    upstream = urlsplit(url)
+    with ChaosProxy((upstream.hostname, upstream.port), plan) as proxy:
+        host, port = proxy.address
+        summary = work(root=root, run_id="chaos-smoke", worker_id=name,
+                       server=f"http://{host}:{port}", **kwargs)
+    return summary, proxy.fired
 
 
 def _assert_drained_bit_identical(serial_root, server_root, cells):
@@ -376,11 +441,13 @@ class TestRemoteDrain:
         return serial_root, server_root
 
     def _run_workers(self, url, tmp_path, plans):
+        """Drain with one worker per ``plans`` entry; returns each worker's
+        ``(summary, fired faults)``."""
         summaries = {}
 
         def drain(name, plan):
             summaries[name] = _drain_remote(url, tmp_path / name, name,
-                                            chaos_plan=plan)
+                                            plan=plan)
 
         threads = [threading.Thread(target=drain, args=(name, plan))
                    for name, plan in plans.items()]
@@ -396,21 +463,27 @@ class TestRemoteDrain:
         server = make_server(server_root, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}"
+        # w1's first claim always gets a cell, so its first complete and
+        # that call's retry are complete indices 0 and 1: the lost response
+        # is replayed, and the replay is then delivered twice.
         plan = NetworkChaosPlan(faults=(
             NetworkFault(kind="reset", at_request=1, op="claim"),
             NetworkFault(kind="http-500", at_request=2, op="claim"),
             NetworkFault(kind="stall", at_request=3, op="claim",
                          delay_seconds=0.2),
             NetworkFault(kind="drop-response", at_request=0, op="complete"),
-            NetworkFault(kind="duplicate", at_request=2, op="complete"),
+            NetworkFault(kind="duplicate", at_request=1, op="complete"),
         ))
         try:
-            summaries = self._run_workers(url, tmp_path,
-                                          {"w1": plan, "w2": None})
+            drained = self._run_workers(url, tmp_path,
+                                        {"w1": plan, "w2": None})
         finally:
             server.shutdown()
             server.server_close()
-        assert sum(s.completed for s in summaries.values()) >= self.CELLS
+        assert sorted(fault["kind"] for fault in drained["w1"][1]) == \
+            sorted(fault.kind for fault in plan.faults)
+        assert sum(summary.completed
+                   for summary, _ in drained.values()) >= self.CELLS
         _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
 
     def test_mid_drain_server_kill_and_restart(self, tmp_path):
@@ -469,8 +542,8 @@ class TestRemoteDrain:
             proxy.stop()
             server.shutdown()
             server.server_close()
-        fired = {f["kind"] for f in proxy.fired}
-        assert {"reset", "duplicate", "drop-response"} <= fired
+        assert sorted(fault["kind"] for fault in proxy.fired) == \
+            sorted(fault.kind for fault in plan.faults)
         _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
 
 
@@ -483,23 +556,3 @@ class TestRemoteWorkCLI:
                          "--client-backoff", "0.01"])
         assert code == 5
         assert "worker gave up" in capsys.readouterr().err
-
-    def test_net_chaos_flag_parses_inline_plan(self, tmp_path):
-        root = tmp_path / "server"
-        submit_campaign(chaos_spec(*ok_cells(2)), root=root)
-        server = make_server(root, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        plan = NetworkChaosPlan(faults=(
-            NetworkFault(kind="http-500", at_request=0, op="claim"),))
-        try:
-            code = cli_main(["work", "--root", str(tmp_path / "local"),
-                             "--server", url, "--run-id", "chaos-smoke",
-                             "--client-backoff", "0.01", "--net-chaos",
-                             plan.to_json()])
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert code == 0
-        with Catalog(catalog_path(root)) as catalog:
-            assert JobQueue(catalog).outstanding("chaos-smoke") == 0
