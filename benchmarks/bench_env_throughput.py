@@ -1,10 +1,11 @@
-"""Environment throughput: per-env object backend vs the SoA batched engine.
+"""Environment throughput: the per-env object path vs the SoA batched engine.
 
 Measures aggregate guessing-game steps/sec through :class:`repro.rl.vec_env.VecEnv`
 for the two execution paths —
 
 * ``object``  — per-env object-model caches, stepped in a Python loop
-  (``backend="object"`` forces it);
+  (a plain factory callable, ``functools.partial(repro.make, scenario)``,
+  takes this path);
 * ``soa``     — the collapsed structure-of-arrays batched fast path;
 
 under two workloads —
@@ -34,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import time
 from pathlib import Path
@@ -91,19 +93,18 @@ def measure(scenario: str, workload: str, num_envs: int,
             steps: int, trials: int) -> tuple:
     """Best-of-``trials`` aggregate env-steps/sec for (object, soa).
 
-    The two backends are timed alternately within each trial so transient
-    machine load hits both, not just one.  Backends are forced explicitly:
-    "auto" would fall back to the object path below the batching threshold,
-    muddying the comparison.
+    The two paths are timed alternately within each trial so transient
+    machine load hits both, not just one.  Both are chosen explicitly: the
+    default rule would put every count below the batching threshold on the
+    object path, muddying the comparison.
     """
     from repro.rl.vec_env import VecEnv
 
-    vec_object = VecEnv(scenario, num_envs=num_envs, backend="object")
-    # batching_threshold=1 forces the batched engine even below VecEnv's
-    # normal num_envs>=4 collapse rule (production "soa"/"auto" configs fall
-    # back to the object path there) so the crossover stays measurable.
-    vec_soa = VecEnv(scenario, num_envs=num_envs, backend="soa",
-                     batching_threshold=1)
+    vec_object = VecEnv(functools.partial(repro.make, scenario),
+                        num_envs=num_envs)
+    # batching_threshold=1 batches even below VecEnv's normal num_envs>=4
+    # collapse rule, so the crossover stays measurable.
+    vec_soa = VecEnv(scenario, num_envs=num_envs, batching_threshold=1)
     if not vec_soa.batched:
         raise RuntimeError(f"scenario {scenario!r} did not engage the batched path")
     actions = _workload_actions(scenario, workload, steps, num_envs,
@@ -118,7 +119,7 @@ def measure(scenario: str, workload: str, num_envs: int,
 def run(scenario: str = DEFAULT_SCENARIO, num_envs=DEFAULT_NUM_ENVS,
         steps: int = 4000, trials: int = 3,
         defended_scenario: str = DEFAULT_DEFENDED_SCENARIO) -> dict:
-    """Measure all backend/workload/num_envs combinations; return the entry."""
+    """Measure all path/workload/num_envs combinations; return the entry."""
     def measure_rows(target_scenario, counts):
         rows = []
         for workload in ("random", "replay"):

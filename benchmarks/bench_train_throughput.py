@@ -3,10 +3,10 @@
 Measures PPO training on ``guessing/lru-4way`` (mlp backbone, default
 ``PPOConfig``) in three modes:
 
-* ``graph``        — the legacy path: graph-based ``policy.act()``
-  (``REPRO_DISABLE_COMPILED=1``) and composed per-primitive autodiff kernels
-  (:func:`repro.autodiff.functional.composed_ops`), i.e. the pre-fast-path
-  execution model.  (The persistent rollout buffer and in-place Adam are
+* ``graph``        — the legacy path under
+  :func:`repro.autodiff.functional.composed_ops`: graph-based
+  ``policy.act()`` and composed per-primitive autodiff kernels, i.e. the
+  pre-fast-path execution model.  (The persistent rollout buffer and in-place Adam are
   active in every mode — they are bit-identical infrastructure — so the
   reported speedup is a conservative lower bound on the improvement over the
   true pre-PR code.)
@@ -59,16 +59,8 @@ MODES = ("graph", "fast", "fast-float32")
 def _mode(mode: str):
     """Activate one execution mode for the duration of a measurement."""
     if mode == "graph":
-        previous = os.environ.get("REPRO_DISABLE_COMPILED")
-        os.environ["REPRO_DISABLE_COMPILED"] = "1"
-        try:
-            with F.composed_ops():
-                yield
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_DISABLE_COMPILED", None)
-            else:
-                os.environ["REPRO_DISABLE_COMPILED"] = previous
+        with F.composed_ops():
+            yield
     else:
         yield
 

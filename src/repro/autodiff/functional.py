@@ -18,6 +18,11 @@ Two implementations exist for the hot ops (``linear``, ``softmax``,
 * **composed** — the original chains of Tensor primitives.  Used as the
   reference in parity tests and selectable with :func:`composed_ops` (the
   training-throughput benchmark uses it to measure the legacy graph path).
+
+:func:`composed_ops` is the one switch to the graph reference: it also turns
+off the graph-free compiled inference plans
+(:class:`repro.nn.compiled.CompiledForward`) and the fused PPO minibatch
+kernel (:class:`repro.rl.fused_loss.FusedPPOLoss`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ FUSED = True
 def composed_ops():
     """Temporarily fall back to the composed per-primitive graph ops.
 
-    The fused kernels are bit-identical, so this only changes speed — it
+    Compiled policy inference and the fused PPO kernel are off inside it as
+    well.  The fast paths are bit-identical, so this only changes speed — it
     exists for parity tests and for benchmarking the legacy graph path.
     """
     global FUSED

@@ -34,7 +34,8 @@ compiled by :mod:`repro.defenses`) have vectorized kernels:
   :class:`repro.cache.defended.WayPartitionCache`.
 
 Prefetchers, multi-level hierarchies, and the other defenses stay on the
-object path (see :func:`repro.env.batched_env.spec_supports_batching`).
+object path, as do PL-cache scenarios, because the batched game installs no
+locks (see :func:`repro.env.batched_env.config_supports_batching`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.defenses.spec import (
     DEFENSE_KINDS,
     CompiledDefense,
     DefenseSpec,
-    fragment_supports_soa,
 )
 from repro.defenses.registry import (
     DefenseLike,
@@ -41,7 +40,6 @@ __all__ = [
     "CompiledDefense",
     "DefenseLike",
     "DefenseSpec",
-    "fragment_supports_soa",
     "get_defense",
     "is_defense_registered",
     "list_defenses",

@@ -18,9 +18,10 @@ it is defending:
 * ``wrappers`` are appended to the scenario's wrapper pipeline;
 * ``locked_addresses`` pre-installs and locks victim lines (the PL cache).
 
-``supports_soa()`` is the capability hook the vectorized trainer consults:
-keyed-remap and way-partition have SoA batched kernels, the others warn and
-fall back to the (bit-identical) object path.
+``_SOA_KERNELS`` lists the mechanisms with SoA batched kernels (keyed-remap,
+and way-partition on lru/mru); :func:`repro.env.batched_env.config_supports_batching`
+reads it from the compiled cache config.  Defended scenarios whose mechanism
+is not listed warn and step per env on the (bit-identical) object path.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from repro.cache.config import CacheConfig
 DEFENSE_KINDS = ("plcache", "keyed_remap", "skew", "way_partition", "random_fill")
 
 #: Mechanisms with vectorized SoA kernels, mapped to the replacement policies
-#: the kernel supports (None = every SoA-capable policy).
+#: the kernel supports (None = every SoA-capable policy).  Read by
+#: :func:`repro.env.batched_env.config_supports_batching`.
 _SOA_KERNELS: Dict[str, Optional[Tuple[str, ...]]] = {
     "keyed_remap": None,
     "way_partition": ("lru", "mru"),
@@ -154,32 +156,3 @@ class DefenseSpec:
             fragment = {"kind": "random_fill",
                         "fill_window": int(self.params.get("fill_window", 4))}
         return CompiledDefense(cache_overrides={"extra": {"defense": fragment}})
-
-    # -------------------------------------------------------------- capability
-    def supports_soa(self, cache: Optional[CacheConfig] = None) -> bool:
-        """Whether this defense has a vectorized kernel in the SoA engine.
-
-        ``cache`` narrows the answer to one cache config (the way-partition
-        kernel only covers lru/mru replacement); ``None`` answers for the
-        mechanism in general.
-        """
-        if self.kind not in _SOA_KERNELS:
-            return False
-        policies = _SOA_KERNELS[self.kind]
-        if cache is None or policies is None:
-            return True
-        return cache.rep_policy.lower() in policies
-
-
-def fragment_supports_soa(fragment: Mapping, cache: CacheConfig) -> bool:
-    """Capability check for a compiled ``defense`` fragment in ``CacheConfig.extra``.
-
-    Used by :func:`repro.env.batched_env.config_supports_batching`, which sees
-    only the compiled config (the spec-level hook is
-    :meth:`repro.scenarios.ScenarioSpec.supports_soa`).
-    """
-    kind = fragment.get("kind")
-    if kind not in _SOA_KERNELS:
-        return False
-    policies = _SOA_KERNELS[kind]
-    return policies is None or cache.rep_policy.lower() in policies

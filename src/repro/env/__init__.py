@@ -14,13 +14,12 @@ from repro.env.spaces import Discrete, Box
 from repro.env.backends import (
     CacheBackend,
     SimulatedCacheBackend,
-    SoACacheBackend,
     HierarchyBackend,
     make_backend,
 )
 from repro.env.protocol import Env, BatchSteppable
 from repro.env.guessing_game import CacheGuessingGameEnv, StepResult
-from repro.env.batched_env import BatchedGuessingGame, spec_supports_batching
+from repro.env.batched_env import BatchedGuessingGame, config_supports_batching
 from repro.env.covert_env import MultiGuessCovertEnv
 from repro.env.wrappers import (
     EnvWrapper,
@@ -42,7 +41,6 @@ __all__ = [
     "Box",
     "CacheBackend",
     "SimulatedCacheBackend",
-    "SoACacheBackend",
     "HierarchyBackend",
     "make_backend",
     "Env",
@@ -50,7 +48,7 @@ __all__ = [
     "CacheGuessingGameEnv",
     "StepResult",
     "BatchedGuessingGame",
-    "spec_supports_batching",
+    "config_supports_batching",
     "MultiGuessCovertEnv",
     "EnvWrapper",
     "MissCountDetectionWrapper",

@@ -90,43 +90,6 @@ class SimulatedCacheBackend(CacheBackend):
         return self.cache.events
 
 
-class SoACacheBackend(CacheBackend):
-    """Single-level cache backed by the vectorized SoA engine (one env wide).
-
-    Selected with ``backend="soa"`` in the env config / scenario overrides.
-    Bit-compatible with :class:`SimulatedCacheBackend` for supported configs
-    (see ``SOA_POLICIES``), but does not keep an :class:`EventLog`, so
-    detection wrappers need the object backend.
-    """
-
-    def __init__(self, config: CacheConfig, rng: Optional[np.random.Generator] = None):
-        from repro.cache.soa import SoACacheEngine, domain_code
-
-        self.config = config
-        self.rng = rng or np.random.default_rng(config.rng_seed)
-        self.engine = SoACacheEngine(config, 1, rngs=[self.rng])
-        self._domain_code = domain_code
-        self._env0 = np.zeros(1, dtype=np.intp)
-        self._addr = np.zeros(1, dtype=np.int64)
-        self._dom = np.zeros(1, dtype=np.int8)
-
-    def reset(self) -> None:
-        self.engine.reset()
-
-    def access(self, address: int, domain: str) -> tuple:
-        self._addr[0] = address
-        self._dom[0] = self._domain_code(domain)
-        hit, _, _, _ = self.engine.access(self._env0, self._addr, self._dom,
-                                          collect=False)
-        if hit[0]:
-            return True, self.config.hit_latency
-        return False, self.config.miss_latency
-
-    def flush(self, address: int, domain: str) -> None:
-        self._addr[0] = address
-        self.engine.flush(self._env0, self._addr)
-
-
 class HierarchyBackend(CacheBackend):
     """Two-core hierarchy: attacker and victim each run on their own core."""
 
@@ -157,22 +120,13 @@ class HierarchyBackend(CacheBackend):
 
 def make_backend(config: EnvConfig, rng: Optional[np.random.Generator] = None,
                  pl_locked_addresses: Optional[list] = None) -> CacheBackend:
-    """Build the backend described by an :class:`EnvConfig`.
+    """Build the per-env object backend described by an :class:`EnvConfig`.
 
-    ``config.backend`` selects the implementation: ``"soa"`` forces the
-    structure-of-arrays engine (no event log, no PL locks, no hierarchy);
-    ``"object"`` and ``"auto"`` build the full-fidelity object simulator —
-    single envs keep the event log for detectors, while the *batched* SoA
-    fast path engages at the :class:`~repro.rl.vec_env.VecEnv` level.
+    Single envs always run on the full-fidelity object simulator, which keeps
+    the event log for detectors; the SoA engine runs only as the batched game
+    that :class:`~repro.rl.vec_env.VecEnv` builds for a whole batch.
     """
     rng = rng or np.random.default_rng(config.seed)
-    if config.backend == "soa":
-        if config.hierarchy or config.l2_cache is not None:
-            raise ValueError("backend='soa' does not support cache hierarchies")
-        if pl_locked_addresses:
-            raise ValueError("backend='soa' does not support PL-cache locked "
-                             "addresses; use the object backend")
-        return SoACacheBackend(config.cache, rng=rng)
     if config.hierarchy:
         if config.l2_cache is None:
             raise ValueError("hierarchy backend requires l2_cache")

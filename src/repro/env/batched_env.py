@@ -14,7 +14,9 @@ the same config and ``seed=seeds[i]`` — same observations, rewards, dones,
 and per-env RNG stream consumption (warm-up draws, secret draws, and
 random-replacement victim picks happen in the same per-env order).
 :class:`~repro.rl.vec_env.VecEnv` relies on this to transparently collapse N
-identical SoA-capable scenario envs into one batched env.
+identical SoA-capable scenario envs into one batched env.  The batched game
+is the only way the SoA engine runs an env: single envs, and any batch built
+from a plain factory callable, step the per-env object model.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.cache.soa import (
     SOA_POLICIES,
     SoACacheEngine,
 )
+from repro.defenses.spec import _SOA_KERNELS
 from repro.env.actions import ActionKind, ActionSpace
 from repro.env.config import EnvConfig
 
@@ -54,39 +57,34 @@ _LAT_NA = 2
 
 
 def config_supports_batching(config: EnvConfig) -> bool:
-    """Whether one :class:`EnvConfig` can run on the SoA batched engine."""
-    if config.backend == "object":
-        return False
+    """Whether one :class:`EnvConfig` can run on the SoA batched engine.
+
+    This is the one capability table for the batched engine: the env class
+    and wrapper checks in :meth:`~repro.scenarios.ScenarioSpec.supports_soa`
+    sit on top of it, and defended caches batch only where the defense
+    layer's ``_SOA_KERNELS`` lists a kernel for the replacement policy.
+    PL-cache locks (``cache.lockable``) have no batched kernel.
+    """
     if config.hierarchy or config.l2_cache is not None:
         return False
     cache = config.cache
-    if cache.prefetcher:
+    if cache.prefetcher or cache.lockable:
         return False
-    if cache.rep_policy.lower() not in SOA_POLICIES:
+    policy = cache.rep_policy.lower()
+    if policy not in SOA_POLICIES:
         return False
-    if cache.rep_policy.lower() == "plru" and cache.num_ways & (cache.num_ways - 1):
+    if policy == "plru" and cache.num_ways & (cache.num_ways - 1):
         return False
     if cache.mapping.lower() not in SOA_MAPPINGS:
         return False
     fragment = (cache.extra or {}).get("defense")
     if fragment:
-        from repro.defenses import fragment_supports_soa
-
-        if not fragment_supports_soa(fragment, cache):
+        kind = fragment.get("kind")
+        if kind not in _SOA_KERNELS:
             return False
+        policies = _SOA_KERNELS[kind]
+        return policies is None or policy in policies
     return True
-
-
-def spec_supports_batching(spec) -> bool:
-    """Whether a :class:`~repro.scenarios.ScenarioSpec` can be collapsed into
-    one :class:`BatchedGuessingGame`.
-
-    Thin alias for the spec's own capability hook,
-    :meth:`~repro.scenarios.ScenarioSpec.supports_soa`, which consults the
-    env class, the wrapper builders, the defense, and the compiled cache
-    config instead of a hard-coded allowlist.
-    """
-    return spec.supports_soa()
 
 
 class BatchedGuessingGame:

@@ -48,11 +48,8 @@ class EnvConfig:
     attacker_core: int = 0
     victim_core: int = 1
     seed: int = 0
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "object", "soa"):
-            raise ValueError("backend must be 'auto', 'object', or 'soa'")
         if self.attacker_addr_e < self.attacker_addr_s:
             raise ValueError("attacker address range is empty")
         if self.victim_addr_e < self.victim_addr_s:

@@ -10,10 +10,11 @@ verifies that what they *claim* is true:
   defense id mentioned in its cell grid resolves (``"none"`` is the
   defense-matrix sentinel for "undefended");
 * every ``supports_soa() = True`` claim is backed by an actual kernel: the
-  scenario's compiled cache config must construct a
-  :class:`~repro.cache.soa.SoACacheEngine`, and every mechanism listed in the
-  defense layer's ``_SOA_KERNELS`` table must compile into a fragment the SoA
-  engine accepts for each replacement policy it claims.
+  scenario's compiled config must construct the
+  :class:`~repro.env.batched_env.BatchedGuessingGame` that ``VecEnv`` builds,
+  and every mechanism listed in the defense layer's ``_SOA_KERNELS`` table
+  must compile into a fragment the SoA engine accepts for each replacement
+  policy it claims.
 
 Findings point at the registering module rather than a line (registration is
 dynamic), so the line number is 1 with the id in the message.
@@ -37,8 +38,8 @@ REGISTRY_RULES: Dict[str, str] = {
                     "cell resolves in the defense registry"),
     _RULE_SCENARIO: ("every scenario id referenced by an experiment cell "
                      "resolves in the scenario registry"),
-    _RULE_SOA: ("every supports_soa()=True claim maps to a cache config the "
-                "SoA engine actually accepts"),
+    _RULE_SOA: ("every supports_soa()=True claim maps to a config the SoA "
+                "batched game actually accepts"),
     _RULE_DRIVER: "every registered experiment's driver module imports",
 }
 
@@ -90,19 +91,19 @@ def _check_scenarios(scenarios, defenses) -> List[Finding]:
 
 
 def _check_soa_claim(sid: str, spec) -> List[Finding]:
-    """If the spec claims SoA support, its cache config must build an engine."""
-    from repro.cache.soa import SoACacheEngine
+    """If the spec claims SoA support, its config must build the batched game
+    that :class:`~repro.rl.vec_env.VecEnv` would build."""
+    from repro.env.batched_env import BatchedGuessingGame
 
     try:
         if not spec.supports_soa():
             return []
-        config = spec.build_config()
-        SoACacheEngine(config.cache, num_envs=2)
+        BatchedGuessingGame(spec.build_config(), 2)
     except Exception as exc:  # any failure falsifies the claim
         return [_finding(
             _RULE_SOA,
-            f"scenario {sid!r} claims supports_soa() but the SoA engine "
-            f"rejects its cache config: {exc}",
+            f"scenario {sid!r} claims supports_soa() but the batched game "
+            f"rejects its config: {exc}",
             hint="fix the capability hook or add the missing SoA kernel",
             path="src/repro/scenarios")]
     return []

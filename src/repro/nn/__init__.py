@@ -15,9 +15,9 @@ preallocated shape-keyed buffers — no ``Tensor`` objects, no graph, no
 per-call allocation — with outputs bit-identical to the graph path.
 ``ActorCriticPolicy.act()/.value()/.action_probabilities()`` use the plan
 automatically whenever the architecture is supported; unsupported module
-compositions silently fall back to the graph.  Set the environment variable
-``REPRO_DISABLE_COMPILED=1`` to force the graph path everywhere (parity
-debugging, legacy benchmarking).
+compositions silently fall back to the graph.  Inside
+:func:`repro.autodiff.functional.composed_ops` every fast path is off and the
+graph runs everywhere (parity debugging, legacy benchmarking).
 """
 
 from repro.nn.module import Module, Parameter

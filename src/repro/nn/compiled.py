@@ -16,13 +16,13 @@ values, and consumed RNG stream — are **bit-identical** to
 Plans are built lazily by :meth:`repro.rl.policy.ActorCriticPolicy.compiled`
 for the MLP and single-block attention backbones; unknown module compositions
 raise :class:`UnsupportedArchitecture` and the policy silently keeps the
-graph path.  Set ``REPRO_DISABLE_COMPILED=1`` to force the graph path (the
-escape hatch used for parity testing and legacy benchmarking).
+graph path.  Inside :func:`repro.autodiff.functional.composed_ops` the policy
+also keeps the graph path (the reference used for parity testing and legacy
+benchmarking).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,14 +30,8 @@ import numpy as np
 from repro.determinism import fallback_rng
 
 
-
 class UnsupportedArchitecture(Exception):
     """The policy's module tree has no compiled plan; use the graph path."""
-
-
-def compiled_inference_enabled() -> bool:
-    """Whether compiled plans may be used (``REPRO_DISABLE_COMPILED`` unset)."""
-    return os.environ.get("REPRO_DISABLE_COMPILED", "") not in ("1", "true", "yes")
 
 
 def _flatten_feedforward(module) -> List[tuple]:

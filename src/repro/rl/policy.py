@@ -8,10 +8,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.autodiff import default_dtype, no_grad
+from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.nn import MLP, Categorical, Linear, Module, SelfAttentionEncoder, Sequential, Tanh
-from repro.nn.compiled import (CompiledForward, UnsupportedArchitecture,
-                               compiled_inference_enabled)
+from repro.nn.compiled import CompiledForward, UnsupportedArchitecture
 
 
 @dataclass
@@ -39,7 +39,8 @@ class ActorCriticPolicy(Module):
     Inference (:meth:`act`, :meth:`value`, :meth:`action_probabilities`)
     routes through a graph-free :class:`~repro.nn.compiled.CompiledForward`
     plan when one exists for the architecture — bit-identical to the graph
-    path, several times faster.  Set ``REPRO_DISABLE_COMPILED=1`` to opt out.
+    path, several times faster.  :func:`repro.autodiff.functional.composed_ops`
+    turns it off.
     """
 
     def __init__(self, observation_size: int, num_actions: int,
@@ -82,7 +83,7 @@ class ActorCriticPolicy(Module):
     @property
     def compiled(self) -> Optional[CompiledForward]:
         """The graph-free forward plan, or ``None`` when disabled/unsupported."""
-        if not compiled_inference_enabled():
+        if not F.FUSED:
             return None
         if self._compiled is None and not self._compiled_unsupported:
             try:

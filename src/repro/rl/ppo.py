@@ -10,7 +10,7 @@ import numpy as np
 from repro.autodiff import Adam
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
-from repro.nn.compiled import UnsupportedArchitecture, compiled_inference_enabled
+from repro.nn.compiled import UnsupportedArchitecture
 from repro.rl.buffer import RolloutBatch, RolloutBuffer
 from repro.rl.fused_loss import FusedPPOLoss
 from repro.rl.policy import ActorCriticPolicy
@@ -64,9 +64,9 @@ class PPOUpdater:
         """The fused graph-free loss kernel, or ``None`` when unavailable.
 
         Disabled together with the other fast paths by
-        ``REPRO_DISABLE_COMPILED=1`` or :func:`repro.autodiff.functional.composed_ops`.
+        :func:`repro.autodiff.functional.composed_ops`.
         """
-        if not F.FUSED or not compiled_inference_enabled():
+        if not F.FUSED:
             return None
         if self._fused_loss is None and not self._fused_unsupported:
             try:

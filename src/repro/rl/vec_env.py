@@ -10,21 +10,24 @@ scenario id (``"guessing/lru-4way"``), or a :class:`~repro.scenarios.ScenarioSpe
 ids and specs are resolved through the scenario registry, so the vectorized
 path and ``repro.make()`` construct identical environments.
 
-Two hot paths exist, picked automatically:
+Two hot paths exist, and one rule picks between them:
 
 * **Batched SoA fast path** — when the source is a scenario whose
-  ``spec.supports_soa()`` capability hook says yes (plain guessing env, every
-  wrapper and the defense SoA-capable, supported policy/mapping — the
-  ``keyed-remap`` and ``way-partition`` defenses have batched kernels), the N
-  per-env objects are collapsed into one
-  :class:`~repro.env.batched_env.BatchedGuessingGame` that advances the whole
-  batch per step in a handful of numpy kernels.  This is bit-identical to the
-  per-env path (same seeds, same RNG streams) but roughly an order of
-  magnitude faster.  Opt out per scenario with ``backend="object"``;
-  defended scenarios whose defense has no kernel warn and fall back.
-* **Per-env fallback** — wrapped/PL/hierarchy envs (and factory callables) are
-  stepped one by one; envs that advertise ``supports_step_into`` write their
-  observations directly into rows of the batch buffer.
+  ``spec.supports_soa()`` says yes (plain guessing env, every wrapper
+  SoA-capable, and a cache config that
+  :func:`~repro.env.batched_env.config_supports_batching` accepts — the
+  ``keyed-remap`` and ``way-partition`` defenses have batched kernels) and
+  ``num_envs >= batching_threshold``, the N per-env objects are collapsed
+  into one :class:`~repro.env.batched_env.BatchedGuessingGame` that advances
+  the whole batch per step in a handful of numpy kernels.  This is
+  bit-identical to the per-env path (same seeds, same RNG streams) but
+  roughly an order of magnitude faster.  Defended scenarios whose defense
+  has no kernel warn and fall back.
+* **Per-env path** — everything else is stepped one env at a time; envs
+  that advertise ``supports_step_into`` write their observations directly
+  into rows of the batch buffer.  A plain factory callable such as
+  ``functools.partial(repro.make, scenario_id)`` always takes this path,
+  which is how parity tests and benchmarks reach the object model.
 
 Returned arrays are double-buffered — each is reused two calls later, which is
 exactly the lifetime the PPO rollout loop needs; callers keeping references
@@ -65,56 +68,26 @@ class VecEnv:
         self._batched = None
         self._envs = None
         spec = getattr(env_factory, "spec", None)
-        if spec is not None:
-            from repro.env.batched_env import (BatchedGuessingGame,
-                                               spec_supports_batching)
+        if spec is not None and num_envs >= batching_threshold:
+            if spec.supports_soa():
+                from repro.env.batched_env import BatchedGuessingGame
 
-            # Batching eligibility is the spec's supports_soa() capability
-            # hook (env class + wrappers + defense + cache config), not a
-            # hard-coded allowlist.  A defended scenario whose defense has no
-            # SoA kernel warns so the throughput cliff is visible.
-            batchable = spec_supports_batching(spec)
-            if (not batchable and spec.defense is not None
-                    and num_envs >= batching_threshold
-                    and spec.with_overrides(defense=None).supports_soa()):
+                # factory(index) builds spec.build(seed=index); the batched
+                # game reproduces exactly those N envs.
+                self._batched = BatchedGuessingGame(spec.build_config(), num_envs,
+                                                    seeds=range(num_envs))
+            elif (spec.defense is not None
+                  and spec.with_overrides(defense=None).supports_soa()):
                 # The defense is the only thing keeping this batch on the
-                # object path (not an explicit backend="object", wrapper, ...).
+                # object path: warn so the throughput cliff is visible.
                 warnings.warn(
                     f"scenario {spec.scenario_id!r}: its defense has no SoA "
                     "batched kernel; stepping per-env on the bit-identical "
                     "object path (expect object-path throughput)",
                     RuntimeWarning, stacklevel=2)
-            if batchable:
-                config = spec.build_config()
-                # Below the threshold the per-op numpy overhead of the
-                # batched kernels loses to the object path, so the collapse
-                # only engages where it wins.  An explicit backend="soa"
-                # below the threshold falls back to the (bit-identical)
-                # object path with a warning; pass batching_threshold=1 to
-                # force batching anyway (benchmarks do).
-                if num_envs >= batching_threshold:
-                    # factory(index) builds spec.build(seed=index); the
-                    # batched game reproduces exactly those N envs.
-                    self._batched = BatchedGuessingGame(config, num_envs,
-                                                        seeds=range(num_envs))
-                elif config.backend == "soa":
-                    warnings.warn(
-                        f"backend='soa' with num_envs={num_envs} is below the "
-                        f"batching threshold ({batching_threshold}); using the "
-                        "bit-identical object backend instead (the scalar SoA "
-                        "path is slower than the object model)",
-                        RuntimeWarning, stacklevel=2)
-                    from repro.scenarios.registry import SpecFactory
-
-                    # Rebuild with only the backend swapped, keeping any
-                    # runtime payload (e.g. a detector) the factory carries.
-                    self._env_factory = env_factory = SpecFactory(
-                        spec.with_overrides(backend="object"),
-                        getattr(env_factory, "runtime", None))
         if self._batched is not None:
             self.observation_size = self._batched.observation_size
             self.num_actions = self._batched.num_actions
-            self._fast_path = [True] * num_envs
         else:
             self._envs = [env_factory(index) for index in range(num_envs)]
             first = self._envs[0]
@@ -188,7 +161,7 @@ class VecEnv:
         surfaces the env's own step info (``action``/``secret``/``hit``/
         ``trace``...), but the batched fast path shares one empty placeholder
         for non-finished envs — consumers needing per-step introspection
-        should force ``backend="object"`` or use a single env.
+        should pass a factory callable (per-env path) or use a single env.
         """
         observations, rewards, dones = self._next_buffers()
         infos = self._infos

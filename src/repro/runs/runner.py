@@ -19,7 +19,7 @@ one executor (:func:`execute_cell`), one heartbeat, and one
         faults/                       # fired fault-injection state (if any)
         cells/
           c00-lru/
-            result.json               # the finished row + timing
+            result.json               # the finished row, timing, BLAS threads
             error.json                # structured failure record (if failed)
             run0.result.json          # memoized TrainingResult
             run0.history.jsonl        # per-update training metrics
@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro._blas import blas_threads
 from repro.experiments.common import ExperimentScale, ScaleLike, resolve_scale
 from repro.runs.artifacts import (
     CorruptArtifactError,
@@ -275,6 +276,8 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
         "params": params,
         "row": row,
         "elapsed_seconds": time.perf_counter() - started,
+        # The BLAS thread count the elapsed time was measured under.
+        "blas_threads": blas_threads(),
     }
     atomic_write_json(result_file, payload, indent=2)
     # Round-trip the row through the same JSON path that resume uses, so

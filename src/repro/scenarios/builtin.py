@@ -44,16 +44,6 @@ def _register_guessing_family() -> None:
                         "window_size": 12, "max_steps": 12},
         ))
 
-    # Same game on the structure-of-arrays backend: single envs run on the
-    # SoA engine, and the spec field documents the backend selector (VecEnv
-    # batches any SoA-capable guessing scenario automatically, so the plain
-    # scenarios above already train on the batched engine).
-    register(base="guessing/lru-4way", scenario_id="guessing/lru-4way-soa",
-             description=("4-way fully-associative LRU set on the SoA cache "
-                          "engine (bit-identical to guessing/lru-4way, no "
-                          "event log)"),
-             backend="soa")
-
     # Table VII layout: disjoint attacker (1-5) / victim (0) ranges, so the
     # defenses below actually isolate something.  The PL-cache variant rides
     # the defense registry (defense="plcache" locks the victim range).

@@ -37,6 +37,14 @@ _CACHE_FIELDS = frozenset(f.name for f in fields(CacheConfig))
 _MACHINE_FIELDS = frozenset({"attacker_addresses"})
 
 
+class UnknownOverrideError(KeyError, TypeError):
+    """An override key that names no spec field, config field or dotted path.
+
+    A ``TypeError`` like any unexpected keyword argument to ``repro.make`` or
+    ``VecEnv``, and a ``KeyError`` for callers that treat overrides as keys.
+    """
+
+
 def _frozen_mapping(value: Optional[Mapping]) -> Optional[Dict]:
     if value is None:
         return None
@@ -202,7 +210,7 @@ class ScenarioSpec:
             elif key in _MACHINE_FIELDS:
                 merge("machine_kwargs", key, value)
             else:
-                raise KeyError(f"unknown scenario override {key!r}")
+                raise UnknownOverrideError(f"unknown scenario override {key!r}")
         return replace(self, **updates)
 
     def derive(self, scenario_id: str, **overrides: Any) -> "ScenarioSpec":
@@ -230,9 +238,9 @@ class ScenarioSpec:
         """Capability hook: can N copies collapse into the SoA batched game?
 
         Consults the environment class (only the plain guessing game is
-        batchable), every wrapper builder's ``supports_soa`` attribute, the
-        defense's :meth:`~repro.defenses.DefenseSpec.supports_soa`, and the
-        compiled cache config (:func:`repro.env.batched_env.config_supports_batching`).
+        batchable), every wrapper builder's ``supports_soa`` attribute, and
+        the compiled cache config, defense included
+        (:func:`repro.env.batched_env.config_supports_batching`).
         """
         if not _env_class_supports_soa(self.env):
             return False
@@ -242,9 +250,6 @@ class ScenarioSpec:
         try:
             config = self.build_config()
         except (TypeError, ValueError, KeyError):
-            return False
-        defense = self.resolved_defense()
-        if defense is not None and not defense.supports_soa(config.cache):
             return False
         from repro.env.batched_env import config_supports_batching
 

@@ -123,3 +123,35 @@ def test_two_worker_results_identical_with_and_without_budget(tmp_path):
         digests[label] = hashlib.sha256(
             Path(report["results"]).read_bytes()).hexdigest()
     assert digests["budget"] == digests["two"]
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_cell_result_records_the_executing_process_threads(tmp_path, threads):
+    """Each cell's ``result.json`` carries the BLAS thread count its
+    ``elapsed_seconds`` was measured under, read in the process that ran it."""
+    if threads is not None and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps the count at the cores it sees")
+    script = """
+        import json
+        import sys
+        sys.path.insert(0, sys.argv[2])
+        import repro
+        from repro._blas import blas_threads
+        from repro.runs import ExperimentSpec
+
+        spec = ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
+                              columns=("name", "value"),
+                              grid=({"mode": "ok", "name": "c0", "offset": 0},),
+                              default_scale="smoke")
+        campaign = repro.run(spec, root=sys.argv[1])
+        [result] = (campaign.out_dir / "cells").glob("*/result.json")
+        print(json.dumps({"threads": blas_threads(),
+                          "result": json.loads(result.read_text())}))
+    """
+    variables = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+    report = json.loads(run_python(script, str(tmp_path),
+                                   str(Path(__file__).parent), **variables))
+    expected = 1 if threads is None else int(threads)
+    assert report["threads"] == expected
+    assert report["result"]["blas_threads"] == expected
+    assert "elapsed_seconds" in report["result"]

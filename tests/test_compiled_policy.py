@@ -15,8 +15,6 @@ A guard test asserts the fast paths are actually taken during a default
 ``PPOTrainer`` run, so a silent fallback cannot rot the speedup.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -104,13 +102,15 @@ class TestCompiledActParity:
         assert np.array_equal(out_first.values, again.values)
         assert not np.array_equal(out_first.values, out_second.values)
 
-    def test_escape_hatch_disables_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
+    def test_composed_ops_disables_plan(self):
         policy = make_policy()
-        assert policy.compiled is None
-        before = policy.compiled_call_count
-        policy.act(np.zeros(OBS_SIZE))
-        assert policy.compiled_call_count == before
+        assert policy.compiled is not None
+        with F.composed_ops():
+            assert policy.compiled is None
+            before = policy.compiled_call_count
+            policy.act(np.zeros(OBS_SIZE))
+            assert policy.compiled_call_count == before
+        assert policy.compiled is not None
 
 
 class TestFusedFunctionalParity:
@@ -217,12 +217,8 @@ class TestFusedUpdateParity:
         return buffer
 
     @pytest.mark.parametrize("value_clip", [0.2, None])
-    def test_update_bit_identical_to_graph(self, value_clip, monkeypatch):
+    def test_update_bit_identical_to_graph(self, value_clip):
         def run(use_fast):
-            if not use_fast:
-                monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
-            else:
-                monkeypatch.delenv("REPRO_DISABLE_COMPILED", raising=False)
             config = PPOConfig(minibatch_size=16, update_epochs=2,
                                value_clip=value_clip)
             policy = make_policy()
@@ -253,13 +249,9 @@ class TestFusedUpdateParity:
         updater.update(buffer)
         assert updater.fused_minibatches == 0  # graph path, still correct
 
-    def test_training_history_matches_graph_reference(self, monkeypatch):
+    def test_training_history_matches_graph_reference(self):
         """Compiled+fused training reproduces the seed-state history exactly."""
         def train(reference):
-            if reference:
-                monkeypatch.setenv("REPRO_DISABLE_COMPILED", "1")
-            else:
-                monkeypatch.delenv("REPRO_DISABLE_COMPILED", raising=False)
             context = F.composed_ops() if reference else None
             if context:
                 context.__enter__()

@@ -4,6 +4,7 @@ defense_matrix experiment."""
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 
@@ -359,10 +360,8 @@ class TestSoAKernelParity:
     ])
     def test_vec_env_batched_matches_object(self, scenario, overrides):
         batched = VecEnv(scenario, num_envs=4, **overrides)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reference = VecEnv(scenario, num_envs=4, backend="object",
-                               **overrides)
+        reference = VecEnv(functools.partial(make, scenario, **overrides),
+                           num_envs=4)
         assert batched.batched and not reference.batched
         np.testing.assert_array_equal(batched.reset(), reference.reset())
         rng = np.random.default_rng(11)
@@ -382,20 +381,19 @@ class TestSoAKernelParity:
         from repro.rl.ppo import PPOConfig
         from repro.rl.trainer import PPOTrainer
 
-        def train(backend_override):
+        def train(source, batched):
             trainer = PPOTrainer(
-                make_factory("defended/lru-4way-keyed-remap",
-                             **backend_override),
+                source,
                 PPOConfig(horizon=32, num_envs=4, minibatch_size=64,
                           update_epochs=2),
                 hidden_sizes=(16,), seed=3)
+            assert trainer.vec_env.batched == batched
             trainer.train(max_updates=3, eval_every=10, eval_episodes=2)
             return trainer.policy.parameters()
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reference = train({"backend": "object"})
-        fast = train({})
+        scenario = "defended/lru-4way-keyed-remap"
+        reference = train(functools.partial(make, scenario), batched=False)
+        fast = train(make_factory(scenario), batched=True)
         for p_fast, p_ref in zip(fast, reference):
             np.testing.assert_array_equal(p_fast.data, p_ref.data)
 
@@ -456,8 +454,6 @@ class TestCapabilityHook:
         assert not get_spec("defended/lru-4way-random-fill").supports_soa()
         assert not get_spec("defended/lru-4way-plcache").supports_soa()
         assert not get_spec("covert/prime-probe").supports_soa()
-        assert not get_spec("guessing/lru-4way").with_overrides(
-            backend="object").supports_soa()
         assert not get_spec("covert/prime-probe-cchunter").supports_soa()
 
     def test_vec_env_batches_soa_capable_defenses(self):
@@ -472,11 +468,11 @@ class TestCapabilityHook:
             vec = VecEnv("defended/lru-4way-skew", num_envs=4)
         assert not vec.batched
         assert any("no SoA batched kernel" in str(w.message) for w in caught)
-        # An explicit object backend is not blamed on the defense.
+        # A per-env factory is not blamed on the defense.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            VecEnv("defended/lru-4way-keyed-remap", num_envs=4,
-                   backend="object")
+            VecEnv(functools.partial(make, "defended/lru-4way-keyed-remap"),
+                   num_envs=4)
         assert not any("no SoA batched kernel" in str(w.message)
                        for w in caught)
 
@@ -487,6 +483,9 @@ class TestCapabilityHook:
         assert config_supports_batching(keyed)
         skew = get_spec("defended/lru-4way-skew").build_config()
         assert not config_supports_batching(skew)
+        plcache = get_spec("defended/lru-4way-plcache").build_config()
+        assert plcache.cache.lockable
+        assert not config_supports_batching(plcache)
 
 
 class TestDefenseMatrixExperiment:

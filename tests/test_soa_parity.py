@@ -11,6 +11,9 @@ path against per-env object environments.
 
 from __future__ import annotations
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.cache.soa import (DOMAIN_NONE, DOMAIN_NAMES, SOA_POLICIES,
                              SoACacheEngine, domain_code)
-from repro.env.batched_env import BatchedGuessingGame, spec_supports_batching
+from repro.env.batched_env import BatchedGuessingGame
 from repro.rl.vec_env import VecEnv
 from repro.scenarios import get_spec
 
@@ -184,7 +187,7 @@ class TestVecEnvBatchedEquivalence:
     def test_batched_matches_per_env_objects(self, policy):
         scenario = f"guessing/{policy}-4way"
         batched = VecEnv(scenario, num_envs=4)
-        reference = VecEnv(scenario, num_envs=4, backend="object")
+        reference = VecEnv(functools.partial(repro.make, scenario), num_envs=4)
         assert batched.batched
         assert not reference.batched
         np.testing.assert_array_equal(batched.reset(), reference.reset())
@@ -200,20 +203,25 @@ class TestVecEnvBatchedEquivalence:
                 assert info_b.get("episode") == info_r.get("episode")
 
     def test_batched_engages_only_for_capable_specs(self):
-        assert spec_supports_batching(get_spec("guessing/lru-4way"))
-        assert not spec_supports_batching(get_spec("guessing/plcache-plru-4way"))
-        assert not spec_supports_batching(get_spec("covert/prime-probe"))
-        assert not spec_supports_batching(get_spec("table4/cfg16"))  # hierarchy
-        assert not spec_supports_batching(get_spec("table4/cfg02"))  # prefetcher
-        assert not spec_supports_batching(
-            get_spec("guessing/lru-4way").with_overrides(backend="object"))
-        assert not spec_supports_batching(
-            get_spec("guessing/lru-4way").with_overrides(**{"cache.prefetcher": "nextline"}))
+        assert get_spec("guessing/lru-4way").supports_soa()
+        assert not get_spec("guessing/plcache-plru-4way").supports_soa()
+        assert not get_spec("covert/prime-probe").supports_soa()
+        assert not get_spec("table4/cfg16").supports_soa()  # hierarchy
+        assert not get_spec("table4/cfg02").supports_soa()  # prefetcher
+        assert not get_spec("guessing/lru-4way").with_overrides(
+            **{"cache.prefetcher": "nextline"}).supports_soa()
 
     def test_batched_game_rejects_incapable_config(self):
         spec = get_spec("table4/cfg02")  # next-line prefetcher
         with pytest.raises(ValueError):
             BatchedGuessingGame(spec.build_config(), 2)
+
+    def test_batched_game_rejects_pl_cache_config(self):
+        # The batched game installs no PL locks, so a lockable cache must
+        # not run on it (it would run unlocked).
+        config = get_spec("defended/lru-4way-plcache").build_config()
+        with pytest.raises(ValueError, match="not SoA-batchable"):
+            BatchedGuessingGame(config, 4)
 
     def test_infos_list_is_reused(self):
         vec = VecEnv("guessing/lru-4way", num_envs=2)
@@ -235,36 +243,78 @@ class TestVecEnvBatchedEquivalence:
         assert "episode" not in infos[1]
 
 
-class TestSoaSingleEnvBackend:
-    def test_make_backend_soa_matches_object(self):
-        env_soa = repro.make("guessing/rrip-4way", seed=5, backend="soa")
-        env_obj = repro.make("guessing/rrip-4way", seed=5)
-        np.testing.assert_array_equal(env_soa.reset(), env_obj.reset())
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            action = int(rng.integers(env_soa.action_space.n))
-            result_soa = env_soa.step(action)
-            result_obj = env_obj.step(action)
-            np.testing.assert_array_equal(result_soa.observation,
-                                          result_obj.observation)
-            assert result_soa.reward == result_obj.reward
-            assert result_soa.done == result_obj.done
-            if result_soa.done:
-                np.testing.assert_array_equal(env_soa.reset(), env_obj.reset())
+#: Registered scenarios that VecEnv batches at num_envs=4.
+BATCHED_SCENARIOS = frozenset({
+    "defended/lru-4way-keyed-remap", "defended/lru-4way-way-partition",
+    "defended/plru-4way-keyed-remap", "defended/sa-4set-2way-keyed-remap",
+    "defended/sa-4set-2way-way-partition",
+    "guessing/lru-4way", "guessing/lru-4way-disjoint",
+    "guessing/plcache-baseline-4way", "guessing/plru-4way",
+    "guessing/quickstart", "guessing/random-4way", "guessing/rrip-4way",
+    "guessing/sa-4set-2way",
+    "known/evict-reload", "known/flush-reload", "known/lru-state",
+    "known/prime-probe",
+    "table4/cfg01", "table4/cfg03", "table4/cfg04", "table4/cfg05",
+    "table4/cfg06", "table4/cfg07", "table4/cfg08", "table4/cfg09",
+    "table4/cfg10", "table4/cfg11", "table4/cfg12", "table4/cfg15",
+})
 
-    def test_registered_soa_scenario(self):
-        env = repro.make("guessing/lru-4way-soa", seed=0)
-        reference = repro.make("guessing/lru-4way", seed=0)
-        np.testing.assert_array_equal(env.reset(), reference.reset())
-        for action in (0, 1, 2, 5, 3):
-            np.testing.assert_array_equal(env.step(action).observation,
-                                          reference.step(action).observation)
+#: defense_matrix smoke cells (scenario, defense) that VecEnv batches.
+BATCHED_MATRIX_CELLS = frozenset(
+    {(base, defense)
+     for base in ("guessing/lru-4way-disjoint", "guessing/sa-4set-2way")
+     for defense in ("none", "keyed-remap", "way-partition")}
+    | {("guessing/plcache-baseline-4way", defense)
+       for defense in ("none", "keyed-remap")})
 
-    def test_soa_backend_rejects_unsupported(self):
-        with pytest.raises(ValueError):
-            repro.make("table4/cfg16", backend="soa")  # hierarchy
-        with pytest.raises(ValueError):
-            repro.make("guessing/plcache-plru-4way", backend="soa")
+# The svm wrapper reads its detector only when stepping, so a placeholder
+# lets every registered scenario build.
+_PLACEHOLDER_DETECTOR = object()
+
+
+def _matrix_cells():
+    return [(cell["scenario"], cell.get("defense") or "none")
+            for cell in repro.get_experiment("defense_matrix").cells("smoke")]
+
+
+class TestEngineSelection:
+    """One rule picks the engine: supports_soa() and num_envs >= threshold."""
+
+    @pytest.mark.parametrize("scenario", repro.list_scenarios())
+    def test_registered_scenario_engine(self, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            vec = VecEnv(repro.make_factory(scenario,
+                                            detector=_PLACEHOLDER_DETECTOR),
+                         num_envs=4)
+        assert vec.batched == (scenario in BATCHED_SCENARIOS)
+
+    @pytest.mark.parametrize("scenario,defense", _matrix_cells())
+    def test_defense_matrix_cell_engine(self, scenario, defense):
+        overrides = {} if defense == "none" else {"defense": defense}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            vec = VecEnv(scenario, num_envs=4, **overrides)
+        assert vec.batched == ((scenario, defense) in BATCHED_MATRIX_CELLS)
+
+    def test_expected_engines_name_live_ids(self):
+        assert BATCHED_SCENARIOS <= set(repro.list_scenarios())
+        assert BATCHED_MATRIX_CELLS <= set(_matrix_cells())
+
+    def test_below_threshold_and_factories_step_per_env(self):
+        assert not VecEnv("guessing/lru-4way", num_envs=3).batched
+        assert VecEnv("guessing/lru-4way", num_envs=1,
+                      batching_threshold=1).batched
+        assert not VecEnv(functools.partial(repro.make, "guessing/lru-4way"),
+                          num_envs=4).batched
+
+    @pytest.mark.parametrize("engine", ["soa", "object", "auto"])
+    def test_stale_backend_override_is_rejected(self, engine):
+        stale = {"backend": engine}
+        with pytest.raises(TypeError, match="backend"):
+            repro.make("guessing/lru-4way", **stale)
+        with pytest.raises(TypeError, match="backend"):
+            VecEnv("guessing/lru-4way", num_envs=4, **stale)
 
 
 class TestEventLogWindow:
