@@ -12,6 +12,8 @@ Learning for Automated Exploration of Cache-Timing Attacks" (HPCA 2023):
 * :mod:`repro.attacks` — textbook attacks, LRU-state attacks,
   StealthyStreamline, covert channels, and a Spectre-v1 demo;
 * :mod:`repro.hardware` — blackbox machine models replacing real processors;
+* :mod:`repro.registry` — the one ``Registry`` class and ``Record`` base
+  behind the scenario, defense, and experiment registries;
 * :mod:`repro.scenarios` — the scenario registry behind :func:`repro.make`;
 * :mod:`repro.defenses` — pluggable secure-cache defenses (PL cache, keyed
   remapping, skewed associativity, way partitioning, random fill) applied to

@@ -30,7 +30,6 @@ from repro.defenses.registry import (
     is_defense_registered,
     list_defenses,
     register_defense,
-    resolve_defense,
     unregister_defense,
 )
 from repro.defenses import builtin as _builtin  # noqa: F401  (registers catalogue)
@@ -44,6 +43,5 @@ __all__ = [
     "is_defense_registered",
     "list_defenses",
     "register_defense",
-    "resolve_defense",
     "unregister_defense",
 ]

@@ -10,78 +10,42 @@ by id wherever a scenario takes a ``defense``::
     env = repro.make("guessing/lru-4way", defense="keyed-remap")
     repro.register_defense(base="keyed-remap", defense_id="keyed-remap-fast",
                            rekey_epoch=8)
+
+The public names are the methods of :data:`DEFENSES`, a
+:class:`repro.registry.Registry`; ``get_defense`` and ``register_defense``
+wrap its ``get``/``register`` to also accept an inline :class:`DefenseSpec`
+mapping (``{"kind": "skew"}``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.defenses.spec import DefenseSpec
+from repro.registry import Registry
 
 DefenseLike = Union[str, Mapping, DefenseSpec]
 
-_REGISTRY: Dict[str, DefenseSpec] = {}
+DEFENSES: Registry[DefenseSpec] = Registry(DefenseSpec, "defense_id", "defense")
 
-
-def register_defense(spec: Optional[DefenseSpec] = None, *,
-                     base: Optional[DefenseLike] = None,
-                     defense_id: Optional[str] = None, overwrite: bool = False,
-                     **fields: Any) -> DefenseSpec:
-    """Register a defense and return its spec.
-
-    Three calling styles, mirroring :func:`repro.scenarios.register`:
-
-    * ``register_defense(spec)`` — register a ready-made :class:`DefenseSpec`;
-    * ``register_defense(defense_id="x", kind=..., params=...)`` — build the
-      spec from keyword fields;
-    * ``register_defense(base="keyed-remap", defense_id="x", rekey_epoch=8)``
-      — derive from a registered (or given) base, merging parameter overrides.
-    """
-    if spec is not None and (base is not None or fields):
-        raise TypeError("pass either a DefenseSpec or base/fields, not both")
-    if spec is None:
-        if base is not None:
-            if defense_id is None:
-                raise TypeError("deriving from a base requires defense_id")
-            spec = resolve_defense(base).derive(defense_id, **fields)
-        else:
-            if defense_id is None:
-                raise TypeError("register_defense() requires a spec or a defense_id")
-            spec = DefenseSpec(defense_id=defense_id, **fields)
-    if spec.defense_id in _REGISTRY and not overwrite:
-        raise ValueError(f"defense {spec.defense_id!r} is already registered "
-                         "(pass overwrite=True to replace it)")
-    _REGISTRY[spec.defense_id] = spec
-    return spec
-
-
-def unregister_defense(defense_id: str) -> None:
-    """Remove a defense (mainly for tests)."""
-    _REGISTRY.pop(defense_id, None)
-
-
-def is_defense_registered(defense_id: str) -> bool:
-    return defense_id in _REGISTRY
-
-
-def list_defenses(prefix: str = "") -> List[str]:
-    """Sorted ids of all registered defenses (optionally filtered by prefix)."""
-    return sorted(did for did in _REGISTRY if did.startswith(prefix))
+unregister_defense = DEFENSES.unregister
+is_defense_registered = DEFENSES.is_registered
+list_defenses = DEFENSES.list
 
 
 def get_defense(defense: DefenseLike) -> DefenseSpec:
     """Look up a defense id (specs and inline mappings pass through)."""
-    return resolve_defense(defense)
-
-
-def resolve_defense(defense: DefenseLike) -> DefenseSpec:
-    if isinstance(defense, DefenseSpec):
-        return defense
-    if isinstance(defense, str):
-        if defense not in _REGISTRY:
-            raise KeyError(f"unknown defense {defense!r}; known: {list_defenses()}")
-        return _REGISTRY[defense]
     if isinstance(defense, Mapping):
         return DefenseSpec.from_dict(defense)
-    raise TypeError(f"expected a defense id, mapping, or DefenseSpec, "
-                    f"got {type(defense)!r}")
+    if not isinstance(defense, (str, DefenseSpec)):
+        raise TypeError(f"expected a defense id, mapping, or DefenseSpec, "
+                        f"got {type(defense)!r}")
+    return DEFENSES.get(defense)
+
+
+def register_defense(spec: Optional[DefenseSpec] = None, *,
+                     base: Optional[DefenseLike] = None, **fields: Any) -> DefenseSpec:
+    """:meth:`Registry.register <repro.registry.Registry.register>` on
+    :data:`DEFENSES`; ``base`` may also be an inline mapping."""
+    return DEFENSES.register(spec, base=None if base is None else get_defense(base),
+                             **fields)

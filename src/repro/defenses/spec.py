@@ -3,8 +3,9 @@
 A :class:`DefenseSpec` is the defense-layer sibling of
 :class:`repro.scenarios.ScenarioSpec`: a frozen value object naming one
 defense *mechanism* (``kind``) plus its parameters.  Specs round-trip
-losslessly through ``to_dict``/``from_dict`` and JSON, so defenses can be
-stored inside scenario specs, campaign manifests, and run artifacts.
+losslessly through ``to_dict``/``from_dict`` and JSON (the
+:class:`repro.registry.Record` base), so defenses can be stored inside
+scenario specs, campaign manifests, and run artifacts.
 
 A defense does not build anything by itself — it **compiles into fragments**
 (:class:`CompiledDefense`) that the scenario layer folds into the environment
@@ -26,13 +27,11 @@ is not listed warn and step per env on the (bit-identical) object path.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cache.config import CacheConfig
+from repro.registry import Record
 
 #: Defense mechanisms the cache substrate implements.
 DEFENSE_KINDS = ("plcache", "keyed_remap", "skew", "way_partition", "random_fill")
@@ -57,7 +56,7 @@ class CompiledDefense:
 
 
 @dataclass(frozen=True)
-class DefenseSpec:
+class DefenseSpec(Record):
     """Frozen description of one secure-cache defense.
 
     Fields
@@ -89,37 +88,18 @@ class DefenseSpec:
                              f"choose from {DEFENSE_KINDS}")
         object.__setattr__(self, "params", dict(self.params))
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data dict (JSON-safe) that losslessly round-trips via from_dict."""
-        data = dataclasses.asdict(self)
-        data["params"] = copy.deepcopy(dict(self.params))
-        return data
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DefenseSpec":
-        payload = dict(data)
         # Inline fragments may omit the id; the kind doubles as one.
-        if "defense_id" not in payload and "kind" in payload:
-            payload["defense_id"] = payload["kind"]
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown DefenseSpec fields: {sorted(unknown)}")
-        return cls(**payload)
-
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DefenseSpec":
-        return cls.from_dict(json.loads(text))
+        if "defense_id" not in data and "kind" in data:
+            data = {**data, "defense_id": data["kind"]}
+        return super().from_dict(data)
 
     # -------------------------------------------------------------- derivation
     def derive(self, defense_id: str, **params: Any) -> "DefenseSpec":
         """A renamed copy with parameter overrides merged in."""
         merged = {**self.params, **params}
-        return dataclasses.replace(self, defense_id=defense_id, params=merged)
+        return replace(self, defense_id=defense_id, params=merged)
 
     # ------------------------------------------------------------- compilation
     def compile(self, scenario: Any = None) -> CompiledDefense:

@@ -21,11 +21,12 @@ completed work.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.registry import Record
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig
 from repro.rl.trainer import PPOTrainer, TrainingResult
@@ -37,8 +38,13 @@ EnvSource = Union[Callable[[int], object], str, ScenarioSpec]
 
 
 @dataclass(frozen=True)
-class ExperimentScale:
-    """Budget knobs for one experiment run."""
+class ExperimentScale(Record):
+    """Budget knobs for one experiment run.
+
+    Round-trips through ``to_dict``/``from_dict`` for campaign manifests;
+    ``hidden_sizes`` is normalized to a tuple so a scale read back from JSON
+    equals the original.
+    """
 
     name: str
     max_updates: int
@@ -53,8 +59,12 @@ class ExperimentScale:
     minibatch_size: int = 512
     update_epochs: int = 6
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+
     def ppo_config(self, **overrides) -> PPOConfig:
-        config = PPOConfig(
+        """The scale's PPO config; ``overrides`` are validated PPOConfig fields."""
+        return replace(PPOConfig(
             learning_rate=self.learning_rate,
             entropy_coefficient=self.entropy_coefficient,
             entropy_coefficient_final=self.entropy_coefficient_final,
@@ -62,26 +72,10 @@ class ExperimentScale:
             minibatch_size=self.minibatch_size,
             horizon=self.horizon,
             num_envs=self.num_envs,
-        )
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        return config
+        ), **overrides)
 
     def with_overrides(self, **overrides) -> "ExperimentScale":
         return replace(self, **overrides)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict for campaign manifests; round-trips via from_dict."""
-        data = asdict(self)
-        data["hidden_sizes"] = list(self.hidden_sizes)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentScale":
-        data = dict(data)
-        data["hidden_sizes"] = tuple(data.get("hidden_sizes", (128, 128)))
-        return cls(**data)
 
 
 SMOKE = ExperimentScale(name="smoke", max_updates=6, horizon=64, num_envs=4,

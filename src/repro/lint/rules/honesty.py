@@ -74,10 +74,10 @@ def _finding(rule: str, message: str, hint: str = "",
 def _check_scenarios(scenarios, defenses) -> List[Finding]:
     findings: List[Finding] = []
     for sid in scenarios.list_scenarios():
-        spec = scenarios.resolve(sid)
+        spec = scenarios.get_spec(sid)
         if isinstance(spec.defense, str):
             try:
-                defenses.resolve_defense(spec.defense)
+                defenses.get_defense(spec.defense)
             except KeyError:
                 findings.append(_finding(
                     _RULE_DEFENSE,
@@ -112,7 +112,7 @@ def _check_soa_claim(sid: str, spec) -> List[Finding]:
 def _check_experiments(runs, scenarios, defenses) -> List[Finding]:
     findings: List[Finding] = []
     for eid in runs.list_experiments():
-        spec = runs.resolve_experiment(eid)
+        spec = runs.get_experiment(eid)
         try:
             spec.resolve_driver()
         except Exception as exc:

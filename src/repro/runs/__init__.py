@@ -45,7 +45,6 @@ from repro.runs.registry import (
     is_experiment_registered,
     list_experiments,
     register_experiment,
-    resolve_experiment,
     unregister_experiment,
 )
 from repro.runs.runner import (
@@ -87,7 +86,6 @@ __all__ = [
     "load_rows",
     "quarantined_files",
     "register_experiment",
-    "resolve_experiment",
     "run",
     "stray_tmp_files",
     "unregister_experiment",

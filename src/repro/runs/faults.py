@@ -1,7 +1,9 @@
 """Deterministic chaos injection for campaign runs.
 
 A :class:`FaultPlan` is a frozen, JSON-round-trippable description of the
-faults to inject into one campaign.  Four fault kinds are supported:
+faults to inject into one campaign; plans and faults serialise through
+:class:`repro.registry.Record`, the base every spec shares.  Four fault
+kinds are supported:
 
 ``kill``
     Raise :class:`InjectedFault` (a :class:`CampaignInterrupted`) right after
@@ -61,15 +63,14 @@ perturbs the same protocol steps.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.registry import Record
 from repro.runs.artifacts import atomic_write_json
 from repro.runs.context import CampaignInterrupted
 
@@ -91,21 +92,7 @@ class InjectedFault(CampaignInterrupted):
     """An injected crash: handled exactly like a real mid-campaign kill."""
 
 
-class _Record:
-    """A frozen dataclass with a dict round trip that rejects unknown fields."""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Any:
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
-
-class _Plan(_Record):
+class _Plan(Record):
     """A seeded, serializable set of ``fault_type`` faults."""
 
     fault_type: ClassVar[Any]
@@ -117,17 +104,6 @@ class _Plan(_Record):
             fault if isinstance(fault, self.fault_type)
             else self.fault_type.from_dict(fault) for fault in self.faults))
         object.__setattr__(self, "seed", int(self.seed))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"faults": [fault.to_dict() for fault in self.faults],
-                "seed": self.seed}
-
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> Any:
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def resolve(cls, plan: Any) -> Any:
@@ -144,7 +120,7 @@ class _Plan(_Record):
 
 
 @dataclass(frozen=True)
-class Fault(_Record):
+class Fault(Record):
     """One injected fault.
 
     Fields
@@ -196,7 +172,7 @@ class FaultPlan(_Plan):
 
 
 @dataclass(frozen=True)
-class NetworkFault(_Record):
+class NetworkFault(Record):
     """One transport-level fault.
 
     Fields

@@ -9,62 +9,25 @@ Mirrors the scenario registry one layer up: experiments are registered once
     repro.list_experiments()              # ["fig4", "search", "table1", ...]
     spec = repro.get_experiment("table5")
     campaign = repro.run("table5", scale="smoke", workers=4)
+
+The public names are the methods of :data:`EXPERIMENTS`, a
+:class:`repro.registry.Registry`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Union
 
+from repro.registry import Registry
 from repro.runs.spec import ExperimentSpec
 
 ExperimentLike = Union[str, ExperimentSpec]
 
-_REGISTRY: Dict[str, ExperimentSpec] = {}
+EXPERIMENTS: Registry[ExperimentSpec] = Registry(ExperimentSpec, "experiment_id",
+                                                 "experiment")
 
-
-def register_experiment(spec: Optional[ExperimentSpec] = None, *,
-                        overwrite: bool = False, **fields: Any) -> ExperimentSpec:
-    """Register an experiment and return its spec.
-
-    Pass either a ready :class:`ExperimentSpec` or keyword fields
-    (``register_experiment(experiment_id="x", driver="pkg.mod", ...)``).
-    """
-    if spec is not None and fields:
-        raise TypeError("pass either an ExperimentSpec or keyword fields, not both")
-    if spec is None:
-        spec = ExperimentSpec(**fields)
-    if spec.experiment_id in _REGISTRY and not overwrite:
-        raise ValueError(f"experiment {spec.experiment_id!r} is already registered "
-                         "(pass overwrite=True to replace it)")
-    _REGISTRY[spec.experiment_id] = spec
-    return spec
-
-
-def unregister_experiment(experiment_id: str) -> None:
-    """Remove an experiment (mainly for tests)."""
-    _REGISTRY.pop(experiment_id, None)
-
-
-def is_experiment_registered(experiment_id: str) -> bool:
-    return experiment_id in _REGISTRY
-
-
-def list_experiments(prefix: str = "") -> List[str]:
-    """Sorted ids of all registered experiments (optionally filtered by prefix)."""
-    return sorted(eid for eid in _REGISTRY if eid.startswith(prefix))
-
-
-def get_experiment(experiment: ExperimentLike) -> ExperimentSpec:
-    """Look up an experiment id (specs pass through unchanged)."""
-    return resolve_experiment(experiment)
-
-
-def resolve_experiment(experiment: ExperimentLike) -> ExperimentSpec:
-    if isinstance(experiment, ExperimentSpec):
-        return experiment
-    if isinstance(experiment, str):
-        if experiment not in _REGISTRY:
-            raise KeyError(f"unknown experiment {experiment!r}; "
-                           f"known: {list_experiments()}")
-        return _REGISTRY[experiment]
-    raise TypeError(f"expected an experiment id or ExperimentSpec, got {type(experiment)!r}")
+register_experiment = EXPERIMENTS.register
+unregister_experiment = EXPERIMENTS.unregister
+is_experiment_registered = EXPERIMENTS.is_registered
+list_experiments = EXPERIMENTS.list
+get_experiment = EXPERIMENTS.get

@@ -80,7 +80,7 @@ from repro.runs.artifacts import (
 )
 from repro.runs.context import CampaignInterrupted, CellContext
 from repro.runs.faults import FaultInjector, FaultPlan
-from repro.runs.registry import ExperimentLike, resolve_experiment
+from repro.runs.registry import ExperimentLike, get_experiment
 from repro.runs.spec import ExperimentSpec
 
 MANIFEST_FORMAT = "repro-campaign"
@@ -172,7 +172,7 @@ def resolve_campaign(experiment: ExperimentLike, scale: Optional[ScaleLike],
                      out_dir: Optional[os.PathLike]
                      ) -> Tuple[ExperimentSpec, ExperimentScale, int, Path]:
     """A campaign's spec, scale, seed, and directory, defaults filled in."""
-    spec = resolve_experiment(experiment)
+    spec = get_experiment(experiment)
     scale = resolve_scale(scale if scale is not None else spec.default_scale)
     seed = spec.base_seed if seed is None else int(seed)
     out_dir = (Path(out_dir) if out_dir is not None

@@ -5,9 +5,9 @@ An :class:`ExperimentSpec` is the campaign-level sibling of
 describes one of the paper's experiments — the driver module that knows how to
 compute one table row, the grid of cells the experiment expands into, the
 metric schema (column order) of its rows, and the default scale/seed.  Specs
-round-trip losslessly through ``to_dict``/``from_dict`` and JSON, so they can
-be stored in campaign manifests, shipped to worker processes, and compared for
-resume-compatibility.
+round-trip losslessly through ``to_dict``/``from_dict`` and JSON (the
+:class:`repro.registry.Record` base), so they can be stored in campaign
+manifests, shipped to worker processes, and compared for resume-compatibility.
 
 The *driver* is a module dotted path (e.g. ``"repro.experiments.table5"``)
 implementing the cell protocol:
@@ -36,17 +36,16 @@ implementing the cell protocol:
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.common import ScaleLike, format_table, resolve_scale
+from repro.registry import Record
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """Frozen description of one registered experiment.
 
     Fields
@@ -91,29 +90,9 @@ class ExperimentSpec:
                     raise ValueError(f"grid cell keys must be strings, got {key!r}")
         object.__setattr__(self, "grid", grid)
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data dict (JSON-safe) that losslessly round-trips via from_dict."""
-        data = dataclasses.asdict(self)
-        data["columns"] = list(self.columns)
-        data["tags"] = list(self.tags)
-        data["grid"] = [dict(cell) for cell in self.grid]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ExperimentSpec fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+    def derive(self, experiment_id: str, **overrides: Any) -> "ExperimentSpec":
+        """A renamed copy with field overrides applied."""
+        return replace(self, experiment_id=experiment_id, **overrides)
 
     # -------------------------------------------------------------- expansion
     def resolve_driver(self) -> Any:

@@ -5,7 +5,9 @@ policies, PL-cache locking, detector-in-the-loop wrappers, blackbox machine
 backends.  This package gives them a single declarative API:
 
 * :class:`ScenarioSpec` — a frozen, JSON-serializable scenario description;
-* :func:`register` / :func:`list_scenarios` / :func:`get_spec` — the registry;
+* :func:`register` / :func:`list_scenarios` / :func:`get_spec` — the registry
+  (methods of :data:`repro.scenarios.registry.SCENARIOS`, one
+  :class:`repro.registry.Registry`);
 * :func:`make` / :func:`make_factory` — ``repro.make("guessing/lru-4way")``.
 
 Importing this package registers the built-in catalogue
@@ -21,7 +23,6 @@ from repro.scenarios.registry import (
     make,
     make_factory,
     register,
-    resolve,
     unregister,
 )
 from repro.scenarios import builtin as _builtin  # noqa: F401  (registers the catalogue)
@@ -39,6 +40,5 @@ __all__ = [
     "make_factory",
     "register",
     "register_builtin_scenarios",
-    "resolve",
     "unregister",
 ]

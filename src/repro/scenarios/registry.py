@@ -15,79 +15,29 @@ registered base::
 
     repro.register(base="guessing/lru-4way", scenario_id="guessing/lru-8way",
                    **{"cache.num_ways": 8, "attacker_addr_e": 8})
+
+``register``, ``unregister``, ``is_registered``, ``list_scenarios`` and
+``get_spec`` are the methods of one :class:`repro.registry.Registry`,
+:data:`SCENARIOS`; the defense and experiment registries are two more
+instances of the same class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
+from repro.registry import Registry
 from repro.scenarios.spec import ScenarioSpec
 
 ScenarioLike = Union[str, ScenarioSpec]
 
-_REGISTRY: Dict[str, ScenarioSpec] = {}
+SCENARIOS: Registry[ScenarioSpec] = Registry(ScenarioSpec, "scenario_id", "scenario")
 
-
-def register(spec: Optional[ScenarioSpec] = None, *, base: Optional[ScenarioLike] = None,
-             scenario_id: Optional[str] = None, overwrite: bool = False,
-             **fields: Any) -> ScenarioSpec:
-    """Register a scenario and return its spec.
-
-    Three calling styles:
-
-    * ``register(spec)`` — register a ready-made :class:`ScenarioSpec`;
-    * ``register(scenario_id="x/y", env=..., cache=..., ...)`` — build the
-      spec from keyword fields;
-    * ``register(base="x/y", scenario_id="x/z", **overrides)`` — inherit from
-      a registered (or given) base spec and apply overrides.
-    """
-    if spec is not None and (base is not None or fields):
-        raise TypeError("pass either a ScenarioSpec or base/fields, not both")
-    if spec is None:
-        if base is not None:
-            base_spec = resolve(base)
-            if scenario_id is None:
-                raise TypeError("deriving from a base requires scenario_id")
-            spec = base_spec.derive(scenario_id, **fields)
-        else:
-            if scenario_id is None:
-                raise TypeError("register() requires a spec or a scenario_id")
-            spec = ScenarioSpec(scenario_id=scenario_id, **fields)
-    if spec.scenario_id in _REGISTRY and not overwrite:
-        raise ValueError(f"scenario {spec.scenario_id!r} is already registered "
-                         "(pass overwrite=True to replace it)")
-    _REGISTRY[spec.scenario_id] = spec
-    return spec
-
-
-def unregister(scenario_id: str) -> None:
-    """Remove a scenario (mainly for tests)."""
-    _REGISTRY.pop(scenario_id, None)
-
-
-def is_registered(scenario_id: str) -> bool:
-    return scenario_id in _REGISTRY
-
-
-def list_scenarios(prefix: str = "") -> List[str]:
-    """Sorted ids of all registered scenarios (optionally filtered by prefix)."""
-    return sorted(sid for sid in _REGISTRY if sid.startswith(prefix))
-
-
-def get_spec(scenario: ScenarioLike) -> ScenarioSpec:
-    """Look up a scenario id (specs pass through unchanged)."""
-    return resolve(scenario)
-
-
-def resolve(scenario: ScenarioLike) -> ScenarioSpec:
-    if isinstance(scenario, ScenarioSpec):
-        return scenario
-    if isinstance(scenario, str):
-        if scenario not in _REGISTRY:
-            raise KeyError(f"unknown scenario {scenario!r}; "
-                           f"known: {list_scenarios()}")
-        return _REGISTRY[scenario]
-    raise TypeError(f"expected a scenario id or ScenarioSpec, got {type(scenario)!r}")
+register = SCENARIOS.register
+unregister = SCENARIOS.unregister
+is_registered = SCENARIOS.is_registered
+list_scenarios = SCENARIOS.list
+get_spec = SCENARIOS.get
 
 
 def make(scenario: ScenarioLike, seed: Optional[int] = None,
@@ -99,11 +49,7 @@ def make(scenario: ScenarioLike, seed: Optional[int] = None,
     override (flat config fields, dotted paths, or whole spec fields — see
     :meth:`ScenarioSpec.with_overrides`).
     """
-    spec = resolve(scenario)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    runtime = {"detector": detector} if detector is not None else {}
-    return spec.build(seed=seed, runtime=runtime)
+    return make_factory(scenario, detector, **overrides)(seed)
 
 
 class SpecFactory:
@@ -121,7 +67,7 @@ class SpecFactory:
         self.spec = spec
         self.runtime = dict(runtime or {})
 
-    def __call__(self, seed: int) -> Any:
+    def __call__(self, seed: Optional[int]) -> Any:
         return self.spec.build(seed=seed, runtime=dict(self.runtime))
 
     def __repr__(self) -> str:
@@ -129,9 +75,9 @@ class SpecFactory:
 
 
 def make_factory(scenario: ScenarioLike, detector: Optional[Any] = None,
-                 **overrides: Any) -> Callable[[int], Any]:
+                 **overrides: Any) -> SpecFactory:
     """A picklable ``factory(seed) -> env`` for trainers and vectorized envs."""
-    spec = resolve(scenario)
+    spec = get_spec(scenario)
     if overrides:
         spec = spec.with_overrides(**overrides)
     runtime = {"detector": detector} if detector is not None else {}

@@ -5,8 +5,8 @@ environment the RL agent can be trained in: the cache (or blackbox machine),
 the guessing-game configuration, the reward shaping, an optional secure-cache
 defense (see :mod:`repro.defenses`), and a declarative pipeline of detection
 wrappers.  Specs round-trip losslessly through ``to_dict``/``from_dict`` and
-JSON, so scenarios can be logged, sharded across workers, or shipped to
-remote actors without pickling code.
+JSON (the :class:`repro.registry.Record` base), so scenarios can be logged,
+sharded across workers, or shipped to remote actors without pickling code.
 
 ``ScenarioSpec.build(seed)`` materializes the environment; the registry in
 :mod:`repro.scenarios.registry` resolves scenario ids to specs and is the
@@ -15,15 +15,13 @@ normal way to construct environments (``repro.make("guessing/lru-4way")``).
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import json
 from dataclasses import dataclass, field, fields, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
                     Tuple, Union)
 
 from repro.cache.config import CacheConfig
 from repro.env.config import EnvConfig, RewardConfig
+from repro.registry import Record
 
 if TYPE_CHECKING:
     from repro.defenses.spec import CompiledDefense, DefenseSpec
@@ -64,7 +62,7 @@ def _normalize_defense(defense: Any) -> Optional[Union[str, Dict]]:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Frozen description of one environment scenario.
 
     Fields
@@ -137,31 +135,6 @@ class ScenarioSpec:
                                  f"known: {sorted(WRAPPER_BUILDERS)}")
         object.__setattr__(self, "wrappers", wrappers)
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data dict (JSON-safe) that losslessly round-trips via from_dict."""
-        data = dataclasses.asdict(self)
-        if isinstance(self.defense, dict):
-            data["defense"] = copy.deepcopy(self.defense)
-        data["wrappers"] = [copy.deepcopy(dict(w)) for w in self.wrappers]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        payload = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
-        return cls(**payload)
-
-    def to_json(self, **json_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
     # -------------------------------------------------------------- overrides
     def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
         """Return a new spec with overrides applied.
@@ -225,9 +198,9 @@ class ScenarioSpec:
         """The :class:`~repro.defenses.DefenseSpec` this scenario applies (or None)."""
         if self.defense is None:
             return None
-        from repro.defenses import resolve_defense
+        from repro.defenses import get_defense
 
-        return resolve_defense(self.defense)
+        return get_defense(self.defense)
 
     def compiled_defense(self) -> Optional["CompiledDefense"]:
         """The defense compiled against this scenario (or None)."""

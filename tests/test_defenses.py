@@ -28,7 +28,6 @@ from repro.defenses import (
     is_defense_registered,
     list_defenses,
     register_defense,
-    resolve_defense,
     unregister_defense,
 )
 from repro.rl.vec_env import VecEnv
@@ -75,10 +74,10 @@ class TestDefenseRegistry:
 
     def test_unknown_id_raises_with_catalogue(self):
         with pytest.raises(KeyError, match="unknown defense"):
-            resolve_defense("does-not-exist")
+            get_defense("does-not-exist")
 
     def test_inline_mapping_resolves(self):
-        spec = resolve_defense({"kind": "way_partition",
+        spec = get_defense({"kind": "way_partition",
                                 "params": {"victim_ways": 1}})
         assert spec.defense_id == "way_partition"  # kind doubles as the id
         assert spec.params == {"victim_ways": 1}
