@@ -24,6 +24,15 @@ def json_ready(value: Any) -> Any:
     single normalization applied to every row/metric dict before it is written
     to a run artifact or a ``BENCH_*.json`` file.
     """
+    # Exact built-in types first: the abstract ``Mapping`` check is a slow
+    # ``typing`` instance check, and most values are plain dicts and lists.
+    kind = type(value)
+    if kind is dict:
+        return {key: json_ready(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [json_ready(item) for item in value]
+    if kind in (str, int, float, bool) or value is None:
+        return value
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):

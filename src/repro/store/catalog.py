@@ -100,9 +100,10 @@ def _metric_pairs(params: Mapping[str, Any],
 class Catalog:
     """High-level catalogue operations over one ``catalog.sqlite`` file."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, check_same_thread: bool = True):
         self.path = Path(path)
-        self.conn: StoreConnection = connect(self.path)
+        self.conn: StoreConnection = connect(
+            self.path, check_same_thread=check_same_thread)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

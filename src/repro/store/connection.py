@@ -14,7 +14,12 @@ This is the module the ``artifacts.store-connection`` lint rule anchors on:
   concatenated or interpolated — user-controlled values (experiment ids,
   metric names, worker ids) always travel as bound parameters.
 
-Concurrency model: one catalogue file, many short-lived connections.  WAL
+Concurrency model: one catalogue file, a few connections.  ``repro serve``
+holds one connection for its whole life and serializes its handler threads
+on it behind one lock (the only connection opened with
+``check_same_thread=False``); a local drainer (``repro work``/``repro.run``)
+holds one for its whole drain; every other caller (the CLI, submits, lease
+heartbeats, the telemetry sink, the dashboard) opens a short-lived one.  WAL
 mode lets readers proceed under a writer; writers serialize through SQLite's
 file lock with ``busy_timeout`` backoff, and multi-statement read-modify-
 write sections (queue claims, cell upserts) run inside ``BEGIN IMMEDIATE``
@@ -59,14 +64,16 @@ class StoreConnection:
                              ("done", job_rowid))
     """
 
-    def __init__(self, path: Path, timeout_ms: int = BUSY_TIMEOUT_MS):
+    def __init__(self, path: Path, timeout_ms: int = BUSY_TIMEOUT_MS,
+                 check_same_thread: bool = True):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._txn_depth = 0
         # The sole sanctioned sqlite3.connect in the repository (see module
         # docs; the artifacts.store-connection lint rule enforces this).
         self._conn = sqlite3.connect(self.path, timeout=timeout_ms / 1000.0,
-                                     isolation_level=None)
+                                     isolation_level=None,
+                                     check_same_thread=check_same_thread)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA busy_timeout=%d" % timeout_ms)
@@ -153,10 +160,17 @@ class StoreConnection:
         self.close()
 
 
-def connect(path: Path, timeout_ms: int = BUSY_TIMEOUT_MS) -> StoreConnection:
-    """Open (creating if needed) the catalogue at ``path``, schema applied."""
+def connect(path: Path, timeout_ms: int = BUSY_TIMEOUT_MS,
+            check_same_thread: bool = True) -> StoreConnection:
+    """Open (creating if needed) the catalogue at ``path``, schema applied.
+
+    ``check_same_thread=False`` lets threads other than the opener use the
+    connection; only a caller that serializes them itself (the campaign
+    server, behind its lock) may pass it.
+    """
     from repro.store.schema import ensure_schema
 
-    conn = StoreConnection(path, timeout_ms=timeout_ms)
+    conn = StoreConnection(path, timeout_ms=timeout_ms,
+                           check_same_thread=check_same_thread)
     ensure_schema(conn)
     return conn

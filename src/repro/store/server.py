@@ -67,9 +67,17 @@ requests, terminates long-poll streams with a ``shutdown`` event within one
 poll interval, and refuses new claims with 503 so workers fail over or back
 off.
 
-Every request opens its own catalogue connection (SQLite connections are
-thread-bound; the handler pool is threaded), so concurrent submits, streams,
-and worker writes coexist under WAL.
+One catalogue connection per server: :class:`CampaignServer` opens the
+catalogue once, at construction, and every handler thread reaches it only
+through :meth:`CampaignServer.catalog`, which holds the server's one lock for
+the whole ``with`` block.  The lock is what makes sharing safe:
+:meth:`~repro.store.connection.StoreConnection.transaction` is re-entrant per
+connection, so two unlocked handlers would silently join each other's
+``BEGIN IMMEDIATE``.  Handlers do no socket I/O under the lock — they read or
+commit, leave the block, then send — so a slow client never stalls the
+others.  Other processes (local drainers, the CLI) keep their own
+connections and coexist with the server's under WAL; ``server_close()``
+closes the server's connection after the handler threads are joined.
 """
 
 from __future__ import annotations
@@ -81,9 +89,10 @@ import signal
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry
@@ -124,9 +133,14 @@ SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "checkpoint_every",
 class CampaignServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one runs root + catalogue file.
 
+    The server holds one catalogue connection for its whole life; handlers
+    use it only inside ``with server.catalog() as catalog:``, which holds
+    the server's lock, and send their response after leaving that block.
+
     Non-daemon handler threads + ``block_on_close`` make ``server_close()``
     *join* in-flight requests — safe because every long-poll observes
-    :attr:`shutdown_event` and exits within one poll interval.
+    :attr:`shutdown_event` and exits within one poll interval — before it
+    closes the connection.
     """
 
     daemon_threads = False
@@ -139,11 +153,14 @@ class CampaignServer(ThreadingHTTPServer):
         self.shutdown_event = threading.Event()
         self.draining = False
         self.code_version = code_version()
-        # Opening the catalogue here both ensures the schema exists before
-        # the first request and stamps the start time on the catalogue's SQL
-        # clock (the wall clock is lint-banned in repro code).
-        with Catalog(self.catalog_file) as catalog:
-            self.started_unix = catalog.conn.now()
+        # The one connection every handler thread shares (hence
+        # check_same_thread=False), always under _catalog_lock.  Opening it
+        # here also ensures the schema exists before the first request and
+        # stamps the start time on the catalogue's SQL clock (the wall clock
+        # is lint-banned in repro code).
+        self._catalog = Catalog(self.catalog_file, check_same_thread=False)
+        self._catalog_lock = threading.Lock()
+        self.started_unix = self._catalog.conn.now()
         self._started_monotonic = time.perf_counter()
         self.telemetry_flusher = telemetry.TelemetryFlusher(
             telemetry.CatalogSink(
@@ -152,12 +169,20 @@ class CampaignServer(ThreadingHTTPServer):
         self.telemetry_flusher.start()
         super().__init__(address, CampaignRequestHandler)
 
+    @contextmanager
+    def catalog(self) -> Iterator[Catalog]:
+        """The server's catalogue connection, held under its lock."""
+        with self._catalog_lock:
+            yield self._catalog
+
     def uptime_seconds(self) -> float:
         return time.perf_counter() - self._started_monotonic
 
     def server_close(self) -> None:
-        super().server_close()
+        super().server_close()  # joins the handler threads
         self.telemetry_flusher.stop()
+        # The last connection to close checkpoints the WAL into the file.
+        self._catalog.close()
 
     def shutdown(self) -> None:
         # Wake long-poll streams *before* stopping the accept loop, so the
@@ -195,8 +220,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
                 self._json(200, {"experiments": list_experiments()})
             elif parts == ["api", "campaigns"]:
-                with Catalog(self.server.catalog_file) as catalog:
-                    self._json(200, {"campaigns": catalog.list_runs()})
+                with self.server.catalog() as catalog:
+                    runs = catalog.list_runs()
+                self._json(200, {"campaigns": runs})
             elif len(parts) == 3 and parts[:2] == ["api", "campaigns"]:
                 self._campaign_detail(parts[2])
             elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] \
@@ -261,6 +287,11 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
     def _read_body(self) -> Dict[str, Any]:
         """The request's JSON body (413 past the size cap, 400 on bad JSON)."""
         length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:
+            # The body's end is unknowable, so the connection cannot carry
+            # another request; rfile.read(-1) would block until the timeout.
+            self.close_connection = True
+            raise ValueError(f"negative Content-Length {length}")
         if length > self.server.max_body_bytes:
             self.close_connection = True
             self._json(413, {"error": f"request body of {length} bytes "
@@ -276,7 +307,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return body
 
     def _health(self) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             counts = JobQueue(catalog).counts()
         telemetry.gauge("server.queue.depth").set(counts.get("pending", 0))
         telemetry.gauge("server.queue.leased").set(counts.get("leased", 0))
@@ -296,13 +327,13 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     def _workers(self, query: Dict[str, str]) -> None:
         stale = int(query.get("stale_seconds", 120))
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             roster = catalog.worker_roster(stale_seconds=stale)
         self._json(200, {"workers": roster, "stale_seconds": stale})
 
     def _telemetry_read(self, query: Dict[str, str]) -> None:
         limit = int(query.get("limit", 100))
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             points = catalog.telemetry_points(
                 name=query.get("name"), worker=query.get("worker"),
                 limit=limit)
@@ -352,19 +383,20 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
         Key lookup, mutation, and response recording share one transaction:
         either the mutation applied *and* its response is replayable, or
-        neither happened.  Returns the response for post-commit follow-ups.
+        neither happened.  The response goes out after the commit, with the
+        catalogue lock released.  Returns the response for post-commit
+        follow-ups.
         """
         key = body.get("idempotency_key")
-        with Catalog(self.server.catalog_file) as catalog:
-            with catalog.conn.transaction():
-                replayed = catalog.idempotent_replay(key)
-                if replayed is not None:
-                    response = dict(replayed)
-                    response["replayed"] = True
-                else:
-                    response = apply(catalog)
-                    catalog.idempotent_record(key, endpoint, response)
-            self._json(200, response)
+        with self.server.catalog() as catalog, catalog.conn.transaction():
+            replayed = catalog.idempotent_replay(key)
+            if replayed is not None:
+                response = dict(replayed)
+                response["replayed"] = True
+            else:
+                response = apply(catalog)
+                catalog.idempotent_record(key, endpoint, response)
+        self._json(200, response)
         return response
 
     def _job_claim(self) -> None:
@@ -385,7 +417,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             if job is None:
                 return {"job": None,
                         "outstanding": queue.outstanding(body.get("run_id"))}
-            return {"job": dataclasses.asdict(job)}
+            # A shallow dict: asdict() would deep-copy the payload.
+            return {"job": {field.name: getattr(job, field.name)
+                            for field in dataclasses.fields(job)}}
 
         self._mutate("claim", body, apply)
 
@@ -406,16 +440,15 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         # Heartbeats are naturally idempotent (each just extends the
         # expiry), so they bypass the key machinery.
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             try:
                 job = self._job_from(catalog, body)
             except ValueError:
-                self._json(200, {"alive": False})
-                return
-            alive = JobQueue(catalog).heartbeat(
+                job = None
+            alive = job is not None and JobQueue(catalog).heartbeat(
                 job, str(body["worker"]),
                 lease_ttl=int(body.get("lease_ttl", DEFAULT_LEASE_TTL)))
-            self._json(200, {"alive": alive})
+        self._json(200, {"alive": alive})
 
     def _job_complete(self) -> None:
         body = self._read_body()
@@ -431,7 +464,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                     "cell_index": job.cell_index}
 
         self._mutate("complete", body, apply)
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             finalize_from_catalog(catalog, str(body["run_id"]))
 
     def _job_release(self) -> None:
@@ -452,35 +485,38 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     def _jobs_overview(self, query: Dict[str, str]) -> None:
         run_id = query.get("run_id")
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             queue = JobQueue(catalog)
-            self._json(200, {"run_id": run_id, "counts": queue.counts(run_id),
-                             "outstanding": queue.outstanding(run_id)})
+            overview = {"run_id": run_id, "counts": queue.counts(run_id),
+                        "outstanding": queue.outstanding(run_id)}
+        self._json(200, overview)
 
     # ------------------------------------------------------------- campaigns
     def _campaign_detail(self, run_id: str) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             info = catalog.run_info(run_id)
-            if info is None:
-                self._json(404, {"error": f"unknown campaign {run_id!r}"})
-                return
-            queue = JobQueue(catalog)
-            info["queue"] = queue.counts(run_id)
-            info["lease_events"] = queue.lease_events(run_id)[-50:]
+            if info is not None:
+                queue = JobQueue(catalog)
+                info["queue"] = queue.counts(run_id)
+                info["lease_events"] = queue.lease_events(run_id)[-50:]
+        if info is None:
+            self._json(404, {"error": f"unknown campaign {run_id!r}"})
+            return
         self._json(200, info)
 
     def _campaign_rows(self, run_id: str) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
-            if not catalog.has_run(run_id):
-                self._json(404, {"error": f"unknown campaign {run_id!r}"})
-                return
-            self._json(200, {"run_id": run_id, "rows": catalog.rows(run_id)})
+        with self.server.catalog() as catalog:
+            rows = catalog.rows(run_id) if catalog.has_run(run_id) else None
+        if rows is None:
+            self._json(404, {"error": f"unknown campaign {run_id!r}"})
+            return
+        self._json(200, {"run_id": run_id, "rows": rows})
 
     def _query(self, query: Dict[str, str]) -> None:
         metric = query.get("metric")
         if not metric:
             raise ValueError("query needs a ?metric= parameter")
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalog() as catalog:
             if query.get("bench"):
                 rows = aggregate_bench(catalog, metric,
                                        by=query.get("by", "num_envs"),
@@ -513,7 +549,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         seen: Dict[int, str] = {}
         first = True
         while True:
-            with Catalog(self.server.catalog_file) as catalog:
+            with self.server.catalog() as catalog:
                 info = catalog.run_info(run_id)
             if info is None:
                 self._stream_line({"event": "error",

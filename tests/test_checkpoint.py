@@ -11,7 +11,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -204,3 +206,18 @@ class TestResultSerialization:
         data = {"a": np.float64(1.5), "b": np.arange(3), "c": (1, 2), "d": np.bool_(True)}
         assert json_ready(data) == {"a": 1.5, "b": [0, 1, 2], "c": [1, 2], "d": True}
         json.loads(dump_json(data))
+
+    def test_dump_json_bytes_pinned(self):
+        sample = OrderedDict([
+            ("z", np.float32(0.5)),
+            ("a", MappingProxyType(
+                {"k": (np.int64(3), [np.arange(2), {"n": None}])})),
+            ("m", [[1, (2.5, "s")], np.array([[1.5, 2.0]]), np.str_("x"),
+                   True]),
+            ("t", (np.bool_(False), OrderedDict(b=1, a=[]))),
+        ])
+        assert dump_json(sample) == (
+            '{"a": {"k": [3, [[0, 1], {"n": null}]]}, '
+            '"m": [[1, [2.5, "s"]], [[1.5, 2.0]], "x", true], '
+            '"t": [false, {"a": [], "b": 1}], "z": 0.5}')
+        assert json_ready(sample) == json.loads(dump_json(sample))

@@ -12,7 +12,13 @@ mid-drain server kill + restart, yields rows bit-identical to serial
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
 import sys
 import threading
 import time
@@ -24,11 +30,13 @@ from urllib.parse import urlsplit
 import pytest
 
 import repro
+from repro.rl.stats import dump_json
 from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import ChaosSchedule, NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, JobQueue, catalog_path
 from repro.store.chaos import ChaosProxy
+from repro.store.queue import Job
 from repro.store.client import (
     BACKOFF_CAP_SECONDS,
     FatalRequestError,
@@ -545,6 +553,208 @@ class TestRemoteDrain:
         assert sorted(fault["kind"] for fault in proxy.fired) == \
             sorted(fault.kind for fault in plan.faults)
         _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
+
+
+# --------------------------------------------------------------------------
+def _post_raw(url, path, body):
+    """One POST with no client retries (a 5xx raises ``HTTPError``)."""
+    request = urllib.request.Request(f"{url}{path}",
+                                     data=json.dumps(body).encode(),
+                                     method="POST")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+class TestOneCatalogConnection:
+    """The server opens its catalogue once and shares it behind one lock."""
+
+    def test_requests_open_no_connection(self, tmp_path, monkeypatch):
+        from repro.store import connection
+
+        opened = []
+        original = connection.StoreConnection.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(threading.current_thread().name)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(connection.StoreConnection, "__init__",
+                            counting_init)
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(12)), root=root)
+        opened.clear()
+        server = make_server(root, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        client = StoreClient(url, worker_id="w1", backoff=0.01)
+        requests = 0
+        try:
+            while (job := client.claim(run_id="chaos-smoke")) is not None:
+                client.complete("chaos-smoke", job["cell_index"],
+                                status="completed", row={"v": 1}, attempts=1)
+                requests += 2
+            # The telemetry flusher's sink opens its own short-lived
+            # connections on its own thread; count everything else.
+            served = [name for name in opened if name != "telemetry-flush"]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert requests >= 20
+        assert served == [threading.current_thread().name]  # the constructor
+
+    def test_concurrent_claims_each_cell_once(self, tmp_path):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(20)), root=root)
+        server = make_server(root, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        claimed, errors = [], []
+
+        def drain(worker):
+            try:
+                while True:
+                    job = _post_raw(url, "/api/jobs/claim", {
+                        "worker": worker, "run_id": "chaos-smoke",
+                        "idempotency_key": f"{worker}.{len(claimed)}"})["job"]
+                    if job is None:
+                        return
+                    claimed.append(job["cell_index"])
+                    _post_raw(url, "/api/jobs/complete", {
+                        "worker": worker, "run_id": "chaos-smoke",
+                        "cell_index": job["cell_index"],
+                        "status": "completed", "row": {"v": 1},
+                        "attempts": 1})
+            except Exception as error:  # a 500 or a dropped connection
+                errors.append(f"{worker}: {error!r}")
+
+        threads = [threading.Thread(target=drain, args=(f"w{i}",))
+                   for i in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the handler threads densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            server.shutdown()
+            server.server_close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(claimed) == list(range(20))
+        with Catalog(catalog_path(root)) as catalog:
+            events = JobQueue(catalog).lease_events("chaos-smoke")
+        claims = sorted(e["cell_index"] for e in events
+                        if e["event"] in ("claimed", "reclaimed"))
+        assert claims == list(range(20))
+
+    def test_local_drainer_rows_visible_over_http(self, tmp_path):
+        root = tmp_path / "server"
+        submission = submit_campaign(chaos_spec(*ok_cells(3)), root=root)
+        server = make_server(root, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        client = StoreClient(url, worker_id="reader", backoff=0.01)
+        try:
+            assert client.outstanding("chaos-smoke") == 3
+            summary = work(root=root, run_id="chaos-smoke", worker_id="local")
+            assert summary.completed == 3
+            rows = client.get("/api/campaigns/chaos-smoke/rows")["rows"]
+            assert client.outstanding("chaos-smoke") == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+        results = json.loads(
+            (submission.out_dir / "results.json").read_text())
+        assert rows == results["rows"]
+        assert len(rows) == 3
+
+    def test_negative_content_length_is_400_at_once(self, lease_server):
+        root, server, url = lease_server
+        started = time.perf_counter()
+        with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]), timeout=2) as sock:
+            sock.sendall(b"POST /api/jobs/claim HTTP/1.1\r\n"
+                         b"Host: 127.0.0.1\r\nContent-Length: -1\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the socket
+                reply += chunk
+        assert time.perf_counter() - started < 2.0
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"negative Content-Length" in reply
+
+    def test_claim_response_matches_asdict(self, lease_server):
+        root, server, url = lease_server
+        job = StoreClient(url, worker_id="w1").claim(run_id="chaos-smoke")
+        with Catalog(catalog_path(root)) as catalog:
+            payload = json.loads(catalog.conn.scalar(
+                "SELECT payload_json FROM jobs WHERE run_id = ?"
+                " AND cell_index = ?", ("chaos-smoke", job["cell_index"])))
+        expected = Job(run_id="chaos-smoke", cell_index=job["cell_index"],
+                       payload=payload, attempts=job["attempts"])
+        assert dump_json(job) == dump_json(dataclasses.asdict(expected))
+
+
+# --------------------------------------------------------------------------
+class TestServerCrash:
+    """SIGKILL a ``repro serve`` process: nothing it acknowledged is lost."""
+
+    def _serve(self, root):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--root",
+             str(root), "--port", "0"],
+            env=env, cwd=REPO_ROOT, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True)
+        match = re.search(r"(http://[\d.]+:\d+)/api/",
+                          process.stdout.readline())
+        if match is None:
+            process.kill()
+            process.wait()
+            pytest.fail("repro serve did not report its address")
+        return process, match.group(1)
+
+    def test_sigkill_loses_no_acknowledged_complete(self, tmp_path):
+        spec = chaos_spec(*ok_cells(5))
+        serial_root = tmp_path / "serial"
+        server_root = tmp_path / "server"
+        repro.run(spec, root=serial_root)
+        submit_campaign(spec, root=server_root)
+        server, url = self._serve(server_root)
+        try:
+            acknowledged = work(root=tmp_path / "w1", run_id="chaos-smoke",
+                                worker_id="w1", server=url, max_cells=2,
+                                client_backoff=0.05)
+            server.send_signal(signal.SIGKILL)
+            server.wait(timeout=10)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        assert acknowledged.completed == 2
+        with Catalog(catalog_path(server_root)) as catalog:
+            done = catalog.conn.fetchall(
+                "SELECT j.cell_index, c.row_json FROM jobs j JOIN cells c"
+                " ON c.run_id = j.run_id AND c.cell_index = j.cell_index"
+                " WHERE j.run_id = ? AND j.state = 'done'", ("chaos-smoke",))
+        assert len(done) == 2
+        assert all(row["row_json"] for row in done)
+
+        server, url = self._serve(server_root)
+        try:
+            rest = work(root=tmp_path / "w2", run_id="chaos-smoke",
+                        worker_id="w2", server=url, client_backoff=0.05)
+        finally:
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=30)
+            server.stdout.close()
+        assert rest.completed == 3
+        _assert_drained_bit_identical(serial_root, server_root, 5)
 
 
 # --------------------------------------------------------------------------
