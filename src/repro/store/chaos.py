@@ -23,11 +23,17 @@ request to the upstream ``repro serve``, injecting faults from a
     relay the second response — the duplicated delivery must be a no-op
     replay.
 
-Determinism: the :class:`~repro.store.client.StoreClient` sends
-``Connection: close`` on every request, so requests and proxy connections
-are one-to-one, and faults fire on the plan's
-:class:`~repro.runs.faults.ChaosSchedule`.  To keep chaos per worker, give
-each perturbed worker its own proxy.
+Determinism: faults count requests, not connections.  The proxy serves
+every request a kept-alive client connection carries, one after another,
+and the plan's :class:`~repro.runs.faults.ChaosSchedule` advances once per
+request — so a plan perturbs the same protocol steps whether a client
+reuses one connection or opens one per request.  ``reset``,
+``drop-response`` and ``http-500`` end the client connection (the client
+reconnects for its retry); ``stall`` and ``duplicate`` keep it open.  Each
+forwarded request still goes upstream on a connection of its own, with
+``Connection: close`` forced into its head, so the proxy reads every
+upstream response to EOF.  To keep chaos per worker, give each perturbed
+worker its own proxy.
 """
 
 from __future__ import annotations
@@ -50,26 +56,52 @@ _CANNED_500 = (b"HTTP/1.1 500 Internal Server Error\r\n"
                b'{"error": "chaos: injected 500 (proxy)"}')
 
 
-def _read_http_request(sock: socket.socket) -> Optional[bytes]:
-    """Read one framed HTTP request (headers + Content-Length body)."""
-    data = b""
+def _header(message: bytes, name: bytes) -> Optional[bytes]:
+    """The value of header ``name`` (lower-case) in an HTTP message."""
+    head = message.partition(b"\r\n\r\n")[0]
+    for line in head.split(b"\r\n")[1:]:
+        key, _, value = line.partition(b":")
+        if key.strip().lower() == name:
+            return value.strip()
+    return None
+
+
+def _read_http_request(sock: socket.socket,
+                       buffered: bytes) -> Tuple[Optional[bytes], bytes]:
+    """Read one framed HTTP request (headers + Content-Length body) that
+    starts in ``buffered``; returns it and the bytes read past its end."""
+    data = buffered
     while b"\r\n\r\n" not in data:
         chunk = sock.recv(65536)
         if not chunk:
-            return data or None
+            return data or None, b""
         data += chunk
     head, _, rest = data.partition(b"\r\n\r\n")
-    length = 0
-    for line in head.split(b"\r\n")[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value.strip())
+    length = int(_header(data, b"content-length") or 0)
     while len(rest) < length:
         chunk = sock.recv(65536)
         if not chunk:
             break
         rest += chunk
-    return head + b"\r\n\r\n" + rest
+    return head + b"\r\n\r\n" + rest[:length], rest[length:]
+
+
+def _connection_close(request: bytes) -> bytes:
+    """``request`` with its ``Connection`` header replaced by ``close``."""
+    head, separator, body = request.partition(b"\r\n\r\n")
+    if not separator:
+        return request  # torn before its headers ended: forward as read
+    lines = [line for line in head.split(b"\r\n")
+             if line.partition(b":")[0].strip().lower() != b"connection"]
+    return b"\r\n".join(lines) + b"\r\nConnection: close" + separator + body
+
+
+def _keeps_alive(response: bytes) -> bool:
+    """Whether the client connection can carry another request after
+    ``response``: it is length-framed and does not close the connection
+    (an upstream that died before answering relays no bytes at all)."""
+    return ((_header(response, b"connection") or b"").lower() != b"close"
+            and _header(response, b"content-length") is not None)
 
 
 def _request_path(request: bytes) -> str:
@@ -142,43 +174,48 @@ class ChaosProxy:
                              daemon=True).start()
 
     def _handle(self, client: socket.socket) -> None:
+        """Relay the requests of one client connection until it ends."""
         try:
             client.settimeout(PROXY_IO_TIMEOUT)
-            request = _read_http_request(client)
-            if not request:
-                client.close()
-                return
-            path = _request_path(request)
-            faults = self.schedule.faults_for(path)
-            kinds = [fault.kind for fault in faults]
-            for fault in faults:
-                if fault.kind == "stall":
-                    self._stop.wait(fault.delay_seconds)
-            if "reset" in kinds:
-                _rst_close(client)
-                return
-            if "http-500" in kinds:
-                client.sendall(_CANNED_500)
-                client.close()
-                return
-            response = self._forward(request)
-            if "duplicate" in kinds:
-                # Deliver the identical request a second time; relay the
-                # second response (the first is discarded, as a retrying
-                # client would discard it).
-                response = self._forward(request)
-            if "drop-response" in kinds:
-                # The upstream applied the mutation but the client never
-                # hears back.
-                _rst_close(client)
-                return
-            client.sendall(response)
-            client.close()
+            buffered = b""
+            while not self._stop.is_set():
+                request, buffered = _read_http_request(client, buffered)
+                if not request or not self._relay(client, request):
+                    break
         except OSError:
-            try:
-                client.close()
-            except OSError:
-                pass
+            pass
+        finally:
+            client.close()
+
+    def _relay(self, client: socket.socket, request: bytes) -> bool:
+        """Answer one request, perturbed by its planned faults; True when
+        the client connection stays open for the next request."""
+        path = _request_path(request)
+        faults = self.schedule.faults_for(path)
+        kinds = [fault.kind for fault in faults]
+        for fault in faults:
+            if fault.kind == "stall":
+                self._stop.wait(fault.delay_seconds)
+        if "reset" in kinds:
+            _rst_close(client)
+            return False
+        if "http-500" in kinds:
+            client.sendall(_CANNED_500)
+            return False
+        forwarded = _connection_close(request)
+        response = self._forward(forwarded)
+        if "duplicate" in kinds:
+            # Deliver the identical request a second time; relay the
+            # second response (the first is discarded, as a retrying
+            # client would discard it).
+            response = self._forward(forwarded)
+        if "drop-response" in kinds:
+            # The upstream applied the mutation but the client never
+            # hears back.
+            _rst_close(client)
+            return False
+        client.sendall(response)
+        return _keeps_alive(response)
 
     def _forward(self, request: bytes) -> bytes:
         with socket.create_connection(self.upstream,

@@ -22,6 +22,28 @@ this is where the reliability contract lives:
   exactly-once: a retried ``complete`` whose first response was lost
   replays the recorded response instead of double-applying.
 
+Transport: :class:`HTTPTransport` keeps HTTP/1.1 connections open and reuses
+them, so a worker's claims, completions, heartbeats and telemetry flushes do
+not each pay for a TCP handshake and a server handler thread:
+
+* **pool** — a lock-protected list of idle connections per host.  A request
+  takes one and puts it back after reading the whole response, so
+  concurrent callers (a worker's drain loop, heartbeat thread and telemetry
+  flusher) never share a socket; the pool grows to the peak concurrency;
+* **Nagle off** — ``http.client`` sets ``TCP_NODELAY`` when it connects,
+  so a small request is never held back waiting for a delayed ACK;
+* **stale sockets** — before reusing an idle socket the pool makes a
+  zero-timeout readability check (as urllib3 does).  A readable idle socket
+  means the server closed it (its idle timeout during a long cell, a
+  restart, a drain), so the pool reconnects without spending a retry;
+* **drop on doubt** — a connection is closed after any exception and after
+  any response that announces ``Connection: close``;
+* **fork** — a child process discards the idle sockets it inherited, so it
+  never writes on its parent's connection.
+
+:meth:`StoreClient.stream` opens a dedicated ``Connection: close``
+connection per long-poll; :meth:`StoreClient.close` closes the pool.
+
 Network faults are injected outside the client, by the TCP
 :class:`~repro.store.chaos.ChaosProxy`, so the client under test is the
 client that runs.
@@ -32,12 +54,13 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
+import select
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from urllib.parse import quote, urlsplit
 
 from repro import telemetry
 from repro.rl.stats import dump_json
@@ -106,33 +129,115 @@ def backoff_schedule(base: float, retries: int, seed: int,
     return delays
 
 
-class UrllibTransport:
-    """The real transport: one stdlib-``urllib`` request per call.
+#: The characters ``http.client`` refuses in a request target.
+_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
 
-    ``Connection: close`` is sent on every request — one request per TCP
-    connection keeps the chaos proxy's request counting exact and means a
-    dead server never poisons a kept-alive socket.
-    """
+
+def _split_url(url: str) -> Tuple[str, int, str]:
+    """``(host, port, request target)`` of an ``http://`` URL, checked
+    before any I/O: ``InvalidURL`` for a request that cannot be sent."""
+    if _UNSENDABLE.search(url):
+        raise http.client.InvalidURL(f"unencoded space or control character"
+                                     f" in {url!r}")
+    parts = urlsplit(url)
+    try:
+        port = parts.port or 80
+    except ValueError as error:
+        raise http.client.InvalidURL(f"{url!r}: {error}")
+    if parts.scheme != "http" or not parts.hostname:
+        raise http.client.InvalidURL(f"not an http:// URL: {url!r}")
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    return parts.hostname, port, target
+
+
+def _connect(host: str, port: int,
+             timeout: float) -> http.client.HTTPConnection:
+    """A new connection (``connect()`` also sets ``TCP_NODELAY``)."""
+    connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    connection.connect()
+    telemetry.counter("client.connections.opened").inc()
+    return connection
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """True when an idle socket is readable: the peer closed it, or sent
+    bytes no request asked for.  Either way it cannot carry a request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_all(pool: Mapping[Any, List[http.client.HTTPConnection]]) -> None:
+    for connections in pool.values():
+        for connection in connections:
+            connection.close()
+
+
+class HTTPTransport:
+    """The real transport: pooled, kept-alive ``http.client`` connections
+    (see the module docstring for the pool's rules)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: Dict[Tuple[str, int], List[http.client.HTTPConnection]] = {}
+        self._pid = os.getpid()
 
     def __call__(self, method: str, url: str, body: Optional[bytes],
                  headers: Mapping[str, str], timeout: float) -> Tuple[int, bytes]:
-        request = urllib.request.Request(url, data=body, method=method,
-                                         headers=dict(headers))
-        request.add_header("Connection", "close")
+        host, port, target = _split_url(url)
+        connection = self._take(host, port, timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as error:
-            # A non-2xx response with a body is still a response; the
-            # client classifies it by status.
-            return error.code, error.read()
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.setdefault((host, port), []).append(connection)
+        return response.status, raw
+
+    def _take(self, host: str, port: int,
+              timeout: float) -> http.client.HTTPConnection:
+        """An idle connection the peer has not closed, else a new one."""
+        if self._pid != os.getpid():
+            # A forked child: the idle sockets are its parent's, and the
+            # lock may have been held by a parent thread at the fork.
+            # Closing the inherited descriptors leaves the parent's
+            # connections open.
+            inherited, self._idle = self._idle, {}
+            self._lock = threading.Lock()
+            self._pid = os.getpid()
+            _close_all(inherited)
+        while True:
+            with self._lock:
+                idle = self._idle.get((host, port))
+                connection = idle.pop() if idle else None
+            if connection is None:
+                return _connect(host, port, timeout)
+            if connection.sock is not None and not _peer_closed(connection.sock):
+                connection.sock.settimeout(timeout)
+                return connection
+            connection.close()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request reconnects."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        _close_all(idle)
 
 
 class StoreClient:
     """HTTP access to a ``repro serve`` catalogue with the full reliability
     contract (deadline, bounded deterministic retries, error taxonomy,
-    idempotency keys).  Thread-safe for concurrent calls; mutation key
-    generation is lock-protected."""
+    idempotency keys).  Thread-safe for concurrent calls: each one takes
+    its own pooled connection, and mutation key generation is
+    lock-protected.  :meth:`close` closes the pooled connections."""
 
     def __init__(self, base_url: str, *, worker_id: str = "client",
                  timeout: float = DEFAULT_TIMEOUT_SECONDS,
@@ -147,7 +252,7 @@ class StoreClient:
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
         self.retry_seed = int(retry_seed)
-        self.transport: Transport = transport or UrllibTransport()
+        self.transport: Transport = transport or HTTPTransport()
         self._sleep = sleep
         # Idempotency keys must be unique across client *instances* (a
         # restarted worker reusing --worker-id must not replay the previous
@@ -155,6 +260,13 @@ class StoreClient:
         self._session = os.urandom(4).hex()
         self._sequence = 0
         self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the transport's idle connections (a scripted transport
+        without ``close`` holds none)."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
 
     # ----------------------------------------------------------- primitives
     def _next_key(self, op: str) -> str:
@@ -185,9 +297,13 @@ class StoreClient:
             try:
                 status, raw = self.transport(method, url, body, headers,
                                              deadline)
+            except http.client.InvalidURL as error:
+                # The request cannot even be built; no retry can fix it.
+                telemetry.counter("client.requests.fatal").inc()
+                raise FatalRequestError(f"{method} {path} cannot be sent: "
+                                        f"{error}")
             except (ConnectionError, TimeoutError, socket.timeout,
-                    http.client.HTTPException, urllib.error.URLError,
-                    OSError) as error:
+                    http.client.HTTPException, OSError) as error:
                 last_error, last_status = f"{type(error).__name__}: {error}", None
             else:
                 if status >= 500:
@@ -235,7 +351,7 @@ class StoreClient:
         return self.get("/api/health")
 
     def outstanding(self, run_id: Optional[str] = None) -> int:
-        query = f"?run_id={run_id}" if run_id else ""
+        query = f"?run_id={quote(run_id, safe='')}" if run_id else ""
         return int(self.get(f"/api/jobs{query}")["outstanding"])
 
     # ----------------------------------------------------- the lease protocol
@@ -316,39 +432,40 @@ class StoreClient:
         :class:`FatalRequestError` for 4xx, matching :meth:`request`'s
         taxonomy so callers can share recovery logic.
         """
-        url = f"{self.base_url}{path}"
-        http_request = urllib.request.Request(url, method="GET")
-        http_request.add_header("Connection", "close")
         deadline = self.timeout if timeout is None else float(timeout)
         try:
-            response = urllib.request.urlopen(http_request, timeout=deadline)
-        except urllib.error.HTTPError as error:
-            if 400 <= error.code < 500:
-                raise FatalRequestError(
-                    f"GET {path} rejected with {error.code}",
-                    status=error.code)
-            raise RetryableTransportError(
-                f"GET {path} failed with {error.code}", status=error.code)
-        except (ConnectionError, TimeoutError, socket.timeout,
-                http.client.HTTPException, urllib.error.URLError,
-                OSError) as error:
+            host, port, target = _split_url(f"{self.base_url}{path}")
+            connection = _connect(host, port, deadline)
+        except http.client.InvalidURL as error:
+            raise FatalRequestError(f"GET {path} cannot be sent: {error}")
+        except OSError as error:
             raise RetryableTransportError(
                 f"GET {path} failed: {type(error).__name__}: {error}")
         try:
-            with response:
-                for raw_line in response:
-                    line = raw_line.strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line)
-                    except ValueError:
-                        raise RetryableTransportError(
-                            f"GET {path} delivered a torn NDJSON line")
-        except (ConnectionError, TimeoutError, socket.timeout,
-                http.client.HTTPException, OSError) as error:
+            connection.request("GET", target, headers={"Connection": "close"})
+            response = connection.getresponse()
+            if 400 <= response.status < 500:
+                raise FatalRequestError(
+                    f"GET {path} rejected with {response.status}",
+                    status=response.status)
+            if not 200 <= response.status < 300:
+                raise RetryableTransportError(
+                    f"GET {path} failed with {response.status}",
+                    status=response.status)
+            for raw_line in response:
+                line = raw_line.strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line)
+                except ValueError:
+                    raise RetryableTransportError(
+                        f"GET {path} delivered a torn NDJSON line")
+        except (http.client.HTTPException, OSError) as error:
             raise RetryableTransportError(
                 f"GET {path} stream broke: {type(error).__name__}: {error}")
+        finally:
+            connection.close()
 
     def follow_campaign(self, run_id: str, poll_timeout: float = 30.0,
                         max_reconnects: Optional[int] = None
@@ -375,7 +492,7 @@ class StoreClient:
         while True:
             try:
                 for event in self.stream(
-                        f"/api/campaigns/{run_id}/stream"
+                        f"/api/campaigns/{quote(run_id, safe='')}/stream"
                         f"?timeout={poll_timeout}",
                         timeout=poll_timeout + self.timeout):
                     kind = event.get("event")
@@ -425,10 +542,10 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_TIMEOUT_SECONDS",
     "FatalRequestError",
+    "HTTPTransport",
     "RetryableTransportError",
     "StoreClient",
     "StoreClientError",
     "Transport",
-    "UrllibTransport",
     "backoff_schedule",
 ]

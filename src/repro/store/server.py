@@ -60,12 +60,25 @@ the recorded response with ``"replayed": true`` instead of re-applying, so
 ``lease_events`` carries exactly one applied ``completed`` event per cell no
 matter what the network does.
 
+Keep-alive: handlers speak HTTP/1.1 and serve one request after another on
+a connection until the client asks to close, the connection idles for
+``REQUEST_TIMEOUT_SECONDS``, or the server shuts down.  Nagle's algorithm
+is off on every connection (``disable_nagle_algorithm``):
+``BaseHTTPRequestHandler`` writes the headers and the body in two
+``send()`` calls, and with Nagle on, the body of every kept-alive response
+waits for the client's delayed ACK (44 ms per request on a 2-core Linux
+host, against 0.8 ms with Nagle off).
+
 Hardening: per-connection read timeouts (a stalled client cannot pin a
 handler thread), a request body cap (413 past it), and graceful drain —
 SIGTERM (or :meth:`CampaignServer.initiate_drain`) finishes in-flight
 requests, terminates long-poll streams with a ``shutdown`` event within one
 poll interval, and refuses new claims with 503 so workers fail over or back
-off.
+off.  A drain also closes kept-alive connections: a handler waiting for its
+connection's next request sees :attr:`CampaignServer.shutdown_event` within
+one poll interval and closes it, and every response sent while shutting
+down carries ``Connection: close`` — so ``server_close()`` joins no handler
+that is merely waiting for an idle client.
 
 One catalogue connection per server: :class:`CampaignServer` opens the
 catalogue once, at construction, and every handler thread reaches it only
@@ -85,6 +98,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import select
 import signal
 import socket
 import threading
@@ -93,7 +107,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from repro import telemetry
 from repro._blas import blas_threads
@@ -112,13 +126,15 @@ from repro.store.queue import (
 DEFAULT_PORT = 8642
 
 #: Seconds between catalogue polls while streaming campaign events (also the
-#: worst-case latency for a stream to observe a server shutdown).
+#: worst-case latency for a stream or an idle kept-alive connection to
+#: observe a server shutdown).
 STREAM_POLL_SECONDS = 0.25
 
 #: Default wall-clock budget of one stream request.
 STREAM_TIMEOUT_SECONDS = 300.0
 
-#: Per-connection socket read deadline (seconds).
+#: Per-connection socket read deadline (seconds), also the longest a
+#: kept-alive connection may idle between requests.
 REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: Largest accepted request body; anything bigger is answered with 413.
@@ -138,9 +154,9 @@ class CampaignServer(ThreadingHTTPServer):
     the server's lock, and send their response after leaving that block.
 
     Non-daemon handler threads + ``block_on_close`` make ``server_close()``
-    *join* in-flight requests — safe because every long-poll observes
-    :attr:`shutdown_event` and exits within one poll interval — before it
-    closes the connection.
+    *join* in-flight requests — safe because every long-poll and every idle
+    kept-alive connection observes :attr:`shutdown_event` and exits within
+    one poll interval — before it closes the connection.
     """
 
     daemon_threads = False
@@ -179,6 +195,7 @@ class CampaignServer(ThreadingHTTPServer):
         return time.perf_counter() - self._started_monotonic
 
     def server_close(self) -> None:
+        self.shutdown_event.set()  # idle kept-alive handlers exit
         super().server_close()  # joins the handler threads
         self.telemetry_flusher.stop()
         # The last connection to close checkpoints the WAL into the file.
@@ -204,12 +221,13 @@ class CampaignServer(ThreadingHTTPServer):
 class CampaignRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_SECONDS
+    disable_nagle_algorithm = True
     server: CampaignServer
 
     # ----------------------------------------------------------- dispatching
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
+        parts = [unquote(p) for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         started = time.perf_counter()
         try:
@@ -252,7 +270,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
+        parts = [unquote(p) for p in url.path.split("/") if p]
         started = time.perf_counter()
         try:
             if parts == ["api", "campaigns"]:
@@ -588,6 +606,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.server.shutdown_event.is_set():
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -599,12 +619,47 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         pass  # quiet by default; the CLI prints the endpoint once
 
     def handle(self) -> None:
+        # BaseHTTPRequestHandler.handle(), with the wait for each further
+        # request on a kept-alive connection made interruptible by a drain.
         # A _Responded raised mid-handler means the response already went
         # out (the 413 path); swallow it here rather than crash the thread.
+        self.close_connection = True
         try:
-            super().handle()
+            self.handle_one_request()
+            while not self.close_connection and self._await_request():
+                self.handle_one_request()
         except _Responded:
             pass
+
+    def _await_request(self) -> bool:
+        """Wait for the next request on a kept-alive connection.
+
+        True once request bytes (or the client's EOF) are readable; False —
+        close the connection — when the server is shutting down or the
+        connection idled for :attr:`timeout`.  Polls the socket in
+        ``STREAM_POLL_SECONDS`` steps, so a drain never joins an idle
+        handler for the whole idle timeout.
+        """
+        # Bytes the previous request's reads already buffered are invisible
+        # to poll(); a non-blocking peek sees them (or reads what arrived).
+        self.connection.setblocking(False)
+        try:
+            buffered = self.rfile.peek(1)
+        except OSError:  # the client reset the idle connection
+            return False
+        finally:
+            self.connection.settimeout(self.timeout)
+        if buffered:
+            return True
+        poller = select.poll()
+        poller.register(self.connection, select.POLLIN)
+        deadline = time.perf_counter() + float(self.timeout)
+        while True:
+            draining = self.server.shutdown_event.is_set()
+            if poller.poll(0 if draining else STREAM_POLL_SECONDS * 1000):
+                return True
+            if draining or time.perf_counter() >= deadline:
+                return False
 
 
 def _endpoint_label(method: str, parts: List[str]) -> str:

@@ -361,7 +361,7 @@ class _RemoteBackend:
         return telemetry.ClientSink(self.client, worker=worker_id)
 
     def close(self) -> None:
-        pass
+        self.client.close()
 
 
 def work(root: os.PathLike = "runs", run_id: Optional[str] = None,

@@ -12,7 +12,9 @@ mid-drain server kill + restart, yields rows bit-identical to serial
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import http.client
 import json
 import os
 import re
@@ -25,11 +27,12 @@ import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 import pytest
 
 import repro
+from repro import telemetry
 from repro.rl.stats import dump_json
 from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
@@ -40,9 +43,9 @@ from repro.store.queue import Job
 from repro.store.client import (
     BACKOFF_CAP_SECONDS,
     FatalRequestError,
+    HTTPTransport,
     RetryableTransportError,
     StoreClient,
-    UrllibTransport,
     backoff_schedule,
 )
 from repro.store.server import make_server
@@ -116,6 +119,25 @@ class TestErrorTaxonomy:
                                   (200, b'{"ok": true}'))
         client = client_with(transport, max_retries=1)
         assert client.health() == {"ok": True}
+
+    def test_unbuildable_request_is_fatal_and_never_retried(self):
+        transport = FakeTransport(http.client.InvalidURL("space in URL"))
+        client = client_with(transport, max_retries=5)
+        with pytest.raises(FatalRequestError):
+            client.get("/api/jobs?run_id=my run")
+        assert len(transport.requests) == 1
+
+    def test_real_transport_rejects_an_unencoded_url_before_any_io(self):
+        slept = []
+        # Nothing listens on port 1: a request that reached the network
+        # would be refused and retried.
+        client = StoreClient("http://127.0.0.1:1", worker_id="w1",
+                             sleep=slept.append)
+        with pytest.raises(FatalRequestError):
+            client.get("/api/jobs?run_id=my run")
+        with pytest.raises(FatalRequestError):
+            list(client.stream("/api/campaigns/my run/stream"))
+        assert slept == []
 
     def test_every_request_carries_the_deadline(self):
         transport = FakeTransport((200, b"{}"), (200, b"{}"))
@@ -250,7 +272,7 @@ class TestChaosProxy:
         with ChaosProxy(upstream.server_address[:2], plan) as proxy:
             host, port = proxy.address
             try:
-                return UrllibTransport()(
+                return HTTPTransport()(
                     "POST", f"http://{host}:{port}/api/jobs/complete", b"{}",
                     {"Content-Type": "application/json"}, 5.0)
             finally:
@@ -766,3 +788,199 @@ class TestRemoteWorkCLI:
                          "--client-backoff", "0.01"])
         assert code == 5
         assert "worker gave up" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+@pytest.fixture
+def client_counts(monkeypatch):
+    """Every ``telemetry.counter`` increment of this test, by metric name
+    (the flushers' snapshot-and-reset cannot race the assertions)."""
+    counts = collections.Counter()
+    lock = threading.Lock()
+
+    class RecordingCounter:
+        def __init__(self, name):
+            self.name = name
+
+        def inc(self, amount=1.0):
+            with lock:
+                counts[self.name] += amount
+
+    monkeypatch.setattr(telemetry, "counter", RecordingCounter)
+    return counts
+
+
+def _start(root, port=0):
+    server = make_server(root, port=port)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+class TestKeepAlive:
+    """One kept-alive connection carries many lease-protocol requests."""
+
+    def test_drain_reuses_a_few_connections(self, tmp_path, client_counts):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(14)), root=root)
+        server, _, url = _start(root)
+        try:
+            summary = work(root=tmp_path / "w1", run_id="chaos-smoke",
+                           worker_id="w1", server=url, poll_seconds=0.1)
+        finally:
+            _stop(server)
+        assert summary.completed == 14
+        assert client_counts["client.requests.total"] >= 28
+        assert 1 <= client_counts["client.connections.opened"] <= 3
+
+    def test_pooled_sockets_disable_nagle(self, lease_server):
+        root, server, url = lease_server
+        client = StoreClient(url, worker_id="w1")
+        client.health()
+        connection = client.transport._take("127.0.0.1",
+                                            server.server_address[1], 5.0)
+        try:
+            assert connection.sock.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY)
+        finally:
+            connection.close()
+
+    def test_server_restart_reconnects_without_a_retry(self, tmp_path,
+                                                       client_counts):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(2)), root=root)
+        server, _, url = _start(root)
+        slept = []
+        client = StoreClient(url, worker_id="w1", sleep=slept.append)
+        assert client.outstanding("chaos-smoke") == 2
+        _stop(server)
+        restarted, _, _ = _start(root, port=server.server_address[1])
+        try:
+            assert client.outstanding("chaos-smoke") == 2
+        finally:
+            client.close()
+            _stop(restarted)
+        assert slept == []
+        assert client_counts["client.request.retries"] == 0
+        assert client_counts["client.connections.opened"] == 2
+
+    def test_forked_child_never_writes_on_the_parents_socket(
+            self, lease_server):
+        root, server, url = lease_server
+        client = StoreClient(url, worker_id="w1")
+        assert client.get("/api/jobs?run_id=first")["run_id"] == "first"
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report "<all responses matched>,<opened>"
+            status = b"0,0"
+            try:
+                telemetry.configure(enabled=True, reset=True)
+                matched = all(
+                    client.get(f"/api/jobs?run_id=child{i}")["run_id"]
+                    == f"child{i}" for i in range(20))
+                opened = telemetry.get_registry().counter(
+                    "client.connections.opened").value
+                status = b"%d,%d" % (matched, opened)
+            finally:
+                os.write(write_end, status)
+                os._exit(0)
+        os.close(write_end)
+        try:
+            for i in range(20):  # concurrently with the child
+                assert client.get(f"/api/jobs?run_id=parent{i}")["run_id"] \
+                    == f"parent{i}"
+        finally:
+            os.waitpid(pid, 0)
+            reported = os.read(read_end, 64)
+            os.close(read_end)
+        assert reported == b"1,1"
+
+    def test_threads_never_share_a_socket(self, lease_server, client_counts):
+        root, server, url = lease_server
+        client = StoreClient(url, worker_id="w1")
+        mismatches = []
+
+        def hammer(thread):
+            for i in range(25):
+                run_id = f"t{thread}-{i}"
+                response = client.get(f"/api/jobs?run_id={run_id}")
+                if response["run_id"] != run_id:
+                    mismatches.append((run_id, response["run_id"]))
+
+        threads = [threading.Thread(target=hammer, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert client_counts["client.requests.total"] == 8 * 25
+        assert client_counts["client.connections.opened"] <= 8
+
+    def test_drain_closes_an_idle_kept_alive_connection(self, tmp_path):
+        root = tmp_path / "server"
+        server, thread, url = _start(root)
+        client = StoreClient(url, worker_id="idle")
+        assert client.health()["ok"] is True  # leaves its connection idle
+        started = time.perf_counter()
+        server.initiate_drain()
+        thread.join(timeout=30)
+        server.server_close()
+        assert time.perf_counter() - started < 2.0
+
+    def test_proxy_counts_requests_on_one_connection(self, lease_server,
+                                                     client_counts):
+        root, server, url = lease_server
+        plan = NetworkChaosPlan(faults=(
+            NetworkFault(kind="stall", at_request=1, delay_seconds=0.05),
+            NetworkFault(kind="reset", at_request=2)))
+        slept = []
+        with ChaosProxy(("127.0.0.1", server.server_address[1]),
+                        plan) as proxy:
+            host, port = proxy.address
+            client = StoreClient(f"http://{host}:{port}", worker_id="w1",
+                                 backoff=0.01, sleep=slept.append)
+            client.health()
+            client.health()  # request 1: stalled, and the connection kept
+            assert proxy.fired == [{"kind": "stall", "path": "/api/health"}]
+            assert client_counts["client.connections.opened"] == 1
+            client.health()  # request 2 is reset; its retry reconnects
+            client.close()
+        assert [fault["kind"] for fault in proxy.fired] == ["stall", "reset"]
+        assert client_counts["client.connections.opened"] == 2
+        assert client_counts["client.request.retries"] == 1
+        assert len(slept) == 1
+
+
+class TestRunIdEncoding:
+    RUN_ID = "a run #1 & 100%"
+
+    def test_run_id_with_reserved_characters_over_http(self, tmp_path):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(3)), root=root,
+                        out_dir=root / self.RUN_ID)
+        server, _, url = _start(root)
+        client = StoreClient(url, worker_id="reader", max_retries=0)
+        try:
+            summary = work(root=tmp_path / "w1", run_id=self.RUN_ID,
+                           worker_id="w1", server=url, client_retries=0,
+                           poll_seconds=0.1)
+            detail = client.get(f"/api/campaigns/{quote(self.RUN_ID, safe='')}")
+            events = list(client.follow_campaign(self.RUN_ID,
+                                                 poll_timeout=5.0))
+        finally:
+            client.close()
+            _stop(server)
+        assert summary.completed == 3
+        assert detail["run_id"] == self.RUN_ID
+        assert detail["queue"]["done"] == 3
+        assert events[0]["event"] == "snapshot"
+        assert events[-1] == {"event": "run", "run_id": self.RUN_ID,
+                              "status": "complete"}
