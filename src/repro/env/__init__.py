@@ -17,7 +17,7 @@ from repro.env.backends import (
     HierarchyBackend,
     make_backend,
 )
-from repro.env.protocol import Env, BatchSteppable
+from repro.env.protocol import Env
 from repro.env.guessing_game import CacheGuessingGameEnv, StepResult
 from repro.env.batched_env import BatchedGuessingGame, config_supports_batching
 from repro.env.covert_env import MultiGuessCovertEnv
@@ -44,7 +44,6 @@ __all__ = [
     "HierarchyBackend",
     "make_backend",
     "Env",
-    "BatchSteppable",
     "CacheGuessingGameEnv",
     "StepResult",
     "BatchedGuessingGame",

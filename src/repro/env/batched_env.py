@@ -59,9 +59,9 @@ _LAT_NA = 2
 def config_supports_batching(config: EnvConfig) -> bool:
     """Whether one :class:`EnvConfig` can run on the SoA batched engine.
 
-    This is the one capability table for the batched engine: the env class
-    and wrapper checks in :meth:`~repro.scenarios.ScenarioSpec.supports_soa`
-    sit on top of it, and defended caches batch only where the defense
+    This is the one capability table for the batched engine:
+    :meth:`~repro.scenarios.ScenarioSpec.supports_soa` adds only the
+    unwrapped-guessing-env check on top of it, and defended caches batch only where the defense
     layer's ``_SOA_KERNELS`` lists a kernel for the replacement policy.
     PL-cache locks (``cache.lockable``) have no batched kernel.
     """

@@ -9,25 +9,18 @@ limit; there is a negative reward at the end if the agent never guessed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.env.actions import ActionKind
 from repro.env.config import EnvConfig
-from repro.env.guessing_game import CacheGuessingGameEnv, TraceEntry
-from repro.env.observation import LatencyObservation
+from repro.env.guessing_game import CacheGuessingGameEnv
 
 
 class MultiGuessCovertEnv(CacheGuessingGameEnv):
     """Fixed-length episodes in which every guess transmits one secret."""
 
-    # Multi-guess episode semantics have no batched SoA twin.
-    supports_soa_batching = False
-
     def __init__(self, config: EnvConfig, episode_length: int = 160, **kwargs):
-        config.max_steps = episode_length
-        super().__init__(config, **kwargs)
+        super().__init__(replace(config, max_steps=episode_length), **kwargs)
         self.episode_length = episode_length
         self.guesses_made = 0
         self.correct_guesses = 0
@@ -37,56 +30,26 @@ class MultiGuessCovertEnv(CacheGuessingGameEnv):
         self.guesses_made = 0
         self.correct_guesses = 0
 
-    def _step_core(self, action_index: int) -> tuple:
-        action = self.actions.decode(int(action_index))
-        rewards = self.config.rewards
-        self.step_count += 1
-        reward = rewards.step_reward
-        done = False
-        info: Dict = {"action": action, "secret": self.secret, "step": self.step_count}
-        latency_obs = LatencyObservation.NA
+    def _after_guess(self, correct: bool) -> bool:
+        """Count the guess, then draw a new secret and keep going."""
+        self.guesses_made += 1
+        self.correct_guesses += int(correct)
+        self.secret = self._draw_secret()
+        self.victim_triggered = False
+        return False
 
-        if action.kind is ActionKind.ACCESS:
-            hit, latency = self.backend.access(action.address, "attacker")
-            latency_obs = LatencyObservation.HIT if hit else LatencyObservation.MISS
-            info["hit"] = hit
-            self.trace.append(TraceEntry(self.step_count, "attacker", "access",
-                                         action.address, hit, latency))
-        elif action.kind is ActionKind.FLUSH:
-            self.backend.flush(action.address, "attacker")
-            self.trace.append(TraceEntry(self.step_count, "attacker", "flush",
-                                         action.address, None))
-        elif action.kind is ActionKind.TRIGGER:
-            victim_hit = self._victim_access()
-            self.victim_triggered = True
-            info["victim_hit"] = victim_hit
-            self.trace.append(TraceEntry(self.step_count, "victim", "access",
-                                         self.secret, victim_hit))
-        else:  # guess: score it, then draw a new secret and keep going
-            correct = self._guess_is_correct(action)
-            reward = rewards.correct_guess_reward if correct else rewards.wrong_guess_reward
-            self.guesses_made += 1
-            self.correct_guesses += int(correct)
-            info["correct"] = correct
-            self.trace.append(TraceEntry(self.step_count, "attacker", "guess",
-                                         action.address, None, correct=correct))
-            self.secret = self._draw_secret()
-            self.victim_triggered = False
-
+    def _check_episode_end(self, reward: float, done: bool, info: Dict) -> tuple:
+        """End at the fixed length; penalize an episode without any guess."""
         if self.step_count >= self.episode_length:
             done = True
             if self.guesses_made == 0:
-                reward += rewards.no_guess_reward
+                reward += self.config.rewards.no_guess_reward
             info["guesses_made"] = self.guesses_made
             info["correct_guesses"] = self.correct_guesses
             info["bit_rate"] = self.guesses_made / self.episode_length
             info["guess_accuracy"] = (self.correct_guesses / self.guesses_made
                                       if self.guesses_made else 0.0)
-
-        self.encoder.record(latency_obs, int(action_index), self.step_count,
-                            self.victim_triggered)
-        info["trace"] = self.trace
-        return reward, done, info
+        return reward, done
 
     # ------------------------------------------------------------ statistics
     def episode_statistics(self) -> Dict[str, float]:

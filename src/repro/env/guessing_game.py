@@ -54,19 +54,14 @@ class TraceEntry:
 class CacheGuessingGameEnv:
     """Single-secret guessing game: the episode ends when the agent guesses.
 
-    Follows the OpenAI Gym calling convention: ``reset()`` returns an
-    observation, ``step(action)`` returns ``(observation, reward, done, info)``.
-    The allocation-free ``reset_into``/``step_into`` variants back the
-    vectorized batch step path.
+    Implements the :class:`~repro.env.protocol.Env` protocol: the gym-style
+    ``reset()``/``step(action)`` pair and the allocation-free
+    ``reset_into(out)``/``step_into(action, out)`` pair that
+    :class:`repro.rl.vec_env.VecEnv` and policy replay step through.  Both
+    pairs run the same ``_step_core``; subclasses change the episode
+    semantics through its two hooks, :meth:`_after_guess` and
+    :meth:`_check_episode_end`.
     """
-
-    # Advertise the allocation-free step path (wrappers set this to False so
-    # their reward shaping cannot be bypassed).
-    supports_step_into = True
-    # Capability hook consulted by ScenarioSpec.supports_soa(): the plain
-    # guessing game has a batched SoA twin (BatchedGuessingGame); subclasses
-    # with different episode semantics must opt out.
-    supports_soa_batching = True
 
     def __init__(self, config: EnvConfig, backend: Optional[CacheBackend] = None,
                  rng: Optional[np.random.Generator] = None,
@@ -187,21 +182,29 @@ class CacheGuessingGameEnv:
         else:  # guess
             correct = self._guess_is_correct(action)
             reward = rewards.correct_guess_reward if correct else rewards.wrong_guess_reward
-            done = True
             info["correct"] = correct
             info["guess"] = action.address if action.kind is ActionKind.GUESS else None
             self.trace.append(TraceEntry(self.step_count, "attacker", "guess",
                                          action.address, None, correct=correct))
+            done = self._after_guess(correct)
 
-        if not done and self.step_count >= self.max_steps:
-            reward += rewards.length_violation_reward
-            done = True
-            info["length_violation"] = True
-
+        reward, done = self._check_episode_end(reward, done, info)
         self.encoder.record(latency_obs, int(action_index), self.step_count,
                             self.victim_triggered)
         info["trace"] = self.trace
         return reward, done, info
+
+    def _after_guess(self, correct: bool) -> bool:
+        """Hook run after a guess is scored; returns whether the episode ends."""
+        return True
+
+    def _check_episode_end(self, reward: float, done: bool, info: Dict) -> tuple:
+        """Hook run at the end of every step; returns the final (reward, done)."""
+        if not done and self.step_count >= self.max_steps:
+            reward += self.config.rewards.length_violation_reward
+            done = True
+            info["length_violation"] = True
+        return reward, done
 
     # ------------------------------------------------------------------ misc
     def action_labels(self) -> List[str]:

@@ -24,9 +24,6 @@ from repro.hardware.machines import MachineSpec, get_machine
 class BlackboxHardwareEnv(CacheGuessingGameEnv):
     """The cache guessing game played against a simulated blackbox machine."""
 
-    # Blackbox machines run behind a timing model, not the SoA engine.
-    supports_soa_batching = False
-
     def __init__(self, machine: MachineSpec, attacker_addresses: Optional[int] = None,
                  rewards: Optional[RewardConfig] = None, window_size: Optional[int] = None,
                  seed: int = 0):

@@ -1,7 +1,11 @@
 """Environment wrappers that add detection schemes to the guessing game.
 
-Each wrapper keeps the underlying environment's interface (reset/step) and
-augments the reward / termination according to one of the paper's detectors:
+:class:`EnvWrapper` implements the whole :class:`~repro.env.protocol.Env`
+protocol — ``reset``/``reset_into``/``step``/``step_into`` — once, on top of
+the wrapped env.  A detection wrapper overrides only two hooks:
+:meth:`EnvWrapper._shape` rewrites one step's ``(reward, done, info)`` and
+:meth:`EnvWrapper._on_reset` clears per-episode detector state.  Both step
+paths run the hooks, so a wrapper's shaping cannot be bypassed:
 
 * :class:`MissCountDetectionWrapper` — terminate with ``detection_reward``
   when the victim's triggered access misses (µarch-statistics detection);
@@ -13,7 +17,7 @@ augments the reward / termination according to one of the paper's detectors:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +28,7 @@ from repro.env.guessing_game import CacheGuessingGameEnv, StepResult
 
 
 class EnvWrapper:
-    """Base wrapper delegating everything to the wrapped environment."""
-
-    # Wrappers shape rewards in step(); the allocation-free step_into path
-    # would bypass them, so it is explicitly disabled (VecEnv checks this
-    # before falling through __getattr__ to the inner env's implementation).
-    supports_step_into = False
+    """Base wrapper: the step protocol on top of the wrapped env, plus hooks."""
 
     def __init__(self, env: CacheGuessingGameEnv):
         self.env = env
@@ -38,10 +37,27 @@ class EnvWrapper:
         return getattr(self.env, name)
 
     def reset(self, **kwargs) -> np.ndarray:
+        self._on_reset()
         return self.env.reset(**kwargs)
 
+    def reset_into(self, out: np.ndarray, **kwargs) -> None:
+        self._on_reset()
+        self.env.reset_into(out, **kwargs)
+
     def step(self, action_index: int) -> StepResult:
-        return self.env.step(action_index)
+        observation, reward, done, info = self.env.step(action_index)
+        return StepResult(observation, *self._shape(reward, done, info))
+
+    def step_into(self, action_index: int, out: np.ndarray) -> tuple:
+        reward, done, info = self.env.step_into(action_index, out)
+        return self._shape(reward, done, info)
+
+    def _on_reset(self) -> None:
+        """Hook run before the wrapped env resets."""
+
+    def _shape(self, reward: float, done: bool, info: Dict) -> tuple:
+        """Hook rewriting one step's (reward, done, info)."""
+        return reward, done, info
 
 
 class MissCountDetectionWrapper(EnvWrapper):
@@ -51,18 +67,15 @@ class MissCountDetectionWrapper(EnvWrapper):
         super().__init__(env)
         self.detector = detector or MissCountDetector()
 
-    def reset(self, **kwargs) -> np.ndarray:
+    def _on_reset(self) -> None:
         self.detector.reset()
-        return self.env.reset(**kwargs)
 
-    def step(self, action_index: int) -> StepResult:
-        result = self.env.step(action_index)
-        victim_hit = result.info.get("victim_hit", "absent")
+    def _shape(self, reward: float, done: bool, info: Dict) -> tuple:
+        victim_hit = info.get("victim_hit", "absent")
         if victim_hit != "absent" and self.detector.observe_victim_access(victim_hit):
-            reward = result.reward + self.env.config.rewards.detection_reward
-            result = StepResult(result.observation, reward, True,
-                                {**result.info, "detected": True})
-        return result
+            return (reward + self.env.config.rewards.detection_reward, True,
+                    {**info, "detected": True})
+        return reward, done, info
 
 
 def conflict_train_from_env(env: CacheGuessingGameEnv) -> List[int]:
@@ -84,23 +97,22 @@ class AutocorrelationPenaltyWrapper(EnvWrapper):
         self.penalty_scale = penalty_scale
         self.terminate_on_detection = terminate_on_detection
 
-    def step(self, action_index: int) -> StepResult:
-        result = self.env.step(action_index)
-        if not result.done:
-            return result
+    def _shape(self, reward: float, done: bool, info: Dict) -> tuple:
+        if not done:
+            return reward, done, info
         train = conflict_train_from_env(self.env)
         penalty = self.detector.penalty(train, scale=self.penalty_scale)
         max_autocorrelation = self.detector.max_autocorrelation(train)
         detected = self.detector.detect(train)
-        reward = result.reward + penalty
+        reward = reward + penalty
         if detected and self.terminate_on_detection:
             reward += self.env.config.rewards.detection_reward
-        info = {**result.info,
+        info = {**info,
                 "autocorrelation_penalty": penalty,
                 "max_autocorrelation": max_autocorrelation,
                 "detected": detected,
                 "conflict_train": train}
-        return StepResult(result.observation, reward, result.done, info)
+        return reward, done, info
 
 
 def domain_trace_from_env(env: CacheGuessingGameEnv) -> List[Tuple[str, int]]:
@@ -121,16 +133,14 @@ class SVMDetectionWrapper(EnvWrapper):
         self.detector = detector
         self.penalize = penalize
 
-    def step(self, action_index: int) -> StepResult:
-        result = self.env.step(action_index)
-        if not result.done:
-            return result
+    def _shape(self, reward: float, done: bool, info: Dict) -> tuple:
+        if not done:
+            return reward, done, info
         trace = domain_trace_from_env(self.env)
         detection_rate = self.detector.detection_rate(trace)
         detected = detection_rate > 0.0
-        reward = result.reward
         if detected and self.penalize:
             reward += self.env.config.rewards.detection_reward * detection_rate
-        info = {**result.info, "detected": detected,
+        info = {**info, "detected": detected,
                 "svm_detection_rate": detection_rate}
-        return StepResult(result.observation, reward, result.done, info)
+        return reward, done, info

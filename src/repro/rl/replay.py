@@ -60,35 +60,20 @@ class _EpisodeRunner:
     Instead of handing ``policy.act`` a fresh 1-D observation every step
     (which forces a per-step ``atleast_2d`` copy and a shape-(1, n) workspace
     rebuild), the runner keeps one persistent ``(1, observation_size)``
-    batch row.  Envs that support the allocation-free ``reset_into`` /
-    ``step_into`` protocol encode their observation directly into that row;
-    others fall back to copying the returned observation in.
+    batch row that the env's ``reset_into``/``step_into`` encode into.
     """
 
     def __init__(self, env, policy: ActorCriticPolicy):
         self.env = env
         self.policy = policy
-        size = getattr(env, "observation_size", None)
-        self._into = bool(getattr(env, "supports_step_into", False)) and size is not None
-        self.observations = np.zeros((1, int(size) if size is not None else 1))
+        self.observations = np.zeros((1, env.observation_size))
         self._row = self.observations[0]
 
     def reset(self, secret) -> None:
-        if self._into:
-            self.env.reset_into(self._row, secret=secret)
-        else:
-            observation = np.asarray(self.env.reset(secret=secret))
-            if self.observations.shape[1] != observation.shape[-1]:
-                self.observations = np.zeros((1, observation.shape[-1]))
-                self._row = self.observations[0]
-            self._row[:] = observation
+        self.env.reset_into(self._row, secret=secret)
 
     def step(self, action_index: int) -> tuple:
-        if self._into:
-            return self.env.step_into(action_index, self._row)
-        observation, reward, done, info = self.env.step(action_index)
-        self._row[:] = observation
-        return reward, done, info
+        return self.env.step_into(action_index, self._row)
 
     def act(self, rng: np.random.Generator, deterministic: bool) -> int:
         output = self.policy.act(self.observations, rng=rng,

@@ -10,24 +10,25 @@ scenario id (``"guessing/lru-4way"``), or a :class:`~repro.scenarios.ScenarioSpe
 ids and specs are resolved through the scenario registry, so the vectorized
 path and ``repro.make()`` construct identical environments.
 
-Two hot paths exist, and one rule picks between them:
+Two engines exist, and one rule picks between them:
 
-* **Batched SoA fast path** — when the source is a scenario whose
-  ``spec.supports_soa()`` says yes (plain guessing env, every wrapper
-  SoA-capable, and a cache config that
-  :func:`~repro.env.batched_env.config_supports_batching` accepts — the
-  ``keyed-remap`` and ``way-partition`` defenses have batched kernels) and
-  ``num_envs >= batching_threshold``, the N per-env objects are collapsed
-  into one :class:`~repro.env.batched_env.BatchedGuessingGame` that advances
-  the whole batch per step in a handful of numpy kernels.  This is
-  bit-identical to the per-env path (same seeds, same RNG streams) but
-  roughly an order of magnitude faster.  Defended scenarios whose defense
-  has no kernel warn and fall back.
-* **Per-env path** — everything else is stepped one env at a time; envs
-  that advertise ``supports_step_into`` write their observations directly
-  into rows of the batch buffer.  A plain factory callable such as
-  ``functools.partial(repro.make, scenario_id)`` always takes this path,
-  which is how parity tests and benchmarks reach the object model.
+* **Batched SoA engine** — when the source is a scenario whose
+  ``spec.supports_soa()`` says yes (unwrapped plain guessing env and a cache
+  config that :func:`~repro.env.batched_env.config_supports_batching`
+  accepts — the ``keyed-remap`` and ``way-partition`` defenses have batched
+  kernels) and ``num_envs >= batching_threshold``, the N per-env objects are
+  collapsed into one :class:`~repro.env.batched_env.BatchedGuessingGame`
+  that advances the whole batch per step in a handful of numpy kernels.
+  This is bit-identical to the per-env engine (same seeds, same RNG streams)
+  but roughly an order of magnitude faster.  Defended scenarios whose
+  defense has no kernel warn and fall back.
+* **Per-env engine** — everything else is stepped one env at a time through
+  the :class:`~repro.env.protocol.Env` protocol's ``reset_into``/
+  ``step_into``, which every env (wrappers included) implements: each env
+  writes its observation directly into its row of the batch buffer.  A
+  plain factory callable such as ``functools.partial(repro.make,
+  scenario_id)`` always takes this engine, which is how parity tests and
+  benchmarks reach the object model.
 
 Returned arrays are double-buffered — each is reused two calls later, which is
 exactly the lifetime the PPO rollout loop needs; callers keeping references
@@ -93,8 +94,6 @@ class VecEnv:
             first = self._envs[0]
             self.observation_size = first.observation_size
             self.num_actions = first.action_space.n
-            self._fast_path = [bool(getattr(env, "supports_step_into", False))
-                               for env in self._envs]
         # Double-buffered outputs: the batch returned by one call stays valid
         # while the next call fills the other buffer (the PPO loop holds the
         # previous observation batch across exactly one step).
@@ -112,14 +111,14 @@ class VecEnv:
 
     @property
     def batched(self) -> bool:
-        """Whether the collapsed SoA batched fast path is active."""
+        """Whether the collapsed SoA batched engine is active."""
         return self._batched is not None
 
     @property
     def envs(self) -> list:
         """Per-env objects for introspection (action space, configs, replay).
 
-        Under the batched fast path these are materialized on demand as
+        Under the batched engine these are materialized on demand as
         *fresh* envs from the factory — they share the scenario but not the
         live batch state, which lives in the SoA arrays.  Step them only for
         replay/extraction (which resets first), not to observe the batch.
@@ -142,11 +141,8 @@ class VecEnv:
         if self._batched is not None:
             self._batched.reset_into(observations)
             return observations
-        for index, env in enumerate(self.envs):
-            if self._fast_path[index]:
-                env.reset_into(observations[index])
-            else:
-                observations[index] = env.reset()
+        for env, row in zip(self.envs, observations):
+            env.reset_into(row)
         return observations
 
     def step(self, actions: np.ndarray) -> tuple:
@@ -157,12 +153,14 @@ class VecEnv:
         an ``"episode"`` entry (total reward, length, guess correctness).
 
         Info contract: only the ``"episode"`` entry (and ``"correct"`` on
-        guess endings) is guaranteed.  The per-env fallback additionally
+        guess endings) is guaranteed.  The per-env engine additionally
         surfaces the env's own step info (``action``/``secret``/``hit``/
-        ``trace``...), but the batched fast path shares one empty placeholder
+        ``trace``...), but the batched engine shares one empty placeholder
         for non-finished envs — consumers needing per-step introspection
-        should pass a factory callable (per-env path) or use a single env.
+        should pass a factory callable (per-env engine) or use a single env.
         """
+        if len(actions) != self.num_envs:
+            raise ValueError(f"expected {self.num_envs} actions, got {len(actions)}")
         observations, rewards, dones = self._next_buffers()
         infos = self._infos
         for index in self._info_touched:
@@ -171,12 +169,7 @@ class VecEnv:
         if self._batched is not None:
             return self._step_batched(actions, observations, rewards, dones)
         for index, (env, action) in enumerate(zip(self.envs, actions)):
-            fast = self._fast_path[index]
-            if fast:
-                reward, done, info = env.step_into(int(action), observations[index])
-            else:
-                observation, reward, done, info = env.step(int(action))
-                observations[index] = observation
+            reward, done, info = env.step_into(int(action), observations[index])
             self._episode_rewards[index] += reward
             self._episode_lengths[index] += 1
             if done:
@@ -189,10 +182,7 @@ class VecEnv:
                 }
                 self._episode_rewards[index] = 0.0
                 self._episode_lengths[index] = 0
-                if fast:
-                    env.reset_into(observations[index])
-                else:
-                    observations[index] = env.reset()
+                env.reset_into(observations[index])
             rewards[index] = reward
             dones[index] = float(done)
             infos[index] = info

@@ -208,17 +208,13 @@ class ScenarioSpec(Record):
         return None if defense is None else defense.compile(self)
 
     def supports_soa(self) -> bool:
-        """Capability hook: can N copies collapse into the SoA batched game?
+        """Can N copies collapse into the SoA batched game?
 
-        Consults the environment class (only the plain guessing game is
-        batchable), every wrapper builder's ``supports_soa`` attribute, and
-        the compiled cache config, defense included
-        (:func:`repro.env.batched_env.config_supports_batching`).
+        Only the unwrapped plain guessing game has a batched twin, and only
+        for a compiled cache config (defense included) that
+        :func:`repro.env.batched_env.config_supports_batching` accepts.
         """
-        if not _env_class_supports_soa(self.env):
-            return False
-        if any(not getattr(WRAPPER_BUILDERS[w["type"]], "supports_soa", False)
-               for w in self.wrappers):
+        if self.env != "guessing" or self.wrappers:
             return False
         try:
             config = self.build_config()
@@ -311,17 +307,6 @@ def _merge_cache_overrides(cache_kwargs: Dict, overrides: Mapping) -> Dict:
         else:
             merged[key] = value
     return merged
-
-
-def _env_class_supports_soa(env_type: str) -> bool:
-    """The env class's SoA-batching capability flag (lazily imported)."""
-    if env_type == "guessing":
-        from repro.env.guessing_game import CacheGuessingGameEnv as env_class
-    elif env_type == "covert":
-        from repro.env.covert_env import MultiGuessCovertEnv as env_class
-    else:
-        from repro.env.hardware_env import BlackboxHardwareEnv as env_class
-    return bool(getattr(env_class, "supports_soa_batching", False))
 
 
 # -------------------------------------------------------- wrapper pipeline

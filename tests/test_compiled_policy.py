@@ -529,15 +529,6 @@ class TestReplayRunner:
                                    rng=np.random.default_rng(0))
         return env, policy
 
-    def test_step_into_and_fallback_paths_agree(self, monkeypatch):
-        from repro.rl.replay import evaluate_policy
-
-        env, policy = self._trained_policy_env()
-        with_into = evaluate_policy(env, policy, episodes=6, seed=11)
-        monkeypatch.setattr(type(env), "supports_step_into", False)
-        without_into = evaluate_policy(env, policy, episodes=6, seed=11)
-        assert with_into == without_into
-
     def test_extraction_covers_secrets_and_uses_compiled_path(self):
         from repro.rl.replay import extract_attack_sequence
 

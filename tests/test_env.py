@@ -340,6 +340,16 @@ class TestCovertEnv:
             rewards.append(env.step(env.actions.trigger_index).reward)
         assert rewards[-1] <= env.config.rewards.no_guess_reward
 
+    def test_caller_config_is_not_mutated(self):
+        config = EnvConfig(cache=CacheConfig.direct_mapped(2), attacker_addr_s=2,
+                           attacker_addr_e=3, victim_addr_s=0, victim_addr_e=1,
+                           window_size=8, seed=0)
+        default_max_steps = CacheGuessingGameEnv(config).max_steps
+        covert = MultiGuessCovertEnv(config, episode_length=40)
+        assert covert.max_steps == 40
+        assert config.max_steps is None
+        assert CacheGuessingGameEnv(config).max_steps == default_max_steps != 40
+
 
 class TestWrappers:
     def _miss_env(self):

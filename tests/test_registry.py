@@ -242,18 +242,34 @@ class TestFactoriesAndVecEnv:
             np.testing.assert_array_equal(batch[0], single)
             assert rewards[0] == pytest.approx(result.reward)
 
-    def test_vec_env_wrapped_envs_fall_back_to_generic_path(self):
-        vec = VecEnv("covert/prime-probe-cchunter", num_envs=2,
-                     **{"cache.num_sets": 2, "attacker_addr_s": 2,
-                        "attacker_addr_e": 3, "victim_addr_e": 1,
-                        "window_size": 8, "episode_length": 12})
+    def test_vec_env_wrapped_envs_match_single_wrapped_envs(self):
+        overrides = {"cache.num_sets": 2, "attacker_addr_s": 2,
+                     "attacker_addr_e": 3, "victim_addr_e": 1,
+                     "window_size": 8, "episode_length": 12}
+        vec = VecEnv("covert/prime-probe-cchunter", num_envs=2, **overrides)
         assert all(isinstance(env, EnvWrapper) for env in vec.envs)
-        assert vec._fast_path == [False, False]
-        vec.reset()
-        for _ in range(12):
-            _obs, _rewards, dones, infos = vec.step(np.zeros(2, dtype=int))
-        # The episode ended, so the wrapper's end-of-episode penalty ran.
-        assert any("autocorrelation_penalty" in info for info in infos)
+        singles = [make("covert/prime-probe-cchunter", seed=seed, **overrides)
+                   for seed in range(2)]
+        batch = vec.reset()
+        for row, env in zip(batch, singles):
+            np.testing.assert_array_equal(row, env.reset())
+        rng = np.random.default_rng(3)
+        penalties = 0
+        for _ in range(30):
+            actions = rng.integers(vec.num_actions, size=2)
+            batch, rewards, dones, infos = vec.step(actions)
+            for index, env in enumerate(singles):
+                observation, reward, done, info = env.step(int(actions[index]))
+                assert rewards[index] == reward
+                assert dones[index] == float(done)
+                if done:
+                    # The wrapper's end-of-episode penalty ran on both paths.
+                    assert (infos[index]["autocorrelation_penalty"]
+                            == info["autocorrelation_penalty"])
+                    penalties += 1
+                    observation = env.reset()
+                np.testing.assert_array_equal(batch[index], observation)
+        assert penalties == 4
 
     def test_trainer_accepts_scenario_id(self):
         from repro.rl.ppo import PPOConfig
