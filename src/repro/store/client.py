@@ -385,15 +385,25 @@ class StoreClient:
 
     def complete(self, run_id: str, cell_index: int, *, status: str,
                  row: Optional[Mapping[str, Any]], attempts: int,
-                 elapsed_seconds: Optional[float] = None) -> Dict[str, Any]:
-        """Upload a finished cell's row and mark its job done (exactly-once)."""
-        return self.post("/api/jobs/complete", {
+                 elapsed_seconds: Optional[float] = None,
+                 claim: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+        """Upload a finished cell's row and mark its job done (exactly-once).
+
+        ``claim`` (``run_id``, ``lease_ttl``, ``max_job_attempts``, as for
+        :meth:`claim`) also leases the next job in the same server
+        transaction; it is the answer's ``"job"``.  The complete's key
+        covers both, so a retry replays the same next job.
+        """
+        body: Dict[str, Any] = {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "row": row,
             "attempts": int(attempts),
             "elapsed_seconds": elapsed_seconds,
             "idempotency_key": self._next_key("complete"),
-        })
+        }
+        if claim is not None:
+            body["claim"] = dict(claim)
+        return self.post("/api/jobs/complete", body)
 
     def release(self, run_id: str, cell_index: int, *, status: str,
                 error: Optional[str], attempts: int,

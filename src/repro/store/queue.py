@@ -16,7 +16,10 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
   failed cell goes back to ``pending`` (``failed`` once the queue-level
   attempt budget is exhausted).  Either transition lands the catalogue cell
   row in the same transaction, and only if the worker still owns the lease:
-  a late worker whose cell was reclaimed changes nothing.
+  a late worker whose cell was reclaimed changes nothing.  A completion may
+  also claim the worker's next job in that transaction
+  (:meth:`JobQueue.complete_and_claim`), so a busy drain pays one round
+  trip per cell.
 
 Every transition appends to ``lease_events`` (claimed / heartbeat /
 completed / failed / released / reclaimed), which is what the chaos tests
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rl.stats import dump_json
 from repro.store.catalog import Catalog
@@ -171,6 +174,18 @@ class JobQueue:
                 self._record_cell(job, status, row=row, attempts=attempts,
                                   elapsed_seconds=elapsed_seconds)
         return done
+
+    def complete_and_claim(self, job: Job, worker: str, *,
+                           run_id: Optional[str] = None,
+                           lease_ttl: int = DEFAULT_LEASE_TTL,
+                           **outcome: Any) -> Tuple[bool, Optional[Job]]:
+        """:meth:`complete` ``job`` and :meth:`claim` the next one, in one
+        transaction: ``(completed, next job or None)``.  The claim does not
+        depend on the completion applying — a worker whose lease was
+        reclaimed still wants work."""
+        with self.conn.transaction():
+            done = self.complete(job, worker, **outcome)
+            return done, self.claim(worker, run_id=run_id, lease_ttl=lease_ttl)
 
     def release(self, job: Job, worker: str, *, status: str = "failed",
                 error: Optional[str] = None,

@@ -29,7 +29,14 @@ Endpoints
 ``POST /api/jobs/claim``                 lease the next job (503 while
                                          draining)
 ``POST /api/jobs/heartbeat``             extend a lease
-``POST /api/jobs/complete``              upload a finished row, mark done
+``POST /api/jobs/complete``              upload a finished row, mark done;
+                                         an optional ``claim`` object
+                                         (``run_id``, ``lease_ttl``,
+                                         ``max_job_attempts``) also leases
+                                         the next job (``"job"`` in the
+                                         answer; ``null`` plus
+                                         ``"draining": true`` while
+                                         draining)
 ``POST /api/jobs/release``               give a failed job back (either is
                                          ``applied: false`` without the lease)
 ``GET  /api/query?metric=..&by=..``      cross-run aggregation
@@ -58,7 +65,12 @@ response recording all commit in **one** transaction
 re-entrant precisely for this).  A retried or duplicated delivery replays
 the recorded response with ``"replayed": true`` instead of re-applying, so
 ``lease_events`` carries exactly one applied ``completed`` event per cell no
-matter what the network does.
+matter what the network does.  A complete that carries a ``claim`` completes
+the cell and leases the next job in that one transaction, under the
+complete's key (:meth:`~repro.store.queue.JobQueue.complete_and_claim`, the
+same claim ``/api/jobs/claim`` runs): a retried or duplicated delivery
+replays the same next job and never leases a second one, and a busy worker
+pays one round trip per cell.
 
 Keep-alive: handlers speak HTTP/1.1 and serve one request after another on
 a connection until the client asks to close, the connection idles for
@@ -74,7 +86,8 @@ handler thread), a request body cap (413 past it), and graceful drain —
 SIGTERM (or :meth:`CampaignServer.initiate_drain`) finishes in-flight
 requests, terminates long-poll streams with a ``shutdown`` event within one
 poll interval, and refuses new claims with 503 so workers fail over or back
-off.  A drain also closes kept-alive connections: a handler waiting for its
+off (a complete still applies; the claim it carries leases nothing).  A
+drain also closes kept-alive connections: a handler waiting for its
 connection's next request sees :attr:`CampaignServer.shutdown_event` within
 one poll interval and closes it, and every response sent while shutting
 down carries ``Connection: close`` — so ``server_close()`` joins no handler
@@ -427,17 +440,12 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         worker = str(body.get("worker") or "remote")
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
-            queue = JobQueue(catalog, max_job_attempts=int(
-                body.get("max_job_attempts", DEFAULT_JOB_ATTEMPTS)))
-            job = queue.claim(worker, run_id=body.get("run_id"),
-                              lease_ttl=int(body.get("lease_ttl",
-                                                     DEFAULT_LEASE_TTL)))
+            queue = JobQueue(catalog)
+            job = queue.claim(worker, **_claim_args(body))
             if job is None:
                 return {"job": None,
                         "outstanding": queue.outstanding(body.get("run_id"))}
-            # A shallow dict: asdict() would deep-copy the payload.
-            return {"job": {field.name: getattr(job, field.name)
-                            for field in dataclasses.fields(job)}}
+            return {"job": _job_record(job)}
 
         self._mutate("claim", body, apply)
 
@@ -471,15 +479,28 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
     def _job_complete(self) -> None:
         body = self._read_body()
         worker = str(body["worker"])
+        claim = body.get("claim")
+        if claim is not None and not isinstance(claim, dict):
+            raise ValueError('"claim" must be a JSON object')
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             job = self._job_from(catalog, body)
-            applied = JobQueue(catalog).complete(
-                job, worker, status=str(body.get("status", "completed")),
-                row=body.get("row"), attempts=body.get("attempts"),
-                elapsed_seconds=body.get("elapsed_seconds"))
-            return {"applied": applied, "run_id": job.run_id,
-                    "cell_index": job.cell_index}
+            queue = JobQueue(catalog)
+            outcome = dict(status=str(body.get("status", "completed")),
+                           row=body.get("row"), attempts=body.get("attempts"),
+                           elapsed_seconds=body.get("elapsed_seconds"))
+            response: Dict[str, Any] = {"run_id": job.run_id,
+                                        "cell_index": job.cell_index}
+            if claim is None or self.server.draining:
+                response["applied"] = queue.complete(job, worker, **outcome)
+                if claim is not None:  # a draining server leases nothing
+                    response.update(job=None, draining=True)
+                return response
+            applied, claimed = queue.complete_and_claim(
+                job, worker, **_claim_args(claim), **outcome)
+            response.update(applied=applied, job=(
+                None if claimed is None else _job_record(claimed)))
+            return response
 
         self._mutate("complete", body, apply)
         with self.server.catalog() as catalog:
@@ -660,6 +681,20 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 return True
             if draining or time.perf_counter() >= deadline:
                 return False
+
+
+def _claim_args(claim: Dict[str, Any]) -> Dict[str, Any]:
+    """The :meth:`JobQueue.claim` arguments of a claim object (the body of
+    ``/api/jobs/claim`` or the ``claim`` a complete carries)."""
+    return {"run_id": claim.get("run_id"),
+            "lease_ttl": int(claim.get("lease_ttl", DEFAULT_LEASE_TTL))}
+
+
+def _job_record(job: Job) -> Dict[str, Any]:
+    """A claimed job as JSON: a shallow dict, since asdict() would
+    deep-copy the payload."""
+    return {field.name: getattr(job, field.name)
+            for field in dataclasses.fields(job)}
 
 
 def _endpoint_label(method: str, parts: List[str]) -> str:

@@ -8,10 +8,14 @@ belongs to drainers.
 
 ``work()`` is one drainer: claim a job, execute its cell through the
 runner's :func:`~repro.runs.runner.execute_cell` (same artifact tree, same
-retry/timeout/fault semantics everywhere), heartbeat the lease from a
-background thread while the cell runs, then mark the job done (the
+retry/timeout/fault semantics everywhere), then mark the job done (the
 :class:`~repro.store.queue.JobQueue` transition lands the catalogue cell row
-in the same transaction).  ``repro.run()`` is this same loop drained locally;
+in the same transaction).  The completion carries the claim of the next job
+(:meth:`~repro.store.queue.JobQueue.complete_and_claim`), so a busy drain
+makes one queue request per cell; a standalone claim is made only for the
+first cell, after a release, and after an empty answer.  One background
+thread per drain heartbeats whichever lease is current while its cell runs.
+``repro.run()`` is this same loop drained locally;
 N ``repro work`` processes on one catalogue drain a campaign cooperatively.
 A killed worker's lease expires and its cell is reclaimed and re-run, so
 every drain is bit-identical to a serial ``repro.run()``.
@@ -32,8 +36,9 @@ Two queue backends share that loop:
   row without any shared filesystem.
 
 Stops: SIGTERM/SIGINT (or a ``KeyboardInterrupt`` raised by a cell)
-interrupt the drain loop cleanly — the worker releases its current lease
-(recorded as ``released`` in ``lease_events``), marks its summary
+interrupt the drain loop cleanly — the worker releases its current lease,
+or the next job its last completion claimed (recorded as ``released`` in
+``lease_events``), marks its summary
 ``interrupted``, and the CLI exits non-zero.  An injected kill ends the
 drainer the same way a crash would: its lease is released and it claims no
 further cell.
@@ -47,9 +52,10 @@ import socket
 import threading
 import time
 import zlib
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.experiments.common import ScaleLike
@@ -208,46 +214,85 @@ class _SignalGuard:
 
 
 class _Heartbeat:
-    """Background lease renewal while a cell executes.
+    """Background lease renewal for a whole drain: one thread renews
+    whichever lease is current.
 
-    ``beat()`` renews the lease once and returns False when it was lost to
-    a reclaim (the new owner re-runs the cell).  It only touches the lease,
-    never the cell's computation, so results stay deterministic.  A remote
-    beat's transport error is tolerated — the lease may lapse and be
-    reclaimed, exactly what a dead network should cause — and the gap
-    histogram only advances on success, so the next beat records the true
-    outage-spanning gap; a fatal protocol error stops the thread.
+    ``track(job)`` makes ``job`` the current lease (``None`` while no cell
+    runs) and restarts both the renewal timer and the clock of the
+    ``worker.heartbeat.gap_seconds`` histogram.  ``renew(job)`` renews one
+    lease and returns False when it was lost to a reclaim (the new owner
+    re-runs the cell); the thread then stops renewing that job.  It only
+    touches the lease, never the cell's computation, so results stay
+    deterministic.  A remote beat's transport error is tolerated — the lease
+    may lapse and be reclaimed, exactly what a dead network should cause —
+    and the gap clock only advances on success, so the next beat records the
+    true outage-spanning gap; a fatal protocol error stops renewing that
+    job.  A beat whose job stopped being current while it was in flight is
+    discarded: its False means the cell's own completion or release landed
+    first, not a lost lease.
     """
 
-    def __init__(self, beat: Callable[[], bool], lease_ttl: int):
-        self._beat = beat
+    def __init__(self, renew: Callable[[Job], bool], lease_ttl: int):
+        self._renew = renew
         self._interval = max(1.0, int(lease_ttl) / 3.0)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._wake = threading.Condition()
+        self._job: Optional[Job] = None
+        self._due = self._last = 0.0
+        self._stopped = False
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="lease-heartbeat")
+
+    def track(self, job: Optional[Job]) -> None:
+        with self._wake:
+            self._job = job
+            self._last = time.perf_counter()
+            self._due = self._last + self._interval
+            self._wake.notify()
+
+    def _next_due(self) -> Optional[Job]:
+        """Wait until the current lease is due for renewal; None once
+        stopped."""
+        with self._wake:
+            while not self._stopped:
+                if self._job is None:
+                    self._wake.wait()
+                    continue
+                remaining = self._due - time.perf_counter()
+                if remaining <= 0:
+                    return self._job
+                self._wake.wait(remaining)
+            return None
 
     def _run(self) -> None:
         gap_seconds = telemetry.histogram("worker.heartbeat.gap_seconds")
-        last = time.perf_counter()
-        while not self._stop.wait(self._interval):
+        while (job := self._next_due()) is not None:
             try:
-                alive = self._beat()
+                outcome = "renewed" if self._renew(job) else "lost"
             except RetryableTransportError:
-                continue
+                outcome = "unreachable"
             except FatalRequestError:
-                return
-            if not alive:
-                telemetry.counter("worker.heartbeat.lost").inc()
-                return
-            now = time.perf_counter()
-            gap_seconds.record(now - last)
-            last = now
+                outcome = "refused"
+            with self._wake:
+                if self._job is not job:
+                    continue  # the cell ended while the beat was in flight
+                now = time.perf_counter()
+                self._due = now + self._interval
+                if outcome == "renewed":
+                    gap_seconds.record(now - self._last)
+                    self._last = now
+                elif outcome != "unreachable":
+                    if outcome == "lost":
+                        telemetry.counter("worker.heartbeat.lost").inc()
+                    self._job = None
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self._stop.set()
+        with self._wake:
+            self._stopped = True
+            self._wake.notify()
         self._thread.join(timeout=5.0)
 
 
@@ -282,6 +327,14 @@ class _LocalBackend:
         return self.queue.complete(job, self.worker_id, status=status,
                                    row=row, attempts=attempts,
                                    elapsed_seconds=elapsed)
+
+    def complete_and_claim(self, job: Job, status: str,
+                           row: Optional[Mapping[str, Any]], attempts: int,
+                           elapsed: Optional[float], run_id: Optional[str],
+                           lease_ttl: int) -> Tuple[bool, Optional[Job]]:
+        return self.queue.complete_and_claim(
+            job, self.worker_id, run_id=run_id, lease_ttl=lease_ttl,
+            status=status, row=row, attempts=attempts, elapsed_seconds=elapsed)
 
     def release(self, job: Job, status: str, error: Optional[str],
                 attempts: int) -> Optional[str]:
@@ -343,6 +396,19 @@ class _RemoteBackend:
             attempts=attempts, elapsed_seconds=elapsed)
         return bool(response.get("applied"))
 
+    def complete_and_claim(self, job: Job, status: str,
+                           row: Optional[Mapping[str, Any]], attempts: int,
+                           elapsed: Optional[float], run_id: Optional[str],
+                           lease_ttl: int) -> Tuple[bool, Optional[Job]]:
+        response = self.client.complete(
+            job.run_id, job.cell_index, status=status, row=row,
+            attempts=attempts, elapsed_seconds=elapsed,
+            claim={"run_id": run_id, "lease_ttl": int(lease_ttl),
+                   "max_job_attempts": self.max_job_attempts})
+        record = response.get("job")
+        return (bool(response.get("applied")),
+                None if record is None else Job(**record))
+
     def release(self, job: Job, status: str, error: Optional[str],
                 attempts: int) -> Optional[str]:
         response = self.client.release(job.run_id, job.cell_index,
@@ -399,15 +465,21 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                                 max_job_attempts=max_job_attempts)
     claim_seconds = telemetry.histogram("worker.claim.seconds")
     sink = backend.telemetry_sink(worker_id)
-    flusher = telemetry.TelemetryFlusher(sink)
-    flusher.start()
+    heartbeat = _Heartbeat(lambda held: backend.renew_lease(held, lease_ttl),
+                           lease_ttl)
+    # The next job: claimed at the top of the loop, or by the claim the
+    # previous cell's completion carried.
     job: Optional[Job] = None
-    with _SignalGuard():
+    # Exits in reverse: the heartbeat thread stops, the last telemetry
+    # flush goes out, then the backend closes.
+    with _SignalGuard(), closing(backend), \
+            telemetry.TelemetryFlusher(sink), heartbeat:
         try:
             while max_cells is None or len(summary.cells) < max_cells:
-                claim_started = time.perf_counter()
-                job = backend.claim(run_id, lease_ttl)
-                claim_seconds.record(time.perf_counter() - claim_started)
+                if job is None:
+                    claim_started = time.perf_counter()
+                    job = backend.claim(run_id, lease_ttl)
+                    claim_seconds.record(time.perf_counter() - claim_started)
                 if job is None:
                     if watch or backend.outstanding(run_id):
                         # Another worker holds a live lease (or new work may
@@ -420,29 +492,41 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                     summary.reclaimed += 1
                     telemetry.counter("worker.claims.reclaimed").inc()
                 payload = backend.localize(job)
-                with _Heartbeat(lambda: backend.renew_lease(job, lease_ttl),
-                                lease_ttl):
+                heartbeat.track(job)
+                try:
                     outcome = execute_cell(payload, sink)
+                finally:
+                    heartbeat.track(None)
                 status = outcome.get("status", "failed")
                 record = {"index": job.cell_index, "run_id": job.run_id,
                           "status": status, "attempts": job.attempts}
                 attempts = outcome.get("attempt", job.attempts)
+                finished = job
                 if status in ("completed", "cached"):
-                    if backend.complete(job, status, outcome["row"],
-                                        attempts,
-                                        outcome.get("elapsed_seconds")):
+                    done = (finished, status, outcome["row"], attempts,
+                            outcome.get("elapsed_seconds"))
+                    if max_cells is not None \
+                            and len(summary.cells) + 1 >= max_cells:
+                        # No claim rides on the last cell max_cells allows.
+                        applied, job = backend.complete(*done), None
+                    else:
+                        applied, job = backend.complete_and_claim(
+                            *done, run_id, lease_ttl)
+                    if applied:
                         summary.completed += 1
                     # else: the lease was reclaimed while we ran; the new
                     # owner re-executes the (idempotent) cell and records it.
+                    if job is not None:
+                        telemetry.counter("worker.claims.piggybacked").inc()
                 else:
-                    new_state = backend.release(job, status,
+                    new_state = backend.release(finished, status,
                                                 outcome.get("error"), attempts)
+                    job = None
                     if new_state == "failed":
                         summary.failed += 1
                     else:
                         summary.released += 1
                     record["error"] = outcome.get("error")
-                finished, job = job, None
                 summary.cells.append(record)
                 backend.finalize(finished)
                 if status == "interrupted":
@@ -450,9 +534,10 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
         except (WorkerSignalled, KeyboardInterrupt) as interrupt:
             summary.interrupted = True
             if job is not None:
-                # Give the in-flight cell straight back to the queue so another
-                # worker picks it up without waiting out the lease TTL.  If the
-                # network is also gone, the lease expiring does the same job.
+                # Give the in-flight cell, or the next one its completion
+                # claimed, straight back to the queue so another worker picks
+                # it up without waiting out the lease TTL.  If the network is
+                # also gone, the lease expiring does the same job.
                 reason = str(interrupt) or type(interrupt).__name__
                 try:
                     backend.release(job, "interrupted", reason, job.attempts)
@@ -464,9 +549,6 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                                       "status": "interrupted",
                                       "attempts": job.attempts,
                                       "error": reason})
-        finally:
-            flusher.stop()
-            backend.close()
     return summary
 
 
