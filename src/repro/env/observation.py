@@ -2,8 +2,8 @@
 
 The state space (Sec. IV-C) is the Cartesian product over a window of W steps
 of (latency, action taken, step index, victim-triggered).  The encoder keeps
-the most recent W steps and produces either a flat feature vector (for MLP
-policies) or a (W, features) matrix (for the attention encoder).
+the most recent W steps and produces one flat feature vector, the MLP
+policy's input.
 """
 
 from __future__ import annotations
@@ -65,13 +65,8 @@ class ObservationEncoder:
     def flat_size(self) -> int:
         return self.window_size * self.step_features
 
-    def encode_matrix(self) -> np.ndarray:
-        """(window_size, step_features) matrix, most recent step last."""
-        flat = self.encode_flat()
-        return flat.reshape(self.window_size, self.step_features)
-
     def encode_flat(self) -> np.ndarray:
-        """Flattened window feature vector for MLP policies."""
+        """Flattened window feature vector, most recent step last."""
         out = np.empty(self.flat_size, dtype=np.float64)
         self.encode_into(out)
         return out

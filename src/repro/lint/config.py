@@ -52,7 +52,6 @@ DEFAULT_HOT_PATH_REGISTRY: Dict[str, FrozenSet[str]] = {
     }),
     "repro/nn/compiled.py": frozenset({
         "CompiledForward._features",
-        "CompiledForward._attention_features",
         "CompiledForward._heads",
         "CompiledForward._log_probs",
     }),

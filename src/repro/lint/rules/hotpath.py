@@ -9,7 +9,8 @@ in :data:`repro.lint.config.DEFAULT_HOT_PATH_REGISTRY` carry it without the
 suffix.  Inside any such function we flag:
 
 * allocating numpy constructors (``np.zeros``, ``np.empty``,
-  ``np.concatenate``, ...) — each one is a malloc per step;
+  ``np.concatenate``, ...) and the ``@`` operator, which returns a fresh
+  product array — each one is a malloc per step;
 * list/dict/set displays and comprehensions **inside loops** — hidden
   per-iteration allocation;
 * string formatting (f-strings, ``str.format``, ``%``) — allocation plus
@@ -58,16 +59,16 @@ def _loop_nodes(func: ast.AST) -> Set[int]:
 
 
 class HotPathNumpyAllocRule(Rule):
-    """No allocating numpy constructors inside hot-path functions."""
+    """No allocating numpy constructors or ``@`` inside hot-path functions."""
 
     rule_id = "hotpath.numpy-alloc"
-    description = ("allocating numpy constructor called inside a *_into or "
-                   "registered hot-path function")
+    description = ("allocating numpy constructor or @ operator inside a "
+                   "*_into or registered hot-path function")
     why = ("the per-step contract is zero heap allocation once buffers are "
            "warm; one np.zeros per step costs a malloc + memset and defeats "
            "the preallocated-buffer design")
     hint = ("preallocate the array in __init__ / _ensure_buffers and write "
-            "with out=/[:] assignment")
+            "with out=/[:] assignment (np.matmul(a, b, out=buf) for a @ b)")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -75,7 +76,15 @@ class HotPathNumpyAllocRule(Rule):
         for qualname, func in _hot_functions(ctx):
             protected = raise_protected_nodes(func)
             for node in ast.walk(func):
-                if not isinstance(node, ast.Call) or id(node) in protected:
+                if id(node) in protected:
+                    continue
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                        and isinstance(node.op, ast.MatMult):
+                    findings.append(self.finding(
+                        ctx, node,
+                        f"@ allocates its product inside hot path {qualname}()"))
+                    continue
+                if not isinstance(node, ast.Call):
                     continue
                 chain = call_attribute_chain(node.func)
                 hit = ""

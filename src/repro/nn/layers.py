@@ -56,23 +56,6 @@ class Sigmoid(Module):
         return inputs.sigmoid()
 
 
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, features: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(features), name="gamma")
-        self.beta = Parameter(np.zeros(features), name="beta")
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        mean = inputs.mean(axis=-1, keepdims=True)
-        centered = inputs - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered / (variance + self.eps) ** 0.5
-        return normalized * self.gamma + self.beta
-
-
 class Embedding(Module):
     """Lookup table mapping integer indices to dense vectors."""
 
@@ -114,24 +97,21 @@ class Sequential(Module):
 
 
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
+    """Multi-layer perceptron with tanh hidden activations.
 
-    This is the default backbone for the reproduction's PPO agent (the paper
-    reports the MLP backbone also finds attacks, Sec. VI-B).
+    This is the backbone of the reproduction's PPO agent (the paper reports
+    the MLP backbone also finds attacks, Sec. VI-B).
     """
 
     def __init__(self, input_dim: int, hidden_sizes: Sequence[int], output_dim: int,
-                 activation: str = "tanh", output_gain: float = 1.0,
+                 output_gain: float = 1.0,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
-        activations = {"tanh": Tanh, "relu": ReLU, "sigmoid": Sigmoid}
-        if activation not in activations:
-            raise ValueError(f"unknown activation {activation!r}; choose from {sorted(activations)}")
         layers: List[Module] = []
         previous = input_dim
         for hidden in hidden_sizes:
             layers.append(Linear(previous, hidden, rng=rng))
-            layers.append(activations[activation]())
+            layers.append(Tanh())
             previous = hidden
         layers.append(Linear(previous, output_dim, gain=output_gain, rng=rng))
         self.network = Sequential(*layers)

@@ -1,14 +1,15 @@
 """Graph-free fused PPO minibatch kernel.
 
 ``PPOUpdater._batch_loss`` normally builds a reverse-mode graph of ~40 Tensor
-nodes per minibatch and walks it backwards.  For the flattenable feed-forward
-backbones (the default MLP policy) this module computes the same loss and the
-same parameter gradients with a hand-written forward + backward pass: a fixed
-sequence of numpy kernels with no Tensor objects, no graph, and every large
-``(batch, features)`` activation/gradient/distribution intermediate coming
-from a preallocated, shape-keyed workspace.  (Small ``(batch,)``-sized
-temporaries in the surrogate/value chains are still allocated per call —
-they are a negligible fraction of the removed overhead.)
+nodes per minibatch and walks it backwards.  For the policy's tanh MLP this
+module computes the same loss and the same parameter gradients with a
+hand-written forward + backward pass: a fixed sequence of numpy kernels with
+no Tensor objects, no graph, and every large ``(batch, features)``
+activation/gradient/distribution intermediate coming from a preallocated,
+shape-keyed workspace.  (Small ``(batch,)`` temporaries in the
+surrogate/value chains and ``(batch, actions)`` ones in the shared
+log-softmax/entropy gradient helpers are still allocated per call — they are
+a negligible fraction of the removed overhead.)
 
 **Bit-parity contract.** Every backward formula below replays the exact
 elementwise op order the composed graph would execute, and joins (tensors
@@ -17,20 +18,16 @@ IEEE-754 — so the gradients, the optimizer steps, and therefore whole
 training runs are bit-identical to the graph path.  This is enforced by
 ``tests/test_compiled_policy.py`` (fused-vs-graph update and training-history
 equality).
-
-Attention backbones and exotic module trees raise
-:class:`~repro.nn.compiled.UnsupportedArchitecture`; the updater falls back
-to the graph loss (which still benefits from the fused functional kernels).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.autodiff.functional import entropy_grad, log_softmax_grad
-from repro.nn.compiled import UnsupportedArchitecture, _flatten_feedforward
+from repro.nn.compiled import _flatten_feedforward
 from repro.rl.buffer import RolloutBatch
 
 
@@ -46,22 +43,15 @@ def _grad_out(parameter) -> np.ndarray:
 
 
 class FusedPPOLoss:
-    """Fused forward+backward PPO loss for flattened feed-forward policies."""
+    """Fused forward+backward PPO loss for the policy's flattened tanh MLP."""
 
     def __init__(self, policy, config):
         self.policy = policy
         self.config = config
         self.dtype = policy.policy_head.weight.data.dtype
-        steps = _flatten_feedforward(policy.feature_extractor)
-        for kind, module in steps:
-            if kind not in ("linear", "tanh"):
-                # Only the linear/tanh MLP family has fused backward kernels.
-                raise UnsupportedArchitecture(f"no fused PPO kernel for {kind!r}")
-        if not steps or steps[0][0] != "linear":
-            # The backward pass stops at the first linear layer (observations
-            # need no gradient); an activation-first stack has no such anchor.
-            raise UnsupportedArchitecture("fused PPO kernel expects a linear first layer")
-        self._steps = steps
+        # The MLP opens with a linear layer, where the backward pass stops
+        # (observations need no gradient).
+        self._steps = _flatten_feedforward(policy.feature_extractor)
         self._workspaces: Dict[int, dict] = {}
         self._one = np.ones((), dtype=self.dtype)
 
@@ -242,7 +232,11 @@ class FusedPPOLoss:
         grad_values2d = grad_values.reshape(count, 1)
         features_grad = ws["features_grad"]
         np.matmul(logits_grad, head_w.data.T, out=features_grad)
-        features_grad += grad_values2d @ value_w.data.T
+        # The value head's share goes through the trailing tanh's input-grad
+        # buffer, (batch, width) and unused until the backbone pass below.
+        value_share = ws["grads"][-1]
+        np.matmul(grad_values2d, value_w.data.T, out=value_share)
+        features_grad += value_share
         np.matmul(features.T, logits_grad, out=_grad_out(head_w))
         np.sum(logits_grad, axis=0, out=_grad_out(head_b))
         np.matmul(features.T, grad_values2d, out=_grad_out(value_w))

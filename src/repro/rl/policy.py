@@ -10,8 +10,8 @@ import numpy as np
 from repro.autodiff import default_dtype, no_grad
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
-from repro.nn import MLP, Categorical, Linear, Module, SelfAttentionEncoder, Sequential, Tanh
-from repro.nn.compiled import CompiledForward, UnsupportedArchitecture
+from repro.nn import MLP, Categorical, Linear, Module, Sequential, Tanh
+from repro.nn.compiled import CompiledForward
 
 
 @dataclass
@@ -26,10 +26,8 @@ class PolicyOutput:
 class ActorCriticPolicy(Module):
     """Shared-backbone actor-critic over flat window observations.
 
-    ``backbone`` selects between the default MLP and the attention encoder
-    standing in for the paper's Transformer (both operate on the same
-    windowed observation; the attention variant reshapes it to
-    (window, features)).
+    The backbone is a tanh MLP whose last hidden layer (``hidden_sizes[-1]``
+    wide) feeds both the policy and the value head.
 
     ``dtype`` selects the parameter/compute precision.  The default
     ``"float64"`` keeps bit-parity with the reference implementation;
@@ -38,14 +36,12 @@ class ActorCriticPolicy(Module):
 
     Inference (:meth:`act`, :meth:`value`, :meth:`action_probabilities`)
     routes through a graph-free :class:`~repro.nn.compiled.CompiledForward`
-    plan when one exists for the architecture — bit-identical to the graph
-    path, several times faster.  :func:`repro.autodiff.functional.composed_ops`
-    turns it off.
+    plan — bit-identical to the graph path, several times faster.
+    :func:`repro.autodiff.functional.composed_ops` turns it off.
     """
 
     def __init__(self, observation_size: int, num_actions: int,
-                 hidden_sizes: Sequence[int] = (128, 128), backbone: str = "mlp",
-                 window_shape: Optional[tuple] = None,
+                 hidden_sizes: Sequence[int] = (128, 128),
                  rng: Optional[np.random.Generator] = None,
                  dtype: str = "float64"):
         super().__init__()
@@ -53,43 +49,27 @@ class ActorCriticPolicy(Module):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {dtype!r}")
         self.observation_size = observation_size
         self.num_actions = num_actions
-        self.backbone_kind = backbone
         self.hidden_sizes = tuple(hidden_sizes)
-        self.window_shape = window_shape
         self.dtype = dtype
         self._np_dtype = np.dtype(dtype)
         rng = rng or np.random.default_rng(0)
         with default_dtype(self._np_dtype):
-            if backbone == "mlp":
-                feature_dim = hidden_sizes[-1]
-                self.feature_extractor = Sequential(
-                    MLP(observation_size, hidden_sizes[:-1], feature_dim, rng=rng), Tanh())
-            elif backbone == "attention":
-                if window_shape is None:
-                    raise ValueError("attention backbone requires window_shape=(window, features)")
-                feature_dim = hidden_sizes[-1]
-                self.feature_extractor = SelfAttentionEncoder(window_shape[1],
-                                                              model_dim=feature_dim,
-                                                              rng=rng)
-            else:
-                raise ValueError(f"unknown backbone {backbone!r}")
+            feature_dim = hidden_sizes[-1]
+            self.feature_extractor = Sequential(
+                MLP(observation_size, hidden_sizes[:-1], feature_dim, rng=rng), Tanh())
             self.policy_head = Linear(feature_dim, num_actions, gain=0.01, rng=rng)
             self.value_head = Linear(feature_dim, 1, gain=1.0, rng=rng)
         self._compiled: Optional[CompiledForward] = None
-        self._compiled_unsupported = False
         self._compiled_calls = 0
 
     # ------------------------------------------------------------- compiled
     @property
     def compiled(self) -> Optional[CompiledForward]:
-        """The graph-free forward plan, or ``None`` when disabled/unsupported."""
+        """The graph-free forward plan, or ``None`` inside ``composed_ops()``."""
         if not F.FUSED:
             return None
-        if self._compiled is None and not self._compiled_unsupported:
-            try:
-                self._compiled = CompiledForward(self)
-            except UnsupportedArchitecture:
-                self._compiled_unsupported = True
+        if self._compiled is None:
+            self._compiled = CompiledForward(self)
         return self._compiled
 
     @property
@@ -104,16 +84,9 @@ class ActorCriticPolicy(Module):
         return state
 
     # ----------------------------------------------------------------- graph
-    def _features(self, observations: Tensor) -> Tensor:
-        if self.backbone_kind == "attention":
-            batch = observations.shape[0]
-            window, features = self.window_shape
-            observations = observations.reshape(batch, window, features)
-        return self.feature_extractor(observations)
-
     def forward(self, observations: Tensor) -> tuple:
         """Return (logits, values) with gradients attached."""
-        features = self._features(observations)
+        features = self.feature_extractor(observations)
         logits = self.policy_head(features)
         values = self.value_head(features).reshape(-1)
         return logits, values

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 from repro.autodiff import Adam
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
-from repro.nn.compiled import UnsupportedArchitecture
 from repro.rl.buffer import RolloutBatch, RolloutBuffer
 from repro.rl.fused_loss import FusedPPOLoss
 from repro.rl.policy import ActorCriticPolicy
@@ -55,24 +54,20 @@ class PPOUpdater:
         self.optimizer = Adam(policy.parameters(), lr=config.learning_rate)
         self.entropy_coefficient = config.entropy_coefficient
         self._fused_loss: Optional[FusedPPOLoss] = None
-        self._fused_unsupported = False
         # Minibatch updates that went through the fused graph-free kernel
         # (guard tests use this to detect a silent fallback).
         self.fused_minibatches = 0
 
     def _fused(self) -> Optional[FusedPPOLoss]:
-        """The fused graph-free loss kernel, or ``None`` when unavailable.
+        """The fused graph-free loss kernel, or ``None`` inside ``composed_ops()``.
 
         Disabled together with the other fast paths by
         :func:`repro.autodiff.functional.composed_ops`.
         """
         if not F.FUSED:
             return None
-        if self._fused_loss is None and not self._fused_unsupported:
-            try:
-                self._fused_loss = FusedPPOLoss(self.policy, self.config)
-            except UnsupportedArchitecture:
-                self._fused_unsupported = True
+        if self._fused_loss is None:
+            self._fused_loss = FusedPPOLoss(self.policy, self.config)
         return self._fused_loss
 
     # ------------------------------------------------------------- state I/O
@@ -145,9 +140,9 @@ class PPOUpdater:
     def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
         """Run ``update_epochs`` passes of minibatch SGD over the buffer.
 
-        Each minibatch goes through the fused graph-free kernel when the
-        architecture supports it (bit-identical gradients), otherwise
-        through the reference autodiff graph.
+        Each minibatch goes through the fused graph-free kernel
+        (bit-identical gradients), or through the reference autodiff graph
+        inside :func:`repro.autodiff.functional.composed_ops`.
         """
         config = self.config
         fused = self._fused()

@@ -142,22 +142,19 @@ class PPOTrainer:
 
     def __init__(self, env_factory: Callable[[int], object],
                  ppo_config: Optional[PPOConfig] = None,
-                 hidden_sizes=(128, 128), backbone: str = "mlp", seed: int = 0):
+                 hidden_sizes=(128, 128), seed: int = 0):
         from repro.scenarios import as_env_factory
 
         env_factory = as_env_factory(env_factory)
         self.config = ppo_config or PPOConfig()
         self.seed = seed
         self.hidden_sizes = tuple(hidden_sizes)
-        self.backbone = backbone
         self.rng = np.random.default_rng(seed)
         self.vec_env = VecEnv(env_factory, self.config.num_envs)
         self.eval_env = env_factory(1_000_000 + seed)
-        window_shape = (self.eval_env.encoder.window_size, self.eval_env.encoder.step_features)
         self.policy = ActorCriticPolicy(self.vec_env.observation_size,
                                         self.vec_env.num_actions,
-                                        hidden_sizes=hidden_sizes, backbone=backbone,
-                                        window_shape=window_shape,
+                                        hidden_sizes=hidden_sizes,
                                         rng=np.random.default_rng(seed),
                                         dtype=self.config.dtype)
         self.updater = PPOUpdater(self.policy, self.config, rng=self.rng)
@@ -322,7 +319,6 @@ class PPOTrainer:
             "seed": self.seed,
             "config": dataclasses.asdict(self.config),
             "hidden_sizes": self.hidden_sizes,
-            "backbone": self.backbone,
             "env_steps": self.env_steps,
             "updates_done": self.updates_done,
             "rng_state": self.rng.bit_generator.state,
@@ -361,24 +357,25 @@ class PPOTrainer:
             raise ValueError(f"{path} is not a PPOTrainer checkpoint")
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+        # Checkpoints written before the policy became MLP-only name their
+        # backbone; only "mlp" describes a policy this trainer can rebuild.
+        backbone = payload.get("backbone", "mlp")
+        if backbone != "mlp":
+            raise ValueError(f"unsupported checkpoint field 'backbone': {backbone!r} "
+                             "(only 'mlp' policies can be restored)")
         trainer = cls.__new__(cls)
         trainer.config = PPOConfig(**payload["config"])
         trainer.seed = payload["seed"]
         trainer.hidden_sizes = tuple(payload["hidden_sizes"])
-        trainer.backbone = payload["backbone"]
         trainer.rng = np.random.default_rng(trainer.seed)
         trainer.rng.bit_generator.state = payload["rng_state"]
         world = payload["world"]
         trainer.vec_env = world["vec_env"]
         trainer.eval_env = world["eval_env"]
         trainer._observations = world["observations"]
-        window_shape = (trainer.eval_env.encoder.window_size,
-                        trainer.eval_env.encoder.step_features)
         trainer.policy = ActorCriticPolicy(trainer.vec_env.observation_size,
                                            trainer.vec_env.num_actions,
                                            hidden_sizes=trainer.hidden_sizes,
-                                           backbone=trainer.backbone,
-                                           window_shape=window_shape,
                                            rng=np.random.default_rng(trainer.seed),
                                            dtype=trainer.config.dtype)
         trainer.policy.load_state_dict(payload["policy_state"])

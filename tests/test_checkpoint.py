@@ -100,6 +100,36 @@ class TestTrainerCheckpoint:
         with pytest.raises(ValueError):
             PPOTrainer.load_checkpoint(path)
 
+    def _legacy_checkpoint(self, tmp_path, backbone):
+        """A version-1 checkpoint at update 2, as written when the policy
+        still had a ``backbone`` option (``None``: the key is absent)."""
+        from repro.runs.artifacts import atomic_write_pickle, load_pickle
+
+        trainer = make_trainer()
+        trainer.train(max_updates=2, **TRAIN)
+        path = tmp_path / f"legacy-{backbone}.ckpt"
+        trainer.save_checkpoint(path)
+        payload = load_pickle(path)
+        assert payload["version"] == 1 and "backbone" not in payload
+        if backbone is not None:
+            payload["backbone"] = backbone
+        atomic_write_pickle(path, payload)
+        return path
+
+    def test_legacy_mlp_checkpoint_resumes_bit_identically(self, tmp_path):
+        reference = make_trainer().train(max_updates=4, **TRAIN)
+        for backbone in ("mlp", None):
+            resumed = PPOTrainer.load_checkpoint(
+                self._legacy_checkpoint(tmp_path, backbone))
+            result = resumed.train(max_updates=4, **TRAIN)
+            assert result.history.to_dict() == reference.history.to_dict()
+            assert result_key(result) == result_key(reference)
+
+    def test_checkpoint_of_another_backbone_rejected(self, tmp_path):
+        path = self._legacy_checkpoint(tmp_path, "attention")
+        with pytest.raises(ValueError, match="backbone"):
+            PPOTrainer.load_checkpoint(path)
+
     def test_update_callbacks_fire_and_are_removable(self):
         trainer = make_trainer()
         seen = []

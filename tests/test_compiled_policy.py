@@ -4,7 +4,7 @@ Everything in the fast path claims *bit-identical* behavior to the reference
 graph path:
 
 * compiled ``act``/``value``/``action_probabilities`` vs graph inference,
-  across backbones, dtypes, seeds, and deterministic/sampled modes;
+  across dtypes, seeds, and deterministic/sampled modes;
 * fused functional kernels (linear, softmax, log-softmax, entropy) vs the
   composed primitive chains, forward and backward;
 * the fused graph-free PPO minibatch kernel vs graph-based updates — up to
@@ -32,19 +32,17 @@ OBS_SIZE = WINDOW_SHAPE[0] * WINDOW_SHAPE[1]
 NUM_ACTIONS = 6
 
 
-def make_policy(backbone="mlp", dtype="float64", seed=0):
-    return ActorCriticPolicy(OBS_SIZE, NUM_ACTIONS, hidden_sizes=(32, 24),
-                             backbone=backbone, window_shape=WINDOW_SHAPE,
+def make_policy(dtype="float64", seed=0, hidden_sizes=(32, 24)):
+    return ActorCriticPolicy(OBS_SIZE, NUM_ACTIONS, hidden_sizes=hidden_sizes,
                              rng=np.random.default_rng(seed), dtype=dtype)
 
 
 class TestCompiledActParity:
-    @pytest.mark.parametrize("backbone", ["mlp", "attention"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("deterministic", [False, True])
-    def test_act_bit_identical(self, backbone, dtype, deterministic):
+    def test_act_bit_identical(self, dtype, deterministic):
         for seed in (0, 3):
-            policy = make_policy(backbone, dtype, seed)
+            policy = make_policy(dtype, seed)
             assert policy.compiled is not None
             observations = np.random.default_rng(seed + 50).standard_normal(
                 (5, OBS_SIZE))
@@ -65,11 +63,10 @@ class TestCompiledActParity:
         assert np.array_equal(fast.actions, reference.actions)
         assert np.array_equal(fast.values, reference.values)
 
-    @pytest.mark.parametrize("backbone", ["mlp", "attention"])
-    def test_value_and_probabilities(self, backbone):
+    def test_value_and_probabilities(self):
         from repro.autodiff import no_grad
 
-        policy = make_policy(backbone)
+        policy = make_policy()
         observations = np.random.default_rng(2).standard_normal((4, OBS_SIZE))
         values_fast = policy.value(observations)
         with no_grad():
@@ -203,9 +200,9 @@ class TestFusedFunctionalParity:
 
 
 class TestFusedUpdateParity:
-    def _filled_buffer(self, policy, seed=0):
+    def _filled_buffer(self, policy, seed=0, horizon=12):
         rng = np.random.default_rng(seed)
-        buffer = RolloutBuffer(horizon=12, num_envs=4, observation_size=OBS_SIZE)
+        buffer = RolloutBuffer(horizon=horizon, num_envs=4, observation_size=OBS_SIZE)
         for _ in range(buffer.horizon):
             buffer.add(rng.standard_normal((4, OBS_SIZE)),
                        rng.integers(0, NUM_ACTIONS, size=4),
@@ -241,13 +238,29 @@ class TestFusedUpdateParity:
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name
 
-    def test_attention_backbone_falls_back_to_graph(self):
-        config = PPOConfig(minibatch_size=16, update_epochs=1)
-        policy = make_policy("attention")
+    def test_fused_compute_allocates_less_than_one_activation(self):
+        import tracemalloc
+
+        # The trainer's default geometry: a 256-row minibatch through the
+        # 128-128 MLP.  The small (batch,) and (batch, actions) temporaries
+        # compute() still makes, and numpy's bounded ufunc buffers for the
+        # broadcast bias adds, stay well below one (batch, width) array.
+        policy = make_policy(hidden_sizes=(128, 128))
+        config = PPOConfig(minibatch_size=256, update_epochs=1)
         updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
-        buffer = self._filled_buffer(policy)
-        updater.update(buffer)
-        assert updater.fused_minibatches == 0  # graph path, still correct
+        fused = updater._fused()
+        buffer = self._filled_buffer(policy, horizon=64)
+        batch = next(iter(buffer.iter_minibatches(config.minibatch_size,
+                                                  rng=np.random.default_rng(2))))
+        fused.compute(batch, 0.01)  # warm-up: allocates the workspace
+        tracemalloc.start()
+        try:
+            fused.compute(batch, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        width = policy.hidden_sizes[-1]
+        assert peak < config.minibatch_size * width * policy._np_dtype.itemsize
 
     def test_training_history_matches_graph_reference(self):
         """Compiled+fused training reproduces the seed-state history exactly."""
@@ -524,8 +537,6 @@ class TestReplayRunner:
         env = repro.make("guessing/lru-4way", seed=5)
         policy = ActorCriticPolicy(env.observation_size, env.action_space.n,
                                    hidden_sizes=(16,),
-                                   window_shape=(env.encoder.window_size,
-                                                 env.encoder.step_features),
                                    rng=np.random.default_rng(0))
         return env, policy
 

@@ -129,7 +129,7 @@ class TestObservationEncoder:
 
     def test_padding_marks_empty_slots(self):
         encoder = ObservationEncoder(window_size=3, num_actions=2, max_steps=4)
-        matrix = encoder.encode_matrix()
+        matrix = encoder.encode_flat().reshape(3, encoder.step_features)
         assert matrix.shape == (3, encoder.step_features)
         assert np.all(matrix[:, LatencyObservation.NA.value] == 1.0)
 

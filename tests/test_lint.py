@@ -152,6 +152,25 @@ class TestHotPathRules:
             "    out[:] = n\n"))
         assert not active
 
+    def test_matmul_operator_in_registered_kernel_bad(self, tmp_path):
+        # ``a @ b`` returns a freshly allocated product array.
+        active, _ = lint_snippet(tmp_path, (
+            "class FusedPPOLoss:\n"
+            "    def compute(self, grad, weight, out):\n"
+            "        out += grad @ weight.T\n"),
+            rel="src/repro/rl/fused_loss.py")
+        assert rules_of(active) == {"hotpath.numpy-alloc"}
+
+    def test_matmul_into_workspace_good(self, tmp_path):
+        active, _ = lint_snippet(tmp_path, (
+            "import numpy as np\n"
+            "class FusedPPOLoss:\n"
+            "    def compute(self, grad, weight, out, scratch):\n"
+            "        np.matmul(grad, weight.T, out=scratch)\n"
+            "        out += scratch\n"),
+            rel="src/repro/rl/fused_loss.py")
+        assert not active
+
     def test_container_in_loop_bad(self, tmp_path):
         active, _ = lint_snippet(tmp_path, (
             "def reset_into(out, envs):\n"

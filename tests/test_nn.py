@@ -1,4 +1,4 @@
-"""Tests for the neural-network layers, attention encoder, and distributions."""
+"""Tests for the neural-network layers and distributions."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from repro.nn import (
     MLP,
     Categorical,
     Embedding,
-    LayerNorm,
     Linear,
     Module,
     ReLU,
-    SelfAttentionEncoder,
     Sequential,
     Sigmoid,
     Tanh,
@@ -38,12 +36,6 @@ class TestLayers:
         assert np.allclose(Tanh()(x).numpy(), np.tanh([[-1.0, 2.0]]))
         assert np.allclose(Sigmoid()(Tensor([[0.0]])).numpy(), [[0.5]])
 
-    def test_layernorm_normalizes(self, rng):
-        layer = LayerNorm(8)
-        output = layer(Tensor(rng.standard_normal((4, 8)) * 10.0 + 5.0)).numpy()
-        assert np.allclose(output.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(output.std(axis=-1), 1.0, atol=1e-2)
-
     def test_embedding_lookup(self, rng):
         layer = Embedding(10, 4, rng=rng)
         output = layer(np.array([1, 3, 1]))
@@ -58,10 +50,6 @@ class TestLayers:
     def test_mlp_output_shape(self, rng):
         model = MLP(6, [16, 16], 3, rng=rng)
         assert model(Tensor(rng.standard_normal((2, 6)))).shape == (2, 3)
-
-    def test_mlp_rejects_unknown_activation(self):
-        with pytest.raises(ValueError):
-            MLP(4, [8], 2, activation="swish")
 
     def test_mlp_gradients_flow_to_all_parameters(self, rng):
         model = MLP(4, [8], 2, rng=rng)
@@ -78,15 +66,6 @@ class TestLayers:
             return (layer(x) ** 2).sum()
 
         assert check_gradients(loss, layer.parameters(), tolerance=1e-3)
-
-    def test_layernorm_gradient_matches_numerical(self, rng):
-        layer = LayerNorm(5)
-        x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-
-        def loss():
-            return (layer(x) ** 2).sum()
-
-        assert check_gradients(loss, [x] + layer.parameters(), tolerance=1e-3)
 
 
 class TestModule:
@@ -135,24 +114,6 @@ class TestInit:
         weight = xavier_uniform((10, 20), rng=rng)
         limit = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(weight) <= limit + 1e-12)
-
-
-class TestAttention:
-    def test_output_shape(self, rng):
-        encoder = SelfAttentionEncoder(input_dim=7, model_dim=16, rng=rng)
-        output = encoder(Tensor(rng.standard_normal((3, 5, 7))))
-        assert output.shape == (3, 16)
-
-    def test_rejects_non_sequence_input(self, rng):
-        encoder = SelfAttentionEncoder(input_dim=7, model_dim=16, rng=rng)
-        with pytest.raises(ValueError):
-            encoder(Tensor(rng.standard_normal((3, 7))))
-
-    def test_gradients_flow(self, rng):
-        encoder = SelfAttentionEncoder(input_dim=4, model_dim=8, rng=rng)
-        x = Tensor(rng.standard_normal((2, 3, 4)))
-        (encoder(x) ** 2).sum().backward()
-        assert all(p.grad is not None for p in encoder.parameters())
 
 
 class TestCategorical:

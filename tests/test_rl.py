@@ -145,20 +145,6 @@ class TestPolicy:
         probabilities = policy.action_probabilities(rng.standard_normal(6))
         assert np.isclose(probabilities.sum(), 1.0)
 
-    def test_attention_backbone(self, rng):
-        policy = ActorCriticPolicy(12, 3, hidden_sizes=(16,), backbone="attention",
-                                   window_shape=(3, 4), rng=rng)
-        output = policy.act(rng.standard_normal((2, 12)), rng=rng)
-        assert output.actions.shape == (2,)
-
-    def test_attention_requires_window_shape(self):
-        with pytest.raises(ValueError):
-            ActorCriticPolicy(12, 3, backbone="attention")
-
-    def test_unknown_backbone_rejected(self):
-        with pytest.raises(ValueError):
-            ActorCriticPolicy(12, 3, backbone="cnn")
-
     def test_value_output(self, rng):
         policy = ActorCriticPolicy(5, 2, hidden_sizes=(8,), rng=rng)
         values = policy.value(rng.standard_normal((3, 5)))

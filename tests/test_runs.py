@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -191,6 +192,32 @@ class TestCellContext:
         ref = first.to_dict()
         assert second.to_dict() == ref  # loaded from the memo, not retrained
         assert ctx.load_policy("train") is not None
+
+    def test_policy_memo_from_before_mlp_only_policy_loads(self, tmp_path):
+        # train.policy.pkl memos written while the policy still had a
+        # backbone switch carry these attributes in the pickled __dict__.
+        from repro.runs.artifacts import atomic_write_pickle
+        from repro.rl.policy import ActorCriticPolicy
+
+        policy = ActorCriticPolicy(12, 4, hidden_sizes=(16, 8),
+                                   rng=np.random.default_rng(3))
+        legacy = ActorCriticPolicy(12, 4, hidden_sizes=(16, 8),
+                                   rng=np.random.default_rng(3))
+        legacy.__dict__.update(backbone_kind="mlp", window_shape=(3, 4),
+                               _compiled_unsupported=False)
+        ctx = CellContext(tmp_path)
+        atomic_write_pickle(ctx.policy_path("train"), legacy)
+        loaded = ctx.load_policy("train")
+        observations = np.random.default_rng(4).standard_normal((5, 12))
+        for deterministic in (False, True):
+            got = loaded.act(observations, rng=np.random.default_rng(5),
+                             deterministic=deterministic)
+            want = policy.act(observations, rng=np.random.default_rng(5),
+                              deterministic=deterministic)
+            assert np.array_equal(got.actions, want.actions)
+            assert np.array_equal(got.log_probs, want.log_probs)
+            assert np.array_equal(got.values, want.values)
+        assert loaded.compiled_call_count == 2
 
     def test_refuses_artifact_reuse_under_different_parameters(self, tmp_path):
         from repro.experiments.common import BENCH, train_agent
