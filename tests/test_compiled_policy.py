@@ -4,7 +4,7 @@ Everything in the fast path claims *bit-identical* behavior to the reference
 graph path:
 
 * compiled ``act``/``value``/``action_probabilities`` vs graph inference,
-  across dtypes, seeds, and deterministic/sampled modes;
+  across MLP depths, dtypes, seeds, and deterministic/sampled modes;
 * fused functional kernels (linear, softmax, log-softmax, entropy) vs the
   composed primitive chains, forward and backward;
 * the fused graph-free PPO minibatch kernel vs graph-based updates — up to
@@ -30,6 +30,11 @@ from repro.rl.trainer import PPOTrainer
 WINDOW_SHAPE = (8, 21)
 OBS_SIZE = WINDOW_SHAPE[0] * WINDOW_SHAPE[1]
 NUM_ACTIONS = 6
+# The policy's only architecture is a tanh MLP, so the plans the compiled and
+# fused kernels flatten differ only in depth: the default two hidden layers,
+# and three, which runs the linear/tanh steps through one more round.
+DEPTHS = pytest.mark.parametrize("hidden_sizes", [(32, 24), (40, 32, 24)],
+                                 ids=["mlp", "mlp-3layer"])
 
 
 def make_policy(dtype="float64", seed=0, hidden_sizes=(32, 24)):
@@ -38,11 +43,12 @@ def make_policy(dtype="float64", seed=0, hidden_sizes=(32, 24)):
 
 
 class TestCompiledActParity:
+    @DEPTHS
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("deterministic", [False, True])
-    def test_act_bit_identical(self, dtype, deterministic):
+    def test_act_bit_identical(self, dtype, deterministic, hidden_sizes):
         for seed in (0, 3):
-            policy = make_policy(dtype, seed)
+            policy = make_policy(dtype, seed, hidden_sizes)
             assert policy.compiled is not None
             observations = np.random.default_rng(seed + 50).standard_normal(
                 (5, OBS_SIZE))
@@ -63,10 +69,11 @@ class TestCompiledActParity:
         assert np.array_equal(fast.actions, reference.actions)
         assert np.array_equal(fast.values, reference.values)
 
-    def test_value_and_probabilities(self):
+    @DEPTHS
+    def test_value_and_probabilities(self, hidden_sizes):
         from repro.autodiff import no_grad
 
-        policy = make_policy()
+        policy = make_policy(hidden_sizes=hidden_sizes)
         observations = np.random.default_rng(2).standard_normal((4, OBS_SIZE))
         values_fast = policy.value(observations)
         with no_grad():
@@ -108,6 +115,16 @@ class TestCompiledActParity:
             policy.act(np.zeros(OBS_SIZE))
             assert policy.compiled_call_count == before
         assert policy.compiled is not None
+
+    def test_unexpected_module_raises_when_plan_is_built(self):
+        from repro.nn import ReLU, Sequential
+
+        policy = make_policy()
+        policy.feature_extractor = Sequential(policy.feature_extractor, ReLU())
+        with pytest.raises(TypeError, match="ReLU"):
+            policy.compiled
+        with pytest.raises(TypeError, match="ReLU"):
+            PPOUpdater(policy, PPOConfig())._fused()
 
 
 class TestFusedFunctionalParity:
@@ -234,6 +251,29 @@ class TestFusedUpdateParity:
         fast_metrics, fast_state, fused_count = run(True)
         ref_metrics, ref_state, ref_count = run(False)
         assert fused_count > 0 and ref_count == 0
+        assert fast_metrics == ref_metrics
+        for name in fast_state:
+            assert np.array_equal(fast_state[name], ref_state[name]), name
+
+    @pytest.mark.parametrize("hidden_sizes", [(16,), (40, 32, 24)],
+                             ids=["mlp-1layer", "mlp-3layer"])
+    def test_every_depth_takes_the_fused_kernel(self, hidden_sizes):
+        # No architecture the policy can build falls back to the graph path.
+        def run(use_fast):
+            config = PPOConfig(minibatch_size=16, update_epochs=2)
+            policy = make_policy(hidden_sizes=hidden_sizes)
+            updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
+            buffer = self._filled_buffer(policy)
+            if use_fast:
+                metrics = updater.update(buffer)
+            else:
+                with F.composed_ops():
+                    metrics = updater.update(buffer)
+            return metrics, policy.state_dict(), updater.fused_minibatches
+
+        fast_metrics, fast_state, fused_count = run(True)
+        ref_metrics, ref_state, _ = run(False)
+        assert fused_count == 2 * (12 * 4 // 16)
         assert fast_metrics == ref_metrics
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name

@@ -51,6 +51,15 @@ class TestLayers:
         model = MLP(6, [16, 16], 3, rng=rng)
         assert model(Tensor(rng.standard_normal((2, 6)))).shape == (2, 3)
 
+    def test_mlp_hidden_activation_is_tanh(self, rng):
+        model = MLP(4, [8, 6], 2, rng=rng)
+        x = rng.standard_normal((3, 4))
+        first, _, second, _, out = model.network
+        expected = np.tanh(x @ first.weight.data + first.bias.data)
+        expected = np.tanh(expected @ second.weight.data + second.bias.data)
+        expected = expected @ out.weight.data + out.bias.data
+        assert np.allclose(model(Tensor(x)).numpy(), expected)
+
     def test_mlp_gradients_flow_to_all_parameters(self, rng):
         model = MLP(4, [8], 2, rng=rng)
         x = Tensor(rng.standard_normal((3, 4)))
