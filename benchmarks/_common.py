@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import repro
 
 
@@ -25,3 +28,13 @@ def run_campaign(tmp_path_factory, experiment, scale="smoke"):
 def run_once(benchmark, function, *args, **kwargs):
     """Run an expensive experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def append_trajectory(entry: dict, output: Path) -> None:
+    """Append one entry to a perf trajectory JSON (``{"entries": [...]}``)."""
+    history = []
+    if output.exists():
+        data = json.loads(output.read_text())
+        history = data.get("entries", [])
+    history.append(entry)
+    output.write_text(json.dumps({"entries": history}, indent=2) + "\n")

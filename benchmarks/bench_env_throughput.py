@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import sys
 import time
 from pathlib import Path
 
@@ -44,6 +44,11 @@ import numpy as np
 
 import repro
 from repro.env.actions import ActionKind
+
+if __package__ in (None, ""):  # run as a script: make ``benchmarks`` importable
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks._common import append_trajectory  # noqa: E402
 
 DEFAULT_SCENARIO = "guessing/lru-4way"
 DEFAULT_DEFENDED_SCENARIO = "defended/lru-4way-keyed-remap"
@@ -162,16 +167,6 @@ def run(scenario: str = DEFAULT_SCENARIO, num_envs=DEFAULT_NUM_ENVS,
     return entry
 
 
-def append_trajectory(entry: dict, output: Path) -> None:
-    """Append one entry to the perf trajectory JSON (a list of entries)."""
-    history = []
-    if output.exists():
-        data = json.loads(output.read_text())
-        history = data.get("entries", [])
-    history.append(entry)
-    output.write_text(json.dumps({"entries": history}, indent=2) + "\n")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -188,9 +183,6 @@ def main() -> None:
     parser.add_argument("--output", default=None,
                         help="perf trajectory JSON (default: BENCH_throughput.json "
                              "at the repo root)")
-    parser.add_argument("--catalog", default=None,
-                        help="also record this entry's metrics in the given "
-                             "campaign-service catalogue (catalog.sqlite)")
     args = parser.parse_args()
     if args.smoke:
         args.steps = min(args.steps, 500)
@@ -203,20 +195,8 @@ def main() -> None:
     output = Path(args.output) if args.output else \
         Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
     append_trajectory(entry, output)
-    if args.catalog:
-        record_in_catalog(entry, Path(args.catalog), output.name)
     print(f"headline speedup at num_envs={entry['headline_num_envs']}: "
           f"{entry['headline_speedup']:.2f}x -> {output}")
-
-
-def record_in_catalog(entry: dict, catalog_file: Path, source: str) -> None:
-    """Mirror one trajectory entry into the campaign-service bench table."""
-    from repro.store.catalog import Catalog
-    from repro.store.ingest import record_bench_entry
-
-    with Catalog(catalog_file) as catalog:
-        rows = record_bench_entry(catalog, entry, source)
-    print(f"recorded {rows} bench row(s) in {catalog_file}")
 
 
 if __name__ == "__main__":

@@ -40,16 +40,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
 from repro.autodiff import functional as F
 from repro.rl.ppo import PPOConfig
 from repro.rl.trainer import PPOTrainer
+
+if __package__ in (None, ""):  # run as a script: make ``benchmarks`` importable
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks._common import append_trajectory  # noqa: E402
 
 DEFAULT_SCENARIO = "guessing/lru-4way"
 MODES = ("graph", "fast", "fast-float32")
@@ -217,26 +222,6 @@ def run(scenario: str = DEFAULT_SCENARIO, repeats: int = 5, trials: int = 3,
     }
 
 
-def append_trajectory(entry: dict, output: Path) -> None:
-    """Append one entry to the perf trajectory JSON (a list of entries)."""
-    history = []
-    if output.exists():
-        data = json.loads(output.read_text())
-        history = data.get("entries", [])
-    history.append(entry)
-    output.write_text(json.dumps({"entries": history}, indent=2) + "\n")
-
-
-def record_in_catalog(entry: dict, catalog_file: Path, source: str) -> None:
-    """Mirror one trajectory entry into the campaign-service bench table."""
-    from repro.store.catalog import Catalog
-    from repro.store.ingest import record_bench_entry
-
-    with Catalog(catalog_file) as catalog:
-        rows = record_bench_entry(catalog, entry, source)
-    print(f"recorded {rows} bench row(s) in {catalog_file}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -252,9 +237,6 @@ def main() -> None:
     parser.add_argument("--output", default=None,
                         help="perf trajectory JSON (default: BENCH_train.json "
                              "at the repo root)")
-    parser.add_argument("--catalog", default=None,
-                        help="also record this entry's metrics in the given "
-                             "campaign-service catalogue (catalog.sqlite)")
     args = parser.parse_args()
     if args.smoke:
         args.updates = min(args.updates, 2)
@@ -268,8 +250,6 @@ def main() -> None:
     output = Path(args.output) if args.output else \
         Path(__file__).resolve().parent.parent / "BENCH_train.json"
     append_trajectory(entry, output)
-    if args.catalog:
-        record_in_catalog(entry, Path(args.catalog), output.name)
     overhead = entry["telemetry"]
     print(f"telemetry overhead: {overhead['updates_per_second_off']:.2f} -> "
           f"{overhead['updates_per_second_on']:.2f} updates/s "

@@ -1,7 +1,7 @@
 """Neural-network layers built on the :mod:`repro.autodiff` engine.
 
 Provides the building blocks used by the AutoCAT policy/value networks: dense
-layers, activations, embeddings, and the tanh MLP the PPO agent uses as its
+layers, the tanh activation, and the tanh MLP the PPO agent uses as its
 backbone (the paper's Transformer backbone is not reproduced; the paper
 reports that an MLP also finds the attacks, Sec. VI-B).
 
@@ -22,10 +22,7 @@ legacy benchmarking).
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Linear,
-    ReLU,
     Tanh,
-    Sigmoid,
-    Embedding,
     Sequential,
     MLP,
 )
@@ -37,10 +34,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
-    "ReLU",
     "Tanh",
-    "Sigmoid",
-    "Embedding",
     "Sequential",
     "MLP",
     "Categorical",

@@ -60,6 +60,12 @@ class CompiledForward:
     Workspaces are keyed by batch size, so the rollout batch (``num_envs``
     rows), the single-row evaluation batch, and any other recurring shape
     each reuse their own buffers across calls.
+
+    One measured exception: each broadcast bias add (``buffer += bias``)
+    makes numpy allocate an iterator buffer of up to 8,192 elements per call
+    (numpy 2.4: ~9 KB traced at (8, 128), ~65 KB at (512, 128) and above).
+    It is kept because it is the graph path's exact operation, which the
+    bit-identity contract pins.
     """
 
     def __init__(self, policy) -> None:

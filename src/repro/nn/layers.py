@@ -6,10 +6,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
-from repro.determinism import fallback_rng
 from repro.nn.init import orthogonal
 from repro.nn.module import Module, Parameter
 
@@ -35,42 +33,11 @@ class Linear(Module):
         return F.linear(inputs, self.weight, self.bias)
 
 
-class ReLU(Module):
-    """Rectified linear activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.relu()
-
-
 class Tanh(Module):
     """Hyperbolic-tangent activation."""
 
     def forward(self, inputs: Tensor) -> Tensor:
         return inputs.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return inputs.sigmoid()
-
-
-class Embedding(Module):
-    """Lookup table mapping integer indices to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = rng if rng is not None else fallback_rng()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.standard_normal((num_embeddings, embedding_dim)) * 0.02,
-                                name="embedding")
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        return self.weight[indices]
 
 
 class Sequential(Module):

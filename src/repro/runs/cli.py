@@ -12,8 +12,8 @@ Subcommands
              remote HTTP draining with no catalogue file access)
 ``serve``    the campaign service HTTP API (submit/status/stream/query/leases)
 ``proxy``    a deterministic TCP chaos proxy in front of ``repro serve``
-``query``    cross-run aggregation over the catalogue (cells or bench rows)
-``store``    catalogue maintenance (``store ingest`` backfills legacy trees)
+``query``    cross-run aggregation of cell metrics over the catalogue
+``store``    catalogue maintenance (``store ingest`` backfills runs trees)
 ``top``      live terminal dashboard: campaign progress, worker roster,
              telemetry ticker (``--once`` for a single CI-friendly frame)
 
@@ -26,7 +26,7 @@ Examples::
     python -m repro work --root runs &  python -m repro work --root runs
     python -m repro serve --root runs --port 8642
     python -m repro query accuracy --by defense --format table
-    python -m repro store ingest --root runs --bench BENCH_throughput.json
+    python -m repro store ingest --root runs
 """
 
 from __future__ import annotations
@@ -187,21 +187,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "query", help="aggregate a metric across all catalogued runs")
     query_parser.add_argument("metric", nargs="?", default=None,
                               help="metric key to aggregate (omit with --list-keys)")
-    query_parser.add_argument("--by", default=None,
-                              help="group key: 'run' (default), any cell "
-                                   "param/row key, or a bench dimension")
+    query_parser.add_argument("--by", default="run",
+                              help="group key: 'run' (default) or any "
+                                   "cell param/row key")
     query_parser.add_argument("--experiment", default=None,
                               help="restrict to one experiment id")
     query_parser.add_argument("--scale", default=None,
                               help="restrict to one scale name")
-    query_parser.add_argument("--bench", action="store_true",
-                              help="aggregate the bench table instead of cell metrics")
-    query_parser.add_argument("--benchmark", default=None,
-                              help="restrict bench rows to one benchmark")
-    query_parser.add_argument("--scenario", default=None,
-                              help="restrict bench rows to one scenario")
     query_parser.add_argument("--list-keys", action="store_true",
-                              help="list available metric/bench keys and exit")
+                              help="list available metric keys and exit")
     query_parser.add_argument("--format", choices=("table", "json", "csv"),
                               default="table")
     query_parser.add_argument("--root", default="runs")
@@ -214,13 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
     store_commands = store_parser.add_subparsers(dest="store_command",
                                                  required=True)
     ingest_parser = store_commands.add_parser(
-        "ingest", help="backfill the catalogue from legacy runs/ trees "
-                       "and BENCH_*.json files")
+        "ingest", help="backfill the catalogue from runs/ trees")
     ingest_parser.add_argument("--root", default="runs",
                                help="runs tree to ingest (default: runs)")
-    ingest_parser.add_argument("--bench", action="append", default=[],
-                               help="BENCH_*.json trajectory file to ingest "
-                                    "(repeatable; re-ingest replaces its rows)")
     ingest_parser.add_argument("--catalog", default=None,
                                help="explicit catalogue file (default: "
                                     "<root>/catalog.sqlite)")
@@ -462,13 +452,7 @@ def _command_top(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     from repro.store.catalog import Catalog
     from repro.store.connection import catalog_path
-    from repro.store.query import (
-        aggregate_bench,
-        aggregate_metric,
-        format_rows,
-        list_bench_keys,
-        list_metric_keys,
-    )
+    from repro.store.query import aggregate_metric, format_rows, list_metric_keys
 
     catalog_file = (Path(args.catalog) if args.catalog is not None
                     else catalog_path(Path(args.root)))
@@ -478,28 +462,14 @@ def _command_query(args: argparse.Namespace) -> int:
         return 1
     with Catalog(catalog_file) as catalog:
         if args.list_keys:
-            keys = (list_bench_keys(catalog) if args.bench
-                    else list_metric_keys(catalog))
-            print(format_rows(keys, args.format))
+            print(format_rows(list_metric_keys(catalog), args.format))
             return 0
         if args.metric is None:
             print("a metric is required (or pass --list-keys)", file=sys.stderr)
             return 2
-        try:
-            if args.bench:
-                rows = aggregate_bench(catalog, args.metric,
-                                       by=args.by or "num_envs",
-                                       benchmark=args.benchmark,
-                                       scenario=args.scenario)
-            else:
-                rows = aggregate_metric(catalog, args.metric,
-                                        by=args.by or "run",
-                                        experiment=args.experiment,
-                                        scale=args.scale)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-    title = f"{args.metric} by {args.by or ('num_envs' if args.bench else 'run')}"
+        rows = aggregate_metric(catalog, args.metric, by=args.by,
+                                experiment=args.experiment, scale=args.scale)
+    title = f"{args.metric} by {args.by}"
     print(format_rows(rows, args.format, title=title))
     return 0
 
@@ -507,11 +477,9 @@ def _command_query(args: argparse.Namespace) -> int:
 def _command_store(args: argparse.Namespace) -> int:
     from repro.store.ingest import ingest
 
-    summary = ingest(root=args.root, bench_files=args.bench,
-                     catalog_file=args.catalog)
+    summary = ingest(root=args.root, catalog_file=args.catalog)
     print(f"ingested {summary['runs']} run(s), {summary['cells']} cell "
-          f"record(s), {summary['bench_rows']} bench row(s) into "
-          f"{summary['catalog']}")
+          f"record(s) into {summary['catalog']}")
     return 0
 
 

@@ -4,9 +4,9 @@
 multi-tenant, queryable system (ROADMAP open item 3):
 
 * a **single-file SQLite catalogue** (``catalog.sqlite``, WAL mode) of
-  runs, cells, metric rows, bench rows, and provenance, populated
-  transactionally by the runner alongside the artifact tree and
-  backfillable via ``repro store ingest``;
+  runs, cells, metric rows and provenance, populated transactionally by
+  the runner alongside the artifact tree and backfillable via
+  ``repro store ingest``;
 * a **cooperative job queue** with worker leases (heartbeat + TTL), so N
   independent ``repro work`` processes drain one campaign with rows
   bit-identical to serial execution and crashed workers' cells are
@@ -37,10 +37,8 @@ from repro.store.client import (
 )
 from repro.store.connection import CATALOG_NAME, StoreConnection, connect
 from repro.store.query import (
-    aggregate_bench,
     aggregate_metric,
     format_rows,
-    list_bench_keys,
     list_metric_keys,
 )
 from repro.store.queue import Job, JobQueue
@@ -57,14 +55,12 @@ __all__ = [
     "StoreClient",
     "StoreClientError",
     "StoreConnection",
-    "aggregate_bench",
     "aggregate_metric",
     "catalog_path",
     "code_version",
     "connect",
     "ensure_schema",
     "format_rows",
-    "list_bench_keys",
     "list_metric_keys",
     "spec_hash",
 ]

@@ -5,13 +5,11 @@ Campaign cells land in the catalogue twice — as the verbatim row JSON in
 defense across all runs" is one self-join: the metric rows provide the
 values, a second metrics alias provides the group key (any param or row
 column: ``defense``, ``scenario``, ``policy``, ...).  The perf trajectory
-ingested from ``BENCH_*.json`` aggregates the same way over the ``bench``
-table's fixed dimensions.
+is not here: the checked-in ``BENCH_*.json`` files are its only record.
 
 All SQL here is literal and parameterized (the ``artifacts.store-connection``
-contract): group keys never splice into the SQL text — cell grouping joins
-on ``metrics.key = ?``, and bench grouping selects its dimension through a
-CASE over the fixed column whitelist.
+contract): group keys never splice into the SQL text — grouping joins on
+``metrics.key = ?``.
 """
 
 from __future__ import annotations
@@ -26,10 +24,6 @@ from repro.store.catalog import Catalog
 
 #: Columns of an aggregation result row, in rendering order.
 AGGREGATE_COLUMNS = ("group", "n", "mean", "min", "max")
-
-#: The bench table's groupable dimensions (CASE whitelist in the SQL below).
-BENCH_DIMENSIONS = ("scenario", "variant", "num_envs", "dtype", "benchmark",
-                    "source", "timestamp")
 
 
 def aggregate_metric(catalog: Catalog, metric: str, by: str = "run",
@@ -70,30 +64,6 @@ def aggregate_metric(catalog: Catalog, metric: str, by: str = "run",
     return [_aggregate_row(row) for row in rows]
 
 
-def aggregate_bench(catalog: Catalog, metric: str, by: str = "num_envs",
-                    benchmark: Optional[str] = None,
-                    scenario: Optional[str] = None) -> List[Dict[str, Any]]:
-    """Aggregate one bench metric over a fixed bench dimension."""
-    if by not in BENCH_DIMENSIONS:
-        raise ValueError(f"unknown bench dimension {by!r}; "
-                         f"choose from {BENCH_DIMENSIONS}")
-    rows = catalog.conn.fetchall(
-        "SELECT CASE ? WHEN 'scenario' THEN scenario"
-        " WHEN 'variant' THEN variant"
-        " WHEN 'num_envs' THEN CAST(num_envs AS TEXT)"
-        " WHEN 'dtype' THEN dtype WHEN 'benchmark' THEN benchmark"
-        " WHEN 'source' THEN source WHEN 'timestamp' THEN timestamp END"
-        "   AS group_value,"
-        " COUNT(value) AS n, AVG(value) AS mean,"
-        " MIN(value) AS min_value, MAX(value) AS max_value"
-        " FROM bench WHERE key = ?"
-        " AND (? IS NULL OR benchmark = ?)"
-        " AND (? IS NULL OR scenario = ?)"
-        " GROUP BY group_value ORDER BY group_value",
-        (by, metric, benchmark, benchmark, scenario, scenario))
-    return [_aggregate_row(row) for row in rows]
-
-
 def _aggregate_row(row: Any) -> Dict[str, Any]:
     return {"group": row["group_value"], "n": int(row["n"]),
             "mean": row["mean"], "min": row["min_value"],
@@ -105,13 +75,6 @@ def list_metric_keys(catalog: Catalog) -> List[Dict[str, Any]]:
     rows = catalog.conn.fetchall(
         "SELECT key, COUNT(*) AS cells, COUNT(value_num) AS numeric_cells"
         " FROM metrics GROUP BY key ORDER BY key")
-    return [dict(row) for row in rows]
-
-
-def list_bench_keys(catalog: Catalog) -> List[Dict[str, Any]]:
-    rows = catalog.conn.fetchall(
-        "SELECT benchmark, key, COUNT(*) AS rows_recorded FROM bench"
-        " GROUP BY benchmark, key ORDER BY benchmark, key")
     return [dict(row) for row in rows]
 
 
@@ -138,10 +101,7 @@ def format_rows(rows: Sequence[Dict[str, Any]], fmt: str = "table",
 
 __all__ = [
     "AGGREGATE_COLUMNS",
-    "BENCH_DIMENSIONS",
-    "aggregate_bench",
     "aggregate_metric",
     "format_rows",
-    "list_bench_keys",
     "list_metric_keys",
 ]

@@ -1,4 +1,4 @@
-"""Catalogue schema: runs, cells, metrics, bench rows, provenance, queue.
+"""Catalogue schema: runs, cells, metrics, provenance, queue, telemetry.
 
 One single-file SQLite database (WAL mode) holds everything the campaign
 service knows:
@@ -20,11 +20,6 @@ service knows:
     The cells' rows exploded into key/value pairs (numbers in ``value_num``,
     everything else in ``value_text``), plus the cell params — this is the
     table ``repro query`` aggregates across runs.
-``bench``
-    The perf trajectory: every ``BENCH_throughput.json`` /
-    ``BENCH_train.json`` entry flattened into (benchmark, scenario, variant,
-    num_envs, dtype, key, value) rows, ingested from the checked-in files or
-    recorded live by the benchmark scripts.
 ``jobs`` / ``lease_events``
     The cooperative work queue: one job per submitted cell with a lease
     (worker id + expiry on the catalogue's clock), and an append-only log of
@@ -52,7 +47,8 @@ service knows:
 Schema changes bump :data:`SCHEMA_VERSION`; ``ensure_schema`` refuses to
 open a catalogue written by a newer version, and upgrades older catalogues
 in place (the DDL is idempotent, so re-applying it adds any missing
-tables).
+tables).  Upgrading to v4 drops the ``bench`` table v1-v3 kept: the
+checked-in ``BENCH_*.json`` files are the one perf record.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.connection import StoreConnection
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Job states in the cooperative queue.
 JOB_STATES = ("pending", "leased", "done", "failed")
@@ -123,20 +119,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     PRIMARY KEY (run_id, cell_index, key)
 );
 CREATE INDEX IF NOT EXISTS metrics_by_key ON metrics(key);
-
-CREATE TABLE IF NOT EXISTS bench (
-    bench_id  INTEGER PRIMARY KEY AUTOINCREMENT,
-    benchmark TEXT NOT NULL,
-    scenario  TEXT,
-    variant   TEXT,
-    num_envs  INTEGER,
-    dtype     TEXT,
-    key       TEXT NOT NULL,
-    value     REAL NOT NULL,
-    timestamp TEXT,
-    source    TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS bench_by_key ON bench(benchmark, key);
 
 CREATE TABLE IF NOT EXISTS jobs (
     run_id      TEXT NOT NULL REFERENCES runs(run_id),
@@ -204,11 +186,14 @@ def ensure_schema(conn: "StoreConnection") -> None:
     recorded = conn.scalar("SELECT value FROM meta WHERE key = 'schema_version'")
     if recorded is None or int(recorded) < SCHEMA_VERSION:
         # Fresh catalogue, or an older one: the idempotent DDL above already
-        # added any tables this version introduced, so only the version
-        # stamp needs updating.
-        conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) "
-            "VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
+        # added any tables this version introduced; an older one may still
+        # hold the ``bench`` table v4 dropped.
+        with conn.transaction():
+            if recorded is not None:
+                conn.execute("DROP TABLE IF EXISTS bench")
+            conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) "
+                "VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
         return
     if int(recorded) > SCHEMA_VERSION:
         raise RuntimeError(

@@ -39,7 +39,9 @@ Endpoints
                                          draining)
 ``POST /api/jobs/release``               give a failed job back (either is
                                          ``applied: false`` without the lease)
-``GET  /api/query?metric=..&by=..``      cross-run aggregation
+``GET  /api/query?metric=..&by=..``      cross-run aggregation (also
+                                         ``experiment``/``scale``; any
+                                         other parameter is a 400)
 ``GET  /api/workers``                    live worker roster (leases +
                                          heartbeats + telemetry: host, pid,
                                          current cell, last-seen, rates)
@@ -127,7 +129,7 @@ from repro._blas import blas_threads
 from repro.rl.stats import dump_json
 from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog, catalog_path, code_version
-from repro.store.query import aggregate_bench, aggregate_metric
+from repro.store.query import aggregate_metric
 from repro.store.schema import SCHEMA_VERSION
 from repro.store.queue import (
     DEFAULT_JOB_ATTEMPTS,
@@ -157,6 +159,9 @@ MAX_BODY_BYTES = 8_000_000
 SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "checkpoint_every",
                          "max_attempts", "retry_backoff", "fault_plan",
                          "timeout"})
+
+#: The parameters ``GET /api/query`` reads; any other is a 400.
+QUERY_KEYS = frozenset({"metric", "by", "experiment", "scale"})
 
 
 class CampaignServer(ThreadingHTTPServer):
@@ -552,20 +557,17 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self._json(200, {"run_id": run_id, "rows": rows})
 
     def _query(self, query: Dict[str, str]) -> None:
+        unknown = sorted(set(query) - QUERY_KEYS)
+        if unknown:
+            raise ValueError(f"unknown query parameters {unknown}; "
+                             f"choose from {sorted(QUERY_KEYS)}")
         metric = query.get("metric")
         if not metric:
             raise ValueError("query needs a ?metric= parameter")
         with self.server.catalog() as catalog:
-            if query.get("bench"):
-                rows = aggregate_bench(catalog, metric,
-                                       by=query.get("by", "num_envs"),
-                                       benchmark=query.get("benchmark"),
-                                       scenario=query.get("scenario"))
-            else:
-                rows = aggregate_metric(catalog, metric,
-                                        by=query.get("by", "run"),
-                                        experiment=query.get("experiment"),
-                                        scale=query.get("scale"))
+            rows = aggregate_metric(catalog, metric, by=query.get("by", "run"),
+                                    experiment=query.get("experiment"),
+                                    scale=query.get("scale"))
         self._json(200, {"metric": metric, "by": query.get("by"),
                          "rows": rows})
 

@@ -117,13 +117,18 @@ class TestCompiledActParity:
         assert policy.compiled is not None
 
     def test_unexpected_module_raises_when_plan_is_built(self):
-        from repro.nn import ReLU, Sequential
+        from repro.nn import Module, Sequential
+
+        class Doubler(Module):
+            def forward(self, inputs):
+                return inputs * 2.0
 
         policy = make_policy()
-        policy.feature_extractor = Sequential(policy.feature_extractor, ReLU())
-        with pytest.raises(TypeError, match="ReLU"):
+        policy.feature_extractor = Sequential(policy.feature_extractor,
+                                              Doubler())
+        with pytest.raises(TypeError, match="Doubler"):
             policy.compiled
-        with pytest.raises(TypeError, match="ReLU"):
+        with pytest.raises(TypeError, match="Doubler"):
             PPOUpdater(policy, PPOConfig())._fused()
 
 

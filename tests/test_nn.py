@@ -7,12 +7,9 @@ from repro.autodiff import Tensor, check_gradients
 from repro.nn import (
     MLP,
     Categorical,
-    Embedding,
     Linear,
     Module,
-    ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 from repro.nn.init import orthogonal, xavier_uniform
@@ -32,18 +29,10 @@ class TestLayers:
 
     def test_activations(self):
         x = Tensor([[-1.0, 2.0]])
-        assert np.allclose(ReLU()(x).numpy(), [[0.0, 2.0]])
         assert np.allclose(Tanh()(x).numpy(), np.tanh([[-1.0, 2.0]]))
-        assert np.allclose(Sigmoid()(Tensor([[0.0]])).numpy(), [[0.5]])
-
-    def test_embedding_lookup(self, rng):
-        layer = Embedding(10, 4, rng=rng)
-        output = layer(np.array([1, 3, 1]))
-        assert output.shape == (3, 4)
-        assert np.allclose(output.numpy()[0], output.numpy()[2])
 
     def test_sequential_chains(self, rng):
-        model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+        model = Sequential(Linear(4, 8, rng=rng), Tanh(), Linear(8, 2, rng=rng))
         assert len(model) == 3
         assert model(Tensor(rng.standard_normal((5, 4)))).shape == (5, 2)
 
@@ -91,7 +80,7 @@ class TestModule:
             model.load_state_dict({"bogus": np.zeros(3)})
 
     def test_train_eval_modes_propagate(self, rng):
-        model = Sequential(Linear(2, 2, rng=rng), ReLU())
+        model = Sequential(Linear(2, 2, rng=rng), Tanh())
         model.eval()
         assert not model.training
         assert all(not layer.training for layer in model)

@@ -26,12 +26,8 @@ from repro.runs import ExperimentSpec, register_experiment, unregister_experimen
 from repro.runs.cli import main as cli_main
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
 from repro.store.catalog import code_version
-from repro.store.ingest import (
-    ingest,
-    ingest_bench_file,
-    record_bench_entry,
-)
-from repro.store.query import aggregate_bench, aggregate_metric, format_rows
+from repro.store.ingest import ingest
+from repro.store.query import aggregate_metric, format_rows
 from repro.store.queue import Job
 from repro.store.server import make_server
 from repro.store.worker import (
@@ -42,6 +38,27 @@ from repro.store.worker import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+#: A v3 catalogue's ``bench`` table holding one row, and its index (the
+#: table is built from a SELECT so the legacy row comes with it).
+V3_BENCH_DDL = """
+CREATE TABLE bench AS SELECT
+    1 AS bench_id, 'env_throughput' AS benchmark,
+    'guessing/lru-4way' AS scenario, 'replay' AS variant, 32 AS num_envs,
+    NULL AS dtype, 'speedup' AS key, 3.6 AS value,
+    '2026-01-01T00:00:00' AS timestamp, 'BENCH_throughput.json' AS source;
+CREATE INDEX bench_by_key ON bench(benchmark, key);
+"""
+BENCH_OBJECTS = ("SELECT COUNT(*) FROM sqlite_master"
+                 " WHERE name IN ('bench', 'bench_by_key')")
+
+
+def _campaign_tables(conn) -> dict:
+    """Every row of the runs, provenance, cells, metrics and jobs tables."""
+    return {table: [tuple(row) for row in conn.fetchall(
+        f"SELECT * FROM {table} ORDER BY 1, 2")]
+        for table in ("runs", "provenance", "cells", "metrics", "jobs")}
 
 
 def chaos_spec(*cells: dict) -> ExperimentSpec:
@@ -58,9 +75,10 @@ class TestConnection:
             assert mode == "wal"
             tables = {r["name"] for r in conn.fetchall(
                 "SELECT name FROM sqlite_master WHERE type = 'table'")}
-            assert {"runs", "cells", "metrics", "bench", "jobs",
-                    "lease_events", "provenance", "meta", "idempotency",
-                    "telemetry_points", "telemetry_spans"} <= tables
+            assert tables == {"runs", "cells", "metrics", "jobs",
+                              "lease_events", "provenance", "meta",
+                              "idempotency", "telemetry_points",
+                              "telemetry_spans", "sqlite_sequence"}
 
     def test_refuses_newer_schema(self, tmp_path):
         path = tmp_path / "catalog.sqlite"
@@ -75,10 +93,10 @@ class TestConnection:
             with pytest.raises(RuntimeError):
                 with conn.transaction():
                     conn.execute(
-                        "INSERT INTO bench (benchmark, key, value, source)"
-                        " VALUES ('b', 'k', 1.0, 's')")
+                        "INSERT INTO lease_events (run_id, cell_index, event,"
+                        " at_unix) VALUES ('r', 0, 'claimed', 1)")
                     raise RuntimeError("boom")
-            assert conn.scalar("SELECT COUNT(*) FROM bench") == 0
+            assert conn.scalar("SELECT COUNT(*) FROM lease_events") == 0
 
     def test_shared_clock(self, tmp_path):
         with connect(tmp_path / "catalog.sqlite") as conn:
@@ -94,7 +112,7 @@ class TestConnection:
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "3"
+                               "WHERE key = 'schema_version'") == "4"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master "
                 "WHERE type = 'table' AND name = 'idempotency'") == 1
@@ -109,10 +127,29 @@ class TestConnection:
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "3"
+                               "WHERE key = 'schema_version'") == "4"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'"
                 " AND name IN ('telemetry_points', 'telemetry_spans')") == 2
+
+    def test_upgrades_v3_catalog_and_drops_bench(self, tmp_path):
+        # A v3 catalogue still holds the bench table that mirrored the
+        # BENCH_*.json files; upgrading drops it and keeps every campaign row.
+        root = tmp_path / "runs"
+        repro.run("table1", scale="smoke", root=root)
+        path = catalog_path(root)
+        with connect(path) as conn:
+            conn.executescript(V3_BENCH_DDL)
+            assert conn.scalar(BENCH_OBJECTS) == 2
+            conn.execute("UPDATE meta SET value = '3' "
+                         "WHERE key = 'schema_version'")
+            before = _campaign_tables(conn)
+        assert before["runs"] and before["cells"] and before["jobs"]
+        with connect(path) as conn:
+            assert conn.scalar("SELECT value FROM meta "
+                               "WHERE key = 'schema_version'") == "4"
+            assert conn.scalar(BENCH_OBJECTS) == 0
+            assert _campaign_tables(conn) == before
 
 
 # --------------------------------------------------------------------------
@@ -595,49 +632,6 @@ class TestIngest:
                 "SELECT COUNT(*) FROM cells WHERE run_id = 'table1-smoke'"
                 " AND status = 'completed'") == 4
 
-    def test_bench_file_roundtrip_and_replacement(self, tmp_path):
-        bench = tmp_path / "BENCH_t.json"
-        bench.write_text(json.dumps({"entries": [{
-            "benchmark": "env_throughput", "scenario": "s",
-            "timestamp": "2026-01-01T00:00:00",
-            "results": [{"workload": "replay", "num_envs": 32,
-                         "soa_steps_per_second": 100.0, "speedup": 2.5}],
-            "headline_speedup": 2.5,
-        }]}))
-        with Catalog(tmp_path / "catalog.sqlite") as catalog:
-            first = ingest_bench_file(catalog, bench)
-            again = ingest_bench_file(catalog, bench)
-            assert first == again
-            total = catalog.conn.scalar("SELECT COUNT(*) FROM bench")
-            assert total == first  # replaced, not appended
-            rows = aggregate_bench(catalog, "speedup", by="num_envs")
-            assert rows == [{"group": "32", "n": 1, "mean": 2.5,
-                             "min": 2.5, "max": 2.5}]
-
-    def test_record_bench_entry_appends(self, tmp_path):
-        entry = {"benchmark": "train_throughput",
-                 "results": [{"mode": "fast", "dtype": "float32",
-                              "updates_per_second": 10.0}],
-                 "speedups": {"updates_fast_vs_graph": 3.0}}
-        with Catalog(tmp_path / "catalog.sqlite") as catalog:
-            record_bench_entry(catalog, entry, "live")
-            record_bench_entry(catalog, entry, "live")
-            assert catalog.conn.scalar(
-                "SELECT COUNT(*) FROM bench WHERE key ="
-                " 'speedups.updates_fast_vs_graph'") == 2
-
-    def test_checked_in_bench_files_ingest(self, tmp_path):
-        """The repo's own BENCH_*.json trajectories must flatten cleanly."""
-        with Catalog(tmp_path / "catalog.sqlite") as catalog:
-            rows = 0
-            for name in ("BENCH_throughput.json", "BENCH_train.json",
-                         "BENCH_campaign.json"):
-                rows += ingest_bench_file(catalog, REPO_ROOT / name)
-            assert rows > 0
-            speedups = aggregate_bench(catalog, "speedup", by="num_envs",
-                                       benchmark="env_throughput")
-        assert speedups, "env_throughput speedup rows must survive ingest"
-
 
 # --------------------------------------------------------------------------
 @pytest.fixture
@@ -676,6 +670,14 @@ class TestServer:
         assert len(rows) == 4
         query = _get(port, "/api/query?metric=accuracy&by=attack_category")
         assert len(query["rows"]) == 4
+
+    def test_query_rejects_parameters_it_does_not_read(self, server_root):
+        root, port = server_root
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(port, "/api/query?bench=1&metric=speedup")
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert error.startswith("unknown query parameters ['bench'];")
 
     def test_unknown_routes_and_campaigns_404(self, server_root):
         root, port = server_root
@@ -743,7 +745,7 @@ class TestServer:
     def test_health_reports_version_and_uptime(self, server_root):
         root, port = server_root
         health = _get(port, "/api/health")
-        assert health["schema_version"] == 3
+        assert health["schema_version"] == 4
         assert health["started_unix"] > 1_700_000_000
         assert health["uptime_seconds"] >= 0.0
         assert health["code_version"]
@@ -943,7 +945,7 @@ class TestCLI:
             server.shutdown()
             server.server_close()
         out = capsys.readouterr().out
-        assert "table1-smoke" in out and "schema=v3" in out
+        assert "table1-smoke" in out and "schema=v4" in out
 
     def test_top_without_catalog_reports_error_frame(self, tmp_path, capsys):
         assert cli_main(["top", "--root", str(tmp_path / "nope"),
