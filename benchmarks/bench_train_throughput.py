@@ -1,12 +1,12 @@
-"""Training throughput: the compiled/fused RL fast path vs the legacy graph path.
+"""Training throughput: the compiled/fused RL fast path vs the reference graph.
 
-Measures PPO training on ``guessing/lru-4way`` (mlp backbone, default
+Measures PPO training on ``guessing/lru-4way`` (the tanh-MLP policy, default
 ``PPOConfig``) in three modes:
 
-* ``graph``        — the legacy path under
+* ``graph``        — the reference path under
   :func:`repro.autodiff.functional.composed_ops`: graph-based
-  ``policy.act()`` and composed per-primitive autodiff kernels, i.e. the
-  pre-fast-path execution model.  (The persistent rollout buffer and in-place Adam are
+  ``policy.act()`` and the composed per-primitive autodiff graph for every
+  PPO minibatch, i.e. the pre-fast-path execution model.  (The persistent rollout buffer and in-place Adam are
   active in every mode — they are bit-identical infrastructure — so the
   reported speedup is a conservative lower bound on the improvement over the
   true pre-PR code.)

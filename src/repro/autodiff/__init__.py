@@ -1,15 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-This subpackage is the numerical substrate of the reproduction: the paper
-trains its PPO agent with PyTorch, which is not available in this offline
-environment, so we provide a small but complete autodiff engine with the same
-semantics (tensors, gradient tape, optimizers, gradient checking).
+The paper trains its PPO agent with PyTorch, which this numpy-only
+reproduction does not use.  Training and acting run on graph-free kernels
+(:class:`repro.nn.compiled.CompiledForward`,
+:class:`repro.rl.fused_loss.FusedPPOLoss`); this subpackage is their parity
+oracle.  It carries only what the reference policy graph needs: tensors with
+a gradient tape, the categorical-policy ops in :mod:`.functional`, gradient
+checking, and the Adam optimizer that both paths update parameters with.
 """
 
 from repro.autodiff.tensor import (Tensor, no_grad, is_grad_enabled,
                                    default_dtype, get_default_dtype)
 from repro.autodiff import functional
-from repro.autodiff.optim import SGD, Adam, Optimizer
+from repro.autodiff.optim import Adam, Optimizer
 from repro.autodiff.gradcheck import numerical_gradient, check_gradients
 
 __all__ = [
@@ -20,7 +23,6 @@ __all__ = [
     "get_default_dtype",
     "functional",
     "Optimizer",
-    "SGD",
     "Adam",
     "numerical_gradient",
     "check_gradients",

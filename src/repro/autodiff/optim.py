@@ -17,7 +17,7 @@ formulas (see ``tests/test_compiled_policy.py``).  A parameter whose
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -147,43 +147,6 @@ class Optimizer:
                     if parameter.grad is not None:
                         parameter.grad *= scale
         return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for index, parameter in enumerate(self.parameters):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                if self._velocity[index] is None:
-                    self._velocity[index] = np.zeros_like(parameter.data)
-                self._velocity[index] = self.momentum * self._velocity[index] + grad
-                grad = self._velocity[index]
-            parameter.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {"velocity": [None if v is None else v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = state["velocity"]
-        if len(velocity) != len(self.parameters):
-            raise ValueError(f"velocity count mismatch: {len(velocity)} vs "
-                             f"{len(self.parameters)} parameters")
-        self._velocity = [None if v is None else np.array(v, dtype=np.float64)
-                          for v in velocity]
 
 
 class Adam(Optimizer):

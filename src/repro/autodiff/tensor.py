@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.determinism import fallback_rng
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -140,10 +139,6 @@ class Tensor:
         return len(self.data)
 
     # --------------------------------------------------------------- plumbing
-    @staticmethod
-    def _ensure(value: Union["Tensor", ArrayLike]) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
-
     def _coerce(self, value: Union["Tensor", ArrayLike]) -> "Tensor":
         """Wrap ``value`` as a Tensor matching this tensor's dtype.
 
@@ -307,33 +302,6 @@ class Tensor:
 
         return self._make_child(value, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(self.data.dtype)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * mask)
-
-        return self._make_child(self.data * mask, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * value * (1.0 - value))
-
-        return self._make_child(value, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * sign)
-
-        return self._make_child(np.abs(self.data), (self,), backward)
-
     def clip(self, low: float, high: float) -> "Tensor":
         mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
 
@@ -412,22 +380,6 @@ class Tensor:
 
         return self._make_child(self.data.reshape(shape), (self,), backward)
 
-    def transpose(self, *axes) -> "Tensor":
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inverse = np.argsort(axes)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.transpose(inverse))
-
-        return self._make_child(self.data.transpose(axes), (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __getitem__(self, index) -> "Tensor":
         def backward(out: Tensor) -> None:
             grad = np.zeros_like(self.data)
@@ -435,47 +387,3 @@ class Tensor:
             self._accumulate(grad)
 
         return self._make_child(self.data[index], (self,), backward)
-
-    # ----------------------------------------------------------- constructors
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(shape, rng: Optional[np.random.Generator] = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng if rng is not None else fallback_rng()
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._ensure(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(out: Tensor) -> None:
-            grads = np.split(out.grad, len(tensors), axis=axis)
-            for tensor, grad in zip(tensors, grads):
-                tensor._accumulate(np.squeeze(grad, axis=axis))
-
-        dummy = tensors[0]
-        return dummy._make_child(data, tensors, backward)
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._ensure(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(out: Tensor) -> None:
-            for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-                slicer = [slice(None)] * out.grad.ndim
-                slicer[axis] = slice(start, end)
-                tensor._accumulate(out.grad[tuple(slicer)])
-
-        dummy = tensors[0]
-        return dummy._make_child(data, tensors, backward)

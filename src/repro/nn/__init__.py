@@ -5,18 +5,18 @@ layers, the tanh activation, and the tanh MLP the PPO agent uses as its
 backbone (the paper's Transformer backbone is not reproduced; the paper
 reports that an MLP also finds the attacks, Sec. VI-B).
 
-Inference fast path
--------------------
+The graph and the compiled plan
+-------------------------------
 
-Training needs the autodiff graph; acting does not.
-:class:`repro.nn.compiled.CompiledForward` flattens the policy's MLP forward
+These modules build the reference autodiff graph of the policy.
+:class:`repro.nn.compiled.CompiledForward` flattens the same MLP forward
 pass into a sequence of pure-numpy kernels writing into preallocated
 shape-keyed buffers — no ``Tensor`` objects, no graph, no per-call
-allocation — with outputs bit-identical to the graph path.
-``ActorCriticPolicy.act()/.value()/.action_probabilities()`` always use the
-plan, except inside :func:`repro.autodiff.functional.composed_ops`, where
-every fast path is off and the graph runs everywhere (parity debugging,
-legacy benchmarking).
+allocation — with outputs bit-identical to the graph.  Acting
+(``ActorCriticPolicy.act()/.value()/.action_probabilities()``) and the fused
+PPO kernel's forward pass both run on the plan; only inside
+:func:`repro.autodiff.functional.composed_ops` does the policy run on the
+graph (parity tests, benchmarking the graph path).
 """
 
 from repro.nn.module import Module, Parameter

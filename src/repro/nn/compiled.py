@@ -1,21 +1,22 @@
-"""Graph-free compiled inference plans for actor-critic policies.
+"""Graph-free compiled forward plans for actor-critic policies.
 
-``ActorCriticPolicy.act()`` is called once per environment step during
-rollouts; the reverse-mode graph it builds is thrown away immediately because
-acting never needs gradients.  A :class:`CompiledForward` plan removes that
-overhead: it flattens the policy's tanh-MLP forward pass into a sequence of
+A :class:`CompiledForward` plan is the policy's one forward pass outside the
+reference graph: it flattens the tanh-MLP forward pass into a sequence of
 pure-numpy kernel calls that write into preallocated, *shape-keyed* buffers —
 no :class:`~repro.autodiff.Tensor` objects, no graph, and no per-call
-allocation beyond the small output arrays.
+allocation beyond the small output arrays.  Acting runs on it once per
+environment step, and :class:`repro.rl.fused_loss.FusedPPOLoss` runs each
+minibatch's forward pass on it, reading the activations and softmax
+intermediates the plan leaves in its workspace for the backward pass.
 
 The plan replays exactly the same numpy operations (same op order, same
-intermediate values) as the graph path, so its outputs — actions, log-probs,
+intermediate values) as the graph, so its outputs — actions, log-probs,
 values, and consumed RNG stream — are **bit-identical** to
 ``Tensor``-based inference (enforced by ``tests/test_compiled_policy.py``).
 
 Plans are built lazily by :meth:`repro.rl.policy.ActorCriticPolicy.compiled`.
-Inside :func:`repro.autodiff.functional.composed_ops` the policy keeps the
-graph path (the reference used for parity testing and legacy benchmarking).
+Inside :func:`repro.autodiff.functional.composed_ops` the policy runs on the
+graph instead (the reference used for parity testing and benchmarking).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class _DistributionBuffers:
         self.log_probs = np.empty((batch, num_actions), dtype=dtype)
         self.exp = np.empty((batch, num_actions), dtype=dtype)
         self.total = np.empty((batch, 1), dtype=dtype)
+        self.log_total = np.empty((batch, 1), dtype=dtype)
         self.cumulative = np.empty((batch, num_actions), dtype=dtype)
         self.above = np.empty((batch, num_actions), dtype=bool)
         self.batch_index = np.arange(batch)
@@ -85,9 +87,12 @@ class CompiledForward:
     def _allocate(self, batch: int) -> dict:
         policy = self.policy
         dtype = self.dtype
-        # One output buffer per linear step; tanh works in place.
-        steps = [np.empty((batch, module.out_features), dtype=dtype)
-                 if kind == "linear" else None for kind, module in self._steps]
+        # steps[p] holds step p's output: each linear step gets its own
+        # buffer, and tanh works in place on its input's buffer.
+        steps = []
+        for kind, module in self._steps:
+            steps.append(np.empty((batch, module.out_features), dtype=dtype)
+                         if kind == "linear" else steps[-1])
         return {"steps": steps,
                 "logits": np.empty((batch, policy.num_actions), dtype=dtype),
                 "values": np.empty((batch, 1), dtype=dtype),
@@ -100,9 +105,9 @@ class CompiledForward:
             if kind == "linear":
                 np.matmul(current, module.weight.data, out=buffer)
                 buffer += module.bias.data
-                current = buffer
-            else:  # tanh
-                np.tanh(current, out=current)
+            else:  # tanh, in place: ``buffer`` is ``current``
+                np.tanh(current, out=buffer)
+            current = buffer
         return current
 
     def _heads(self, observations: np.ndarray, ws: dict,
@@ -124,8 +129,8 @@ class CompiledForward:
         np.subtract(logits, dist.maximum, out=dist.log_probs)
         np.exp(dist.log_probs, out=dist.exp)
         np.sum(dist.exp, axis=-1, keepdims=True, out=dist.total)
-        np.log(dist.total, out=dist.total)
-        dist.log_probs -= dist.total
+        np.log(dist.total, out=dist.log_total)
+        dist.log_probs -= dist.log_total
         return dist.log_probs
 
     # -------------------------------------------------------------- inference

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.determinism import fallback_rng
@@ -17,23 +16,14 @@ class Categorical:
 
     ``logits`` has shape (batch, num_actions).  Sampling uses numpy (no
     gradient flows through sampling); ``log_prob`` and ``entropy`` are
-    differentiable so they can appear in the PPO loss.
-
-    When the fused functional kernels are active (the default), the
-    logits -> log-softmax reduction is a single graph node and ``entropy()``
-    reuses its saved ``exp``/``sum`` intermediates instead of re-reducing the
-    logits — bit-identical to the composed primitive chains, several times
-    fewer Python ops.
+    differentiable so they can appear in the PPO loss.  ``entropy()`` builds
+    its own log-softmax chain from the logits, as the fused PPO kernel's
+    backward pass assumes (its two log-softmax gradients meet at the logits).
     """
 
     def __init__(self, logits: Tensor):
         self.logits = logits
-        self._cache: Optional[tuple] = None
-        if F.FUSED:
-            self._log_probs, log_p, exp, total = F.fused_log_softmax_node(logits)
-            self._cache = (log_p, exp, total)
-        else:
-            self._log_probs = F.log_softmax(logits, axis=-1)
+        self._log_probs = F.log_softmax(logits, axis=-1)
 
     @property
     def probs(self) -> np.ndarray:
@@ -55,8 +45,4 @@ class Categorical:
         return F.gather_log_prob(self._log_probs, actions)
 
     def entropy(self) -> Tensor:
-        if self._cache is not None:
-            log_p, exp, total = self._cache
-            return F.entropy_from_log_softmax(self.logits, log_p, exp, total,
-                                              axis=-1)
         return F.categorical_entropy(self.logits, axis=-1)

@@ -1,4 +1,4 @@
-"""Weight-initialization helpers."""
+"""Orthogonal weight initialization."""
 
 from __future__ import annotations
 
@@ -19,10 +19,3 @@ def orthogonal(shape: tuple, gain: float = 1.0,
         q = q.T
     return gain * q[:rows, :cols]
 
-
-def xavier_uniform(shape: tuple, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    rng = rng if rng is not None else fallback_rng()
-    fan_in, fan_out = shape[0], shape[1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)

@@ -6,18 +6,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.nn.init import orthogonal
 from repro.nn.module import Module, Parameter
 
 
 class Linear(Module):
-    """Fully-connected layer ``y = x W + b``.
+    """Fully-connected layer ``y = x W + b`` (a matmul and a broadcast add).
 
-    The forward pass goes through the fused :func:`repro.autodiff.functional.linear`
-    kernel — one graph node instead of a matmul + broadcast-add chain, with
-    bit-identical outputs and gradients.
+    The compiled plan and the fused PPO kernel replay the same two numpy
+    operations, so their outputs and gradients match this graph bit for bit.
     """
 
     def __init__(self, in_features: int, out_features: int, gain: float = np.sqrt(2.0),
@@ -30,7 +28,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="bias")
 
     def forward(self, inputs: Tensor) -> Tensor:
-        return F.linear(inputs, self.weight, self.bias)
+        return inputs @ self.weight + self.bias
 
 
 class Tanh(Module):

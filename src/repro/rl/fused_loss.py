@@ -1,15 +1,17 @@
 """Graph-free fused PPO minibatch kernel.
 
-``PPOUpdater._batch_loss`` normally builds a reverse-mode graph of ~40 Tensor
-nodes per minibatch and walks it backwards.  For the policy's tanh MLP this
-module computes the same loss and the same parameter gradients with a
-hand-written forward + backward pass: a fixed sequence of numpy kernels with
-no Tensor objects, no graph, and every large ``(batch, features)``
-activation/gradient/distribution intermediate coming from a preallocated,
-shape-keyed workspace.  (Small ``(batch,)`` temporaries in the
-surrogate/value chains and ``(batch, actions)`` ones in the shared
-log-softmax/entropy gradient helpers are still allocated per call — they are
-a negligible fraction of the removed overhead.)
+Every PPO minibatch update runs here, except inside
+:func:`repro.autodiff.functional.composed_ops`, where
+``PPOUpdater._batch_loss`` builds the reference: a reverse-mode graph of ~40
+Tensor nodes per minibatch.  This module computes the same loss and the same
+parameter gradients with no Tensor objects and no graph: the forward pass is
+the policy's own :class:`~repro.nn.compiled.CompiledForward` plan, and the
+backward pass is a hand-written, fixed sequence of numpy kernels.  Every large
+``(batch, features)`` activation/gradient/distribution intermediate lives in
+a preallocated, shape-keyed workspace (the plan's or this kernel's).  (Small
+``(batch,)`` temporaries in the surrogate/value chains and
+``(batch, actions)`` ones in the shared log-softmax/entropy gradient helpers
+are still allocated per call — they are a negligible fraction of the work.)
 
 **Bit-parity contract.** Every backward formula below replays the exact
 elementwise op order the composed graph would execute, and joins (tensors
@@ -27,7 +29,6 @@ from typing import Dict
 import numpy as np
 
 from repro.autodiff.functional import entropy_grad, log_softmax_grad
-from repro.nn.compiled import _flatten_feedforward
 from repro.rl.buffer import RolloutBatch
 
 
@@ -48,10 +49,12 @@ class FusedPPOLoss:
     def __init__(self, policy, config):
         self.policy = policy
         self.config = config
-        self.dtype = policy.policy_head.weight.data.dtype
-        # The MLP opens with a linear layer, where the backward pass stops
-        # (observations need no gradient).
-        self._steps = _flatten_feedforward(policy.feature_extractor)
+        # The policy's own plan runs the forward pass, and its workspace
+        # holds every activation the backward pass reads.  The MLP opens
+        # with a linear layer, where the backward pass stops (observations
+        # need no gradient).
+        self.plan = policy.compiled
+        self.dtype = self.plan.dtype
         self._workspaces: Dict[int, dict] = {}
         self._one = np.ones((), dtype=self.dtype)
 
@@ -61,35 +64,24 @@ class FusedPPOLoss:
         if ws is None:
             dtype = self.dtype
             policy = self.policy
-            # activations[p] is step p's output; grads[p] is the gradient
-            # w.r.t. step p's *input* (so a step never writes into the buffer
-            # it is still reading the downstream gradient from).
-            ws = {"activations": [], "grads": []}
+            # grads[p] is the gradient w.r.t. step p's *input* (so a step
+            # never writes into the buffer it is still reading the
+            # downstream gradient from).  Step 0 never propagates a gradient
+            # to the observations, so it needs no input-gradient buffer.
+            ws = {"grads": []}
             width = policy.observation_size
-            for position, (kind, module) in enumerate(self._steps):
-                in_width = width
+            for position, (kind, module) in enumerate(self.plan._steps):
+                ws["grads"].append(None if position == 0 else
+                                   np.empty((batch, width), dtype=dtype))
                 if kind == "linear":
                     width = module.out_features
-                ws["activations"].append(np.empty((batch, width), dtype=dtype))
-                # Step 0 never propagates a gradient to the observations,
-                # so it needs no input-gradient buffer.
-                ws["grads"].append(None if position == 0 else
-                                   np.empty((batch, in_width), dtype=dtype))
             actions = policy.num_actions
-            for name, shape in (("logits", (batch, actions)),
-                                ("logits_grad", (batch, actions)),
-                                ("values2d", (batch, 1)),
-                                ("maximum", (batch, 1)),
-                                ("log_probs", (batch, actions)),
-                                ("exp", (batch, actions)),
-                                ("total", (batch, 1)),
-                                ("log_total", (batch, 1)),
+            for name, shape in (("logits_grad", (batch, actions)),
                                 ("probs", (batch, actions)),
                                 ("prod", (batch, actions)),
                                 ("scatter", (batch, actions)),
                                 ("features_grad", (batch, width))):
                 ws[name] = np.empty(shape, dtype=dtype)
-            ws["batch_index"] = np.arange(batch)
             ws["obs"] = None
             # Comparison against the rollout buffer's native float64, not a
             # cast: float64 policies reuse the buffer's arrays as-is.
@@ -107,8 +99,9 @@ class FusedPPOLoss:
         """
         config = self.config
         policy = self.policy
-        ws = self._workspace(batch.observations.shape[0])
+        plan = self.plan
         count = batch.observations.shape[0]
+        ws = self._workspace(count)
         dtype = self.dtype
 
         observations = batch.observations
@@ -126,32 +119,15 @@ class FusedPPOLoss:
             old_values = old_values.astype(dtype)
 
         # ---------------------------------------------------------- forward
-        current = observations
-        for (kind, module), out in zip(self._steps, ws["activations"]):
-            if kind == "linear":
-                np.matmul(current, module.weight.data, out=out)
-                out += module.bias.data
-            else:  # tanh
-                np.tanh(current, out=out)
-            current = out
-        features = current
-        logits = ws["logits"]
-        np.matmul(features, policy.policy_head.weight.data, out=logits)
-        logits += policy.policy_head.bias.data
-        values2d = ws["values2d"]
-        np.matmul(features, policy.value_head.weight.data, out=values2d)
-        values2d += policy.value_head.bias.data
+        # outputs[p] is step p's output; dist keeps exp/total for backward.
+        forward = plan._workspace(count)
+        logits, values2d = plan._heads(observations, forward)
         values = values2d.reshape(-1)
-
-        # log-softmax (saving exp/total for the backward pass)
-        np.amax(logits, axis=-1, keepdims=True, out=ws["maximum"])
-        np.subtract(logits, ws["maximum"], out=ws["log_probs"])
-        np.exp(ws["log_probs"], out=ws["exp"])
-        np.sum(ws["exp"], axis=-1, keepdims=True, out=ws["total"])
-        np.log(ws["total"], out=ws["log_total"])
-        ws["log_probs"] -= ws["log_total"]
-        log_probs_all = ws["log_probs"]
-        picked = log_probs_all[(ws["batch_index"][:count], batch.actions)]
+        dist = forward["dist"]
+        log_probs_all = plan._log_probs(logits, dist)
+        outputs = forward["steps"]
+        features = outputs[-1]
+        picked = log_probs_all[(dist.batch_index, batch.actions)]
 
         # entropy
         np.exp(log_probs_all, out=ws["probs"])
@@ -196,7 +172,7 @@ class FusedPPOLoss:
         logits_grad = ws["logits_grad"]
         np.copyto(logits_grad, entropy_grad(grad_entropy_vector, -1,
                                             log_probs_all, ws["probs"],
-                                            ws["exp"], ws["total"]))
+                                            dist.exp, dist.total))
 
         # policy-loss branch -> ratio -> picked log-probs -> logits
         grad_surrogate = np.broadcast_to(np.negative(one) / count, surrogate.shape)
@@ -206,8 +182,8 @@ class FusedPPOLoss:
         grad_picked = grad_ratio * ratio
         scatter = ws["scatter"]
         scatter[...] = 0.0
-        np.add.at(scatter, (ws["batch_index"][:count], batch.actions), grad_picked)
-        logits_grad += log_softmax_grad(scatter, -1, ws["exp"], ws["total"])
+        np.add.at(scatter, (dist.batch_index, batch.actions), grad_picked)
+        logits_grad += log_softmax_grad(scatter, -1, dist.exp, dist.total)
 
         # value-loss branch -> values
         value_coefficient = np.asarray(config.value_coefficient, dtype=dtype)
@@ -244,12 +220,12 @@ class FusedPPOLoss:
 
         # backbone, in reverse
         grad_current = features_grad
-        for position in range(len(self._steps) - 1, -1, -1):
-            kind, module = self._steps[position]
-            below = ws["activations"][position - 1] if position > 0 else observations
+        for position in range(len(plan._steps) - 1, -1, -1):
+            kind, module = plan._steps[position]
+            below = outputs[position - 1] if position > 0 else observations
             target = ws["grads"][position]
             if kind == "tanh":
-                value = ws["activations"][position]
+                value = outputs[position]
                 np.multiply(value, value, out=target)
                 np.subtract(1.0, target, out=target)
                 target *= grad_current

@@ -10,6 +10,13 @@ from repro.env.config import EnvConfig
 from repro.env.guessing_game import CacheGuessingGameEnv
 
 
+def pytest_configure(config):
+    # Registered so --strict-markers accepts it; nothing deselects it, so
+    # slow tests still run in the default suite.
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end test (runs by default)")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

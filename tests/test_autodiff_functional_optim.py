@@ -1,28 +1,22 @@
-"""Tests for functional ops (softmax family) and the optimizers."""
+"""Tests for the functional ops (log-softmax family) and the optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, SGD, Tensor, check_gradients, functional as F
+from repro.autodiff import Adam, Tensor, check_gradients, functional as F
 
 
 class TestFunctional:
-    def test_softmax_sums_to_one(self, rng):
-        logits = Tensor(rng.standard_normal((5, 7)))
-        probabilities = F.softmax(logits).numpy()
+    def test_log_softmax_is_a_log_distribution(self, rng):
+        probabilities = np.exp(F.log_softmax(Tensor(rng.standard_normal((5, 7)))).numpy())
         assert np.allclose(probabilities.sum(axis=-1), 1.0)
         assert np.all(probabilities >= 0.0)
 
-    def test_softmax_is_shift_invariant(self, rng):
+    def test_log_softmax_is_shift_invariant(self, rng):
         logits = rng.standard_normal((3, 4))
-        a = F.softmax(Tensor(logits)).numpy()
-        b = F.softmax(Tensor(logits + 100.0)).numpy()
+        a = F.log_softmax(Tensor(logits)).numpy()
+        b = F.log_softmax(Tensor(logits + 100.0)).numpy()
         assert np.allclose(a, b)
-
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        logits = Tensor(rng.standard_normal((4, 6)))
-        assert np.allclose(F.log_softmax(logits).numpy(),
-                           np.log(F.softmax(logits).numpy()))
 
     def test_gather_log_prob(self):
         log_probs = Tensor(np.log(np.array([[0.2, 0.8], [0.5, 0.5]])))
@@ -37,38 +31,17 @@ class TestFunctional:
         logits = Tensor(np.array([[100.0, 0.0, 0.0]]))
         assert F.categorical_entropy(logits).numpy()[0] < 1e-3
 
-    def test_cross_entropy_perfect_prediction(self):
-        logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))
-        assert F.cross_entropy(logits, np.array([0, 1])).item() < 1e-3
+    def test_log_softmax_gradcheck(self, rng):
+        logits = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        targets = np.array([0, 3, 1, 2, 2])
+        assert check_gradients(
+            lambda: -(F.gather_log_prob(F.log_softmax(logits), targets).mean()),
+            [logits])
 
-    def test_mse_loss(self):
-        prediction = Tensor([1.0, 2.0, 3.0])
-        assert np.isclose(F.mse_loss(prediction, np.array([1.0, 2.0, 5.0])).item(), 4.0 / 3.0)
-
-    def test_huber_loss_small_errors_quadratic(self):
-        prediction = Tensor([0.5])
-        assert np.isclose(F.huber_loss(prediction, np.array([0.0])).item(), 0.125)
-
-    def test_huber_loss_large_errors_linear(self):
-        prediction = Tensor([10.0])
-        assert np.isclose(F.huber_loss(prediction, np.array([0.0])).item(), 9.5)
-
-    def test_softmax_gradient_matches_numerical(self, rng):
-        logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        targets = np.array([0, 2, 1])
-
-        def loss():
-            return F.cross_entropy(logits, targets)
-
-        assert check_gradients(loss, [logits])
-
-    def test_entropy_gradient_matches_numerical(self, rng):
-        logits = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-
-        def loss():
-            return F.categorical_entropy(logits).sum()
-
-        assert check_gradients(loss, [logits], tolerance=1e-3)
+    def test_entropy_gradcheck(self, rng):
+        logits = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        assert check_gradients(
+            lambda: F.categorical_entropy(logits).mean(), [logits])
 
 
 class TestOptimizers:
@@ -76,24 +49,6 @@ class TestOptimizers:
         target = Tensor(np.array([3.0, -2.0, 0.5]))
         diff = parameter - target
         return (diff * diff).sum()
-
-    def test_sgd_converges_on_quadratic(self):
-        parameter = Tensor(np.zeros(3), requires_grad=True)
-        optimizer = SGD([parameter], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            self._quadratic(parameter).backward()
-            optimizer.step()
-        assert np.allclose(parameter.numpy(), [3.0, -2.0, 0.5], atol=1e-3)
-
-    def test_sgd_with_momentum_converges(self):
-        parameter = Tensor(np.zeros(3), requires_grad=True)
-        optimizer = SGD([parameter], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            optimizer.zero_grad()
-            self._quadratic(parameter).backward()
-            optimizer.step()
-        assert np.allclose(parameter.numpy(), [3.0, -2.0, 0.5], atol=1e-2)
 
     def test_adam_converges_on_quadratic(self):
         parameter = Tensor(np.zeros(3), requires_grad=True)
@@ -106,7 +61,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_parameters(self):
         parameter = Tensor(np.array([10.0]), requires_grad=True)
-        optimizer = SGD([parameter], lr=0.1, weight_decay=1.0)
+        optimizer = Adam([parameter], lr=0.1, weight_decay=1.0)
         for _ in range(50):
             optimizer.zero_grad()
             # Zero loss gradient: only weight decay acts.
@@ -116,7 +71,7 @@ class TestOptimizers:
 
     def test_clip_grad_norm(self):
         parameter = Tensor(np.zeros(4), requires_grad=True)
-        optimizer = SGD([parameter], lr=0.1)
+        optimizer = Adam([parameter], lr=0.1)
         (parameter * 100.0).sum().backward()
         norm_before = float(np.linalg.norm(parameter.grad))
         reported = optimizer.clip_grad_norm(1.0)
@@ -125,48 +80,10 @@ class TestOptimizers:
 
     def test_optimizer_requires_parameters(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_step_skips_parameters_without_grad(self):
         parameter = Tensor(np.array([1.0]), requires_grad=True)
         optimizer = Adam([parameter], lr=0.1)
         optimizer.step()
         assert np.allclose(parameter.numpy(), [1.0])
-
-
-class TestFusedKernels:
-    """The fused single-node kernels agree with the composed primitive chains."""
-
-    def test_composed_ops_context_toggles_flag(self):
-        assert F.FUSED
-        with F.composed_ops():
-            assert not F.FUSED
-        assert F.FUSED
-
-    def test_log_softmax_forward_matches_composed(self):
-        logits = np.random.default_rng(0).standard_normal((6, 5)) * 4
-        fused = F.log_softmax(Tensor(logits)).numpy()
-        with F.composed_ops():
-            composed = F.log_softmax(Tensor(logits)).numpy()
-        assert np.array_equal(fused, composed)
-
-    def test_entropy_gradcheck(self):
-        logits = Tensor(np.random.default_rng(1).standard_normal((4, 5)),
-                        requires_grad=True)
-        assert check_gradients(
-            lambda: F.categorical_entropy(logits).mean(), [logits])
-
-    def test_log_softmax_gradcheck_via_cross_entropy(self):
-        logits = Tensor(np.random.default_rng(2).standard_normal((5, 4)),
-                        requires_grad=True)
-        targets = np.array([0, 3, 1, 2, 2])
-        assert check_gradients(lambda: F.cross_entropy(logits, targets), [logits])
-
-    def test_fused_linear_gradcheck(self):
-        rng = np.random.default_rng(3)
-        weight = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        bias = Tensor(rng.standard_normal(3), requires_grad=True)
-        inputs = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        assert check_gradients(
-            lambda: (F.linear(inputs, weight, bias) ** 2).sum(),
-            [inputs, weight, bias])

@@ -67,15 +67,6 @@ class TestBasicOps:
         result = Tensor([-100.0, 0.0, 100.0]).tanh().numpy()
         assert np.allclose(result, [-1.0, 0.0, 1.0])
 
-    def test_relu(self):
-        assert np.allclose(Tensor([-1.0, 0.5]).relu().numpy(), [0.0, 0.5])
-
-    def test_sigmoid(self):
-        assert np.isclose(Tensor([0.0]).sigmoid().item(), 0.5)
-
-    def test_abs(self):
-        assert np.allclose(Tensor([-2.0, 3.0]).abs().numpy(), [2.0, 3.0])
-
     def test_clip(self):
         assert np.allclose(Tensor([-2.0, 0.5, 3.0]).clip(0.0, 1.0).numpy(), [0.0, 0.5, 1.0])
 
@@ -92,24 +83,14 @@ class TestBasicOps:
         assert np.allclose(x.sum(axis=0).numpy(), [4.0, 6.0])
         assert np.allclose(x.mean(axis=1).numpy(), [1.5, 3.5])
 
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         x = Tensor(np.arange(6.0))
         assert x.reshape(2, 3).shape == (2, 3)
-        assert x.reshape((3, 2)).T.shape == (2, 3)
+        assert x.reshape((3, 2)).shape == (3, 2)
 
     def test_getitem(self):
         x = Tensor(np.arange(10.0))
         assert np.allclose(x[2:5].numpy(), [2.0, 3.0, 4.0])
-
-    def test_stack_concatenate(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        assert Tensor.stack([a, b]).shape == (2, 2)
-        assert Tensor.concatenate([a, b]).shape == (4,)
-
-    def test_constructors(self):
-        assert Tensor.zeros((2, 3)).shape == (2, 3)
-        assert np.allclose(Tensor.ones((2,)).numpy(), [1.0, 1.0])
-        assert Tensor.randn((4, 4), rng=np.random.default_rng(0)).shape == (4, 4)
 
     def test_len_and_item(self):
         assert len(Tensor([1.0, 2.0, 3.0])) == 3
@@ -149,7 +130,7 @@ class TestGradients:
         x = Tensor(rng.standard_normal(5) * 0.5 + 1.5, requires_grad=True)
 
         def loss():
-            return (x.log() + x.exp() * x.tanh() + x.sigmoid()).sum()
+            return (x.log() + x.exp() * x.tanh()).sum()
 
         assert check_gradients(loss, [x])
 
@@ -211,17 +192,3 @@ class TestGradients:
         x = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
         x.clip(0.0, 1.0).sum().backward()
         assert np.allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_stack_gradient(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        Tensor.stack([a, b]).sum().backward()
-        assert np.allclose(a.grad, [1.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 1.0])
-
-    def test_concatenate_gradient(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0], requires_grad=True)
-        (Tensor.concatenate([a, b]) * Tensor([1.0, 2.0, 3.0])).sum().backward()
-        assert np.allclose(a.grad, [1.0, 2.0])
-        assert np.allclose(b.grad, [3.0])

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, SGD
+from repro.autodiff import Adam
 from repro.nn import Linear
 from repro.rl import PPOConfig, PPOTrainer
 from repro.rl.replay import AttackExtraction
@@ -194,17 +194,6 @@ class TestOptimizerStateDict:
         optimizer = Adam(layer.parameters())
         with pytest.raises(ValueError):
             optimizer.load_state_dict({"step": 0, "m": [], "v": []})
-
-    def test_sgd_roundtrip(self, rng):
-        layer = Linear(4, 3, rng=rng)
-        optimizer = SGD(layer.parameters(), lr=1e-2, momentum=0.9)
-        for parameter in layer.parameters():
-            parameter.grad = np.ones_like(parameter.data)
-        optimizer.step()
-        other = SGD(layer.parameters(), lr=1e-2, momentum=0.9)
-        other.load_state_dict(optimizer.state_dict())
-        for a, b in zip(other._velocity, optimizer._velocity):
-            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestResultSerialization:

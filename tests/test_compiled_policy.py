@@ -5,22 +5,20 @@ graph path:
 
 * compiled ``act``/``value``/``action_probabilities`` vs graph inference,
   across MLP depths, dtypes, seeds, and deterministic/sampled modes;
-* fused functional kernels (linear, softmax, log-softmax, entropy) vs the
-  composed primitive chains, forward and backward;
 * the fused graph-free PPO minibatch kernel vs graph-based updates — up to
   whole-training-history equality;
 * the in-place Adam/clip rewrite vs the textbook out-of-place formulas.
 
 A guard test asserts the fast paths are actually taken during a default
-``PPOTrainer`` run, so a silent fallback cannot rot the speedup.
+``PPOTrainer`` run, and that it builds no graph, so a silent fallback cannot
+rot the speedup.
 """
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, Tensor, check_gradients
+from repro.autodiff import Adam, Tensor
 from repro.autodiff import functional as F
-from repro.nn import Categorical
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOUpdater
@@ -130,95 +128,6 @@ class TestCompiledActParity:
             policy.compiled
         with pytest.raises(TypeError, match="Doubler"):
             PPOUpdater(policy, PPOConfig())._fused()
-
-
-class TestFusedFunctionalParity:
-    def _grad_pair(self, build):
-        results = []
-        for fused in (True, False):
-            context = F.composed_ops() if not fused else None
-            if context:
-                context.__enter__()
-            try:
-                tensor, loss = build()
-                loss.backward()
-                results.append((loss.data.copy(), tensor.grad.copy()))
-            finally:
-                if context:
-                    context.__exit__(None, None, None)
-        return results
-
-    @pytest.mark.parametrize("shape", [(7, 5), (2, 6, 6)])
-    def test_softmax_gradients_bitwise(self, shape):
-        data = np.random.default_rng(0).standard_normal(shape) * 3
-        weights = np.random.default_rng(1).standard_normal(shape)
-
-        def build():
-            tensor = Tensor(data.copy(), requires_grad=True)
-            return tensor, (F.softmax(tensor, axis=-1) * Tensor(weights)).sum()
-
-        (loss_fused, grad_fused), (loss_ref, grad_ref) = self._grad_pair(build)
-        assert np.array_equal(loss_fused, loss_ref)
-        assert np.array_equal(grad_fused, grad_ref)
-
-    def test_log_softmax_and_entropy_gradients_bitwise(self):
-        data = np.random.default_rng(2).standard_normal((9, 4)) * 2
-        actions = np.random.default_rng(3).integers(0, 4, size=9)
-        advantages = np.random.default_rng(4).standard_normal(9)
-
-        def build():
-            tensor = Tensor(data.copy(), requires_grad=True)
-            distribution = Categorical(tensor)
-            log_probs = distribution.log_prob(actions)
-            entropy = distribution.entropy().mean()
-            loss = -(log_probs * Tensor(advantages)).mean() - 0.01 * entropy
-            return tensor, loss
-
-        (loss_fused, grad_fused), (loss_ref, grad_ref) = self._grad_pair(build)
-        assert np.array_equal(loss_fused, loss_ref)
-        assert np.array_equal(grad_fused, grad_ref)
-
-    def test_fused_linear_gradients_bitwise(self):
-        from repro.nn import Linear
-
-        data = np.random.default_rng(5).standard_normal((6, 4))
-
-        def build_with(fused):
-            context = F.composed_ops() if not fused else None
-            if context:
-                context.__enter__()
-            try:
-                layer = Linear(4, 3, rng=np.random.default_rng(0))
-                tensor = Tensor(data.copy(), requires_grad=True)
-                loss = (layer(tensor) * layer(tensor)).sum()
-                loss.backward()
-                return (loss.data.copy(), tensor.grad.copy(),
-                        layer.weight.grad.copy(), layer.bias.grad.copy())
-            finally:
-                if context:
-                    context.__exit__(None, None, None)
-
-        for fast, reference in zip(build_with(True), build_with(False)):
-            assert np.array_equal(fast, reference)
-
-    def test_gradcheck_fused_log_softmax(self):
-        logits = Tensor(np.random.default_rng(6).standard_normal((4, 5)),
-                        requires_grad=True)
-        targets = np.array([0, 2, 4, 1])
-        assert check_gradients(lambda: F.cross_entropy(logits, targets), [logits])
-
-    def test_gradcheck_fused_entropy(self):
-        logits = Tensor(np.random.default_rng(7).standard_normal((3, 6)),
-                        requires_grad=True)
-        assert check_gradients(
-            lambda: F.categorical_entropy(logits).mean(), [logits])
-
-    def test_gradcheck_fused_softmax(self):
-        logits = Tensor(np.random.default_rng(8).standard_normal((3, 4)),
-                        requires_grad=True)
-        weights = np.random.default_rng(9).standard_normal((3, 4))
-        assert check_gradients(
-            lambda: (F.softmax(logits) * Tensor(weights)).sum(), [logits])
 
 
 class TestFusedUpdateParity:
@@ -333,12 +242,24 @@ class TestFusedUpdateParity:
 
 
 class TestGuardFastPathTaken:
-    def test_default_trainer_uses_compiled_and_fused_paths(self):
+    def test_default_trainer_uses_compiled_and_fused_paths(self, monkeypatch):
+        nodes = []
+        make_child = Tensor._make_child
+
+        def counting(self, *args, **kwargs):
+            nodes.append(1)
+            return make_child(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_make_child", counting)
         trainer = PPOTrainer("guessing/lru-4way", seed=0,
                              ppo_config=PPOConfig(horizon=16, num_envs=4,
                                                   minibatch_size=32,
                                                   update_epochs=1))
-        trainer.train(max_updates=1, eval_every=5)
+        # The last update always evaluates, so the run includes one evaluation.
+        result = trainer.train(max_updates=1, eval_every=5)
+        assert any("eval_accuracy" in record
+                   for record in result.history.updates)
+        assert not nodes, f"the run built {len(nodes)} autodiff graph nodes"
         assert trainer.policy.compiled is not None
         assert trainer.policy.compiled_call_count > 0, \
             "compiled inference plan was silently bypassed"

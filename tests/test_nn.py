@@ -12,7 +12,7 @@ from repro.nn import (
     Sequential,
     Tanh,
 )
-from repro.nn.init import orthogonal, xavier_uniform
+from repro.nn.init import orthogonal
 
 
 class TestLayers:
@@ -107,11 +107,6 @@ class TestInit:
     def test_orthogonal_gain(self, rng):
         weight = orthogonal((4, 4), gain=2.0, rng=rng)
         assert np.allclose(weight @ weight.T, 4.0 * np.eye(4), atol=1e-8)
-
-    def test_xavier_bounds(self, rng):
-        weight = xavier_uniform((10, 20), rng=rng)
-        limit = np.sqrt(6.0 / 30.0)
-        assert np.all(np.abs(weight) <= limit + 1e-12)
 
 
 class TestCategorical:
