@@ -1,4 +1,5 @@
-"""Tests for the functional ops (log-softmax family) and the optimizer."""
+"""Tests for the functional ops (log-softmax family), the fused kernel's
+backward helpers and the optimizer."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ class TestFunctional:
         a = F.log_softmax(Tensor(logits)).numpy()
         b = F.log_softmax(Tensor(logits + 100.0)).numpy()
         assert np.allclose(a, b)
+
+    def test_log_softmax_matches_log_of_softmax(self, rng):
+        logits = rng.standard_normal((4, 6))
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        reference = np.log(exp / exp.sum(axis=-1, keepdims=True))
+        assert np.allclose(F.log_softmax(Tensor(logits)).numpy(), reference)
+
+    def test_log_softmax_along_leading_axis(self, rng):
+        logits = rng.standard_normal((5, 3))
+        along_rows = F.log_softmax(Tensor(logits), axis=0).numpy()
+        transposed = F.log_softmax(Tensor(logits.T.copy())).numpy().T
+        assert np.allclose(along_rows, transposed)
 
     def test_gather_log_prob(self):
         log_probs = Tensor(np.log(np.array([[0.2, 0.8], [0.5, 0.5]])))
@@ -42,6 +55,57 @@ class TestFunctional:
         logits = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         assert check_gradients(
             lambda: F.categorical_entropy(logits).mean(), [logits])
+
+
+# (batch, classes) shapes for the bitwise backward-helper tests: one row of
+# two classes, a small batch, and a minibatch-sized batch.
+HELPER_SHAPES = pytest.mark.parametrize("shape", [(1, 2), (5, 7), (64, 17)],
+                                        ids=["1x2", "5x7", "64x17"])
+
+
+def _softmax_intermediates(logits: np.ndarray):
+    """The numpy intermediates the fused kernel saves for its backward pass."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    log_p = shifted - np.log(total)
+    return log_p, exp, total
+
+
+class TestFusedKernels:
+    """The fused PPO kernel's backward helpers replay the composed graph."""
+
+    def test_composed_ops_context_toggles_flag(self):
+        assert F.FUSED
+        with F.composed_ops():
+            assert not F.FUSED
+        assert F.FUSED
+
+    def test_composed_ops_restores_flag_after_error(self):
+        with pytest.raises(RuntimeError):
+            with F.composed_ops():
+                raise RuntimeError("inside the reference block")
+        assert F.FUSED
+
+    @HELPER_SHAPES
+    def test_log_softmax_grad_matches_graph_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        logits = Tensor(rng.standard_normal(shape), requires_grad=True)
+        upstream = rng.standard_normal(shape)
+        F.log_softmax(logits).backward(upstream)
+        _, exp, total = _softmax_intermediates(logits.numpy())
+        fused = F.log_softmax_grad(upstream, -1, exp, total)
+        assert np.array_equal(fused, logits.grad)
+
+    @HELPER_SHAPES
+    def test_entropy_grad_matches_graph_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        logits = Tensor(rng.standard_normal(shape), requires_grad=True)
+        upstream = rng.standard_normal(shape[0])
+        F.categorical_entropy(logits).backward(upstream)
+        log_p, exp, total = _softmax_intermediates(logits.numpy())
+        fused = F.entropy_grad(upstream, -1, log_p, np.exp(log_p), exp, total)
+        assert np.array_equal(fused, logits.grad)
 
 
 class TestOptimizers:

@@ -101,7 +101,48 @@ class TestBasicOps:
             Tensor([1.0, 2.0], requires_grad=True).backward()
 
 
+# One finite-difference check per differentiable primitive: each entry maps
+# two tensors ``a`` (3, 4) and ``b`` (3, 4), with entries in [0.5, 1.5) so
+# log/division/powers stay well conditioned, to a tensor whose sum is the
+# loss.  Entries with a different operand shape say so in the lambda.
+PRIMITIVES = {
+    "add": lambda a, b: a + b,
+    "radd": lambda a, b: 2.0 + a * b,
+    "add_broadcast_row": lambda a, b: a + b[0],
+    "sub": lambda a, b: a - b,
+    "rsub": lambda a, b: 1.0 - a * b,
+    "neg": lambda a, b: -(a * b),
+    "mul": lambda a, b: a * b,
+    "mul_broadcast_column": lambda a, b: a * b[:, :1],
+    "div": lambda a, b: a / b,
+    "rdiv": lambda a, b: 1.0 / (a + b),
+    "pow": lambda a, b: (a * b) ** 3,
+    "matmul": lambda a, b: a @ b.reshape(4, 3),
+    "matmul_vector_matrix": lambda a, b: a[0] @ b.reshape(4, 3),
+    "matmul_matrix_vector": lambda a, b: a @ b[0],
+    "matmul_vector_vector": lambda a, b: a[0] @ b[1],
+    "exp": lambda a, b: (a * b).exp(),
+    "log": lambda a, b: (a + b).log(),
+    "tanh": lambda a, b: (a - b).tanh(),
+    "maximum": lambda a, b: a.maximum(b),
+    "minimum": lambda a, b: a.minimum(b),
+    "sum_axis_keepdims": lambda a, b: a.sum(axis=-1, keepdims=True) * b,
+    "mean_axis": lambda a, b: a.mean(axis=0) * b[1],
+    "max_axis_keepdims": lambda a, b: a.max(axis=-1, keepdims=True) * b,
+    "reshape": lambda a, b: a.reshape(4, 3) * b.reshape(4, 3),
+    "getitem_pairs": lambda a, b: a[(np.arange(3), np.array([2, 0, 3]))] * b[:, 1],
+}
+
+
 class TestGradients:
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_primitive_gradcheck(self, name):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
+        b = Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
+        operation = PRIMITIVES[name]
+        assert check_gradients(lambda: operation(a, b).sum(), [a, b])
+
     def test_add_mul_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)

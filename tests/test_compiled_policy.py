@@ -130,6 +130,63 @@ class TestCompiledActParity:
             PPOUpdater(policy, PPOConfig())._fused()
 
 
+class TestCompiledWorkspace:
+    """What the fused PPO kernel reads from the plan's workspace."""
+
+    @DEPTHS
+    def test_steps_record_each_step_output(self, hidden_sizes):
+        from repro.autodiff import no_grad
+
+        policy = make_policy(hidden_sizes=hidden_sizes)
+        plan = policy.compiled
+        observations = np.random.default_rng(3).standard_normal((5, OBS_SIZE))
+        ws = plan._workspace(5)
+        plan._heads(observations, ws)
+        current, outputs = Tensor(observations), []
+        with no_grad():
+            for kind, module in plan._steps:
+                current = module(current) if kind == "linear" else current.tanh()
+                outputs.append(current.numpy())
+        # A tanh step runs in place on its input's buffer, so each buffer ends
+        # up holding the output of the last step that shares it — which is
+        # what the backward pass reads (tanh's output, a linear's input).
+        steps = ws["steps"]
+        for position, recorded in enumerate(steps):
+            last = max(q for q in range(len(steps)) if steps[q] is recorded)
+            assert np.array_equal(recorded, outputs[last]), position
+        assert len(ws["steps"]) == len(plan._steps)
+
+    @DEPTHS
+    def test_tanh_steps_reuse_their_input_buffer(self, hidden_sizes):
+        plan = make_policy(hidden_sizes=hidden_sizes).compiled
+        steps = plan._workspace(3)["steps"]
+        for position, (kind, _) in enumerate(plan._steps):
+            if kind == "tanh":
+                assert steps[position] is steps[position - 1]
+            else:
+                assert all(steps[position] is not steps[other]
+                           for other in range(position))
+
+    def test_log_probs_keep_total_and_its_log(self):
+        policy = make_policy()
+        plan = policy.compiled
+        observations = np.random.default_rng(4).standard_normal((6, OBS_SIZE))
+        ws = plan._workspace(6)
+        logits, _ = plan._heads(observations, ws)
+        dist = ws["dist"]
+        log_probs = plan._log_probs(logits, dist)
+        # The backward pass reads exp and total; log(total) has its own buffer.
+        assert np.array_equal(dist.total, dist.exp.sum(axis=-1, keepdims=True))
+        assert np.array_equal(dist.log_total, np.log(dist.total))
+        assert np.array_equal(log_probs,
+                              logits - dist.maximum - dist.log_total)
+
+    def test_fused_kernel_runs_on_the_policy_plan(self):
+        policy = make_policy()
+        updater = PPOUpdater(policy, PPOConfig())
+        assert updater._fused().plan is policy.compiled
+
+
 class TestFusedUpdateParity:
     def _filled_buffer(self, policy, seed=0, horizon=12):
         rng = np.random.default_rng(seed)
