@@ -9,7 +9,6 @@ steps for N = 8, versus roughly one million steps for the RL agent.
 from __future__ import annotations
 
 import math
-from typing import Dict
 
 
 def prime_probe_search_space(num_ways: int) -> float:
@@ -23,15 +22,3 @@ def prime_probe_search_space(num_ways: int) -> float:
 def brute_force_steps_estimate(num_ways: int) -> float:
     """Expected environment steps for the brute-force search (each try is 2N+2 steps)."""
     return prime_probe_search_space(num_ways) * (2 * num_ways + 2)
-
-
-def rl_vs_brute_force(num_ways: int, rl_steps: float = 1e6) -> Dict[str, float]:
-    """Compare the brute-force estimate against a measured/assumed RL step count."""
-    brute = brute_force_steps_estimate(num_ways)
-    return {
-        "num_ways": num_ways,
-        "brute_force_sequences": prime_probe_search_space(num_ways),
-        "brute_force_steps": brute,
-        "rl_steps": rl_steps,
-        "speedup": brute / rl_steps if rl_steps > 0 else float("inf"),
-    }

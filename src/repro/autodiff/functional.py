@@ -3,47 +3,22 @@
 The categorical-policy ops of the reference graph: log-softmax, the
 log-probability of taken actions and categorical entropy, each a chain of
 :class:`~repro.autodiff.Tensor` primitives over a trailing "class"
-dimension.  No training or inference path builds this graph by default; it is
-the oracle that the compiled inference plan
-(:class:`repro.nn.compiled.CompiledForward`) and the fused PPO minibatch
-kernel (:class:`repro.rl.fused_loss.FusedPPOLoss`) are bit-compared against.
+dimension.  Only the reference policy graph
+(:mod:`repro.autodiff.reference`) builds them; it is the oracle that the
+compiled inference plan (:class:`repro.nn.compiled.CompiledForward`) and the
+fused PPO minibatch kernel (:class:`repro.rl.fused_loss.FusedPPOLoss`) are
+bit-compared against.
 
 :func:`log_softmax_grad` and :func:`entropy_grad` are the fused kernel's
 backward formulas: they replay the composed chains' backward arithmetic op
 for op on saved numpy intermediates.
-
-:func:`composed_ops` is the one switch to the graph reference: inside it the
-compiled plans and the fused kernel are off and the policy runs on the graph.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.autodiff.tensor import Tensor
-
-# Whether the compiled plans and the fused PPO kernel are active (see
-# composed_ops()).
-FUSED = True
-
-
-@contextlib.contextmanager
-def composed_ops():
-    """Temporarily run the policy on the reference autodiff graph.
-
-    Compiled policy inference and the fused PPO kernel are off inside it.
-    The fast paths are bit-identical, so this only changes speed — it exists
-    for parity tests and for benchmarking the graph path.
-    """
-    global FUSED
-    previous = FUSED
-    FUSED = False
-    try:
-        yield
-    finally:
-        FUSED = previous
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:

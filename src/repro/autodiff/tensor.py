@@ -235,18 +235,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad / other.data)
-            other._accumulate(-out.grad * self.data / (other.data ** 2))
-
-        return self._make_child(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
@@ -258,24 +246,12 @@ class Tensor:
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._coerce(other)
+        if self.ndim < 2 or other.ndim < 2:
+            raise ValueError("Tensor @ Tensor needs operands of two or more dimensions")
 
         def backward(out: Tensor) -> None:
-            grad = out.grad
-            a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(grad * b)
-                other._accumulate(grad * a)
-            elif a.ndim >= 2 and b.ndim >= 2:
-                self._accumulate(grad @ np.swapaxes(b, -1, -2))
-                other._accumulate(np.swapaxes(a, -1, -2) @ grad)
-            elif a.ndim == 1:
-                # (k,) @ (k, n) -> (n,)
-                self._accumulate(grad @ b.T)
-                other._accumulate(np.outer(a, grad))
-            else:
-                # (m, k) @ (k,) -> (m,)
-                self._accumulate(np.outer(grad, b))
-                other._accumulate(a.T @ grad)
+            self._accumulate(out.grad @ np.swapaxes(other.data, -1, -2))
+            other._accumulate(np.swapaxes(self.data, -1, -2) @ out.grad)
 
         return self._make_child(self.data @ other.data, (self, other), backward)
 

@@ -130,9 +130,5 @@ class EventLog:
         """CC-Hunter event train: 1 = A evicts V, 0 = V evicts A."""
         return [event.code for event in self.conflicts]
 
-    def cyclic_interference_counts(self) -> List[int]:
-        """Cyclone feature vector: cyclic-interference count per tracked line."""
-        return list(self.cyclic_interference.values())
-
     def total_cyclic_interference(self) -> int:
         return sum(self.cyclic_interference.values())

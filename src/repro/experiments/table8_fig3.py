@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.autocorrelogram import event_train_autocorrelogram
 from repro.attacks.scripted import TextbookPrimeProbeAttacker, run_scripted_attacker
 from repro.detection.autocorrelation import AutocorrelationDetector
 from repro.env.config import EnvConfig
@@ -150,12 +149,3 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
             "guess_accuracy": stats["guess_accuracy"],
             "max_autocorrelation": stats["max_autocorrelation"],
             "trains": trains}
-
-
-def figure3_data(rows: List[Dict], max_lag: int = 30) -> Dict[str, Dict]:
-    """Event trains and autocorrelograms for one episode of each agent (Figure 3)."""
-    figure: Dict[str, Dict] = {}
-    for row in rows:
-        trains = row.get("trains") or [[]]
-        figure[row["attack"]] = event_train_autocorrelogram(trains[0], max_lag=max_lag)
-    return figure

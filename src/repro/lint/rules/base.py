@@ -117,8 +117,3 @@ def call_attribute_chain(func: ast.AST) -> List[str]:
         parts.append(node.id)
         return list(reversed(parts))
     return []
-
-
-def dedupe(findings: Iterable[Finding]) -> List[Finding]:
-    """Sorted, deduplicated findings (rules may visit a node twice)."""
-    return sorted(set(findings))

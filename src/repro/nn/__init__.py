@@ -8,15 +8,15 @@ reports that an MLP also finds the attacks, Sec. VI-B).
 The graph and the compiled plan
 -------------------------------
 
-These modules build the reference autodiff graph of the policy.
+These modules build the policy's layers; :mod:`repro.autodiff.reference`
+wires them into the reference autodiff graph of the policy.
 :class:`repro.nn.compiled.CompiledForward` flattens the same MLP forward
 pass into a sequence of pure-numpy kernels writing into preallocated
 shape-keyed buffers — no ``Tensor`` objects, no graph, no per-call
 allocation — with outputs bit-identical to the graph.  Acting
 (``ActorCriticPolicy.act()/.value()/.action_probabilities()``) and the fused
-PPO kernel's forward pass both run on the plan; only inside
-:func:`repro.autodiff.functional.composed_ops` does the policy run on the
-graph (parity tests, benchmarking the graph path).
+PPO kernel's forward pass both run on the plan; only the parity tests build
+the graph.
 """
 
 from repro.nn.module import Module, Parameter

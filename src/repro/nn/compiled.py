@@ -11,12 +11,13 @@ intermediates the plan leaves in its workspace for the backward pass.
 
 The plan replays exactly the same numpy operations (same op order, same
 intermediate values) as the graph, so its outputs — actions, log-probs,
-values, and consumed RNG stream — are **bit-identical** to
-``Tensor``-based inference (enforced by ``tests/test_compiled_policy.py``).
+values, and consumed RNG stream — are **bit-identical** to the reference
+graph's inference in :mod:`repro.autodiff.reference`, whose functions mirror
+this plan's :meth:`~CompiledForward.act`, :meth:`~CompiledForward.value` and
+:meth:`~CompiledForward.action_probabilities` (enforced by
+``tests/test_compiled_policy.py``).
 
 Plans are built lazily by :meth:`repro.rl.policy.ActorCriticPolicy.compiled`.
-Inside :func:`repro.autodiff.functional.composed_ops` the policy runs on the
-graph instead (the reference used for parity testing and benchmarking).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class CompiledForward:
     def act(self, observations: np.ndarray,
             rng: Optional[np.random.Generator] = None,
             deterministic: bool = False) -> tuple:
-        """(actions, log_probs, values) — bit-identical to the graph path."""
+        """(actions, log_probs, values) — bit-identical to the reference graph."""
         ws = self._workspace(observations.shape[0])
         logits, values = self._heads(observations, ws)
         dist = ws["dist"]

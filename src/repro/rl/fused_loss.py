@@ -1,8 +1,7 @@
 """Graph-free fused PPO minibatch kernel.
 
-Every PPO minibatch update runs here, except inside
-:func:`repro.autodiff.functional.composed_ops`, where
-``PPOUpdater._batch_loss`` builds the reference: a reverse-mode graph of ~40
+Every PPO minibatch update runs here.  The reference is
+:func:`repro.autodiff.reference.ppo_loss`: a reverse-mode graph of ~40
 Tensor nodes per minibatch.  This module computes the same loss and the same
 parameter gradients with no Tensor objects and no graph: the forward pass is
 the policy's own :class:`~repro.nn.compiled.CompiledForward` plan, and the
@@ -17,7 +16,7 @@ are still allocated per call — they are a negligible fraction of the work.)
 elementwise op order the composed graph would execute, and joins (tensors
 consumed by two downstream ops) are plain additions, which are commutative in
 IEEE-754 — so the gradients, the optimizer steps, and therefore whole
-training runs are bit-identical to the graph path.  This is enforced by
+training runs are bit-identical to the reference graph.  This is enforced by
 ``tests/test_compiled_policy.py`` (fused-vs-graph update and training-history
 equality).
 """
@@ -94,8 +93,8 @@ class FusedPPOLoss:
     def compute(self, batch: RolloutBatch, entropy_coefficient: float) -> Dict[str, float]:
         """Fill every parameter's ``.grad`` and return the loss metrics.
 
-        Equivalent to ``loss, metrics = _batch_loss(batch); loss.backward()``
-        on the graph path, bit for bit.
+        Equivalent to ``loss, metrics = reference.ppo_loss(policy, batch,
+        config, entropy_coefficient); loss.backward()``, bit for bit.
         """
         config = self.config
         policy = self.policy

@@ -7,10 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff import default_dtype, no_grad
-from repro.autodiff import functional as F
-from repro.autodiff.tensor import Tensor
-from repro.nn import MLP, Categorical, Linear, Module, Sequential, Tanh
+from repro.autodiff import default_dtype
+from repro.nn import MLP, Linear, Module, Sequential, Tanh
 from repro.nn.compiled import CompiledForward
 
 
@@ -35,9 +33,9 @@ class ActorCriticPolicy(Module):
     (useful for large sweeps, plumbed through ``PPOConfig.dtype``).
 
     Inference (:meth:`act`, :meth:`value`, :meth:`action_probabilities`)
-    routes through a graph-free :class:`~repro.nn.compiled.CompiledForward`
-    plan — bit-identical to the graph path, several times faster.
-    :func:`repro.autodiff.functional.composed_ops` turns it off.
+    runs on the graph-free :class:`~repro.nn.compiled.CompiledForward` plan.
+    The same network wired as an autodiff graph, which the plan is
+    bit-identical to, is :mod:`repro.autodiff.reference`.
     """
 
     def __init__(self, observation_size: int, num_actions: int,
@@ -60,22 +58,13 @@ class ActorCriticPolicy(Module):
             self.policy_head = Linear(feature_dim, num_actions, gain=0.01, rng=rng)
             self.value_head = Linear(feature_dim, 1, gain=1.0, rng=rng)
         self._compiled: Optional[CompiledForward] = None
-        self._compiled_calls = 0
 
-    # ------------------------------------------------------------- compiled
     @property
-    def compiled(self) -> Optional[CompiledForward]:
-        """The graph-free forward plan, or ``None`` inside ``composed_ops()``."""
-        if not F.FUSED:
-            return None
+    def compiled(self) -> CompiledForward:
+        """The graph-free forward plan, built on first use."""
         if self._compiled is None:
             self._compiled = CompiledForward(self)
         return self._compiled
-
-    @property
-    def compiled_call_count(self) -> int:
-        """How many inference calls took the compiled fast path (guard metric)."""
-        return self._compiled_calls
 
     def __getstate__(self) -> dict:
         # Compiled workspaces are cheap to rebuild; keep pickles lean.
@@ -83,66 +72,20 @@ class ActorCriticPolicy(Module):
         state["_compiled"] = None
         return state
 
-    # ----------------------------------------------------------------- graph
-    def forward(self, observations: Tensor) -> tuple:
-        """Return (logits, values) with gradients attached."""
-        features = self.feature_extractor(observations)
-        logits = self.policy_head(features)
-        values = self.value_head(features).reshape(-1)
-        return logits, values
-
-    def distribution(self, observations: Tensor) -> tuple:
-        logits, values = self.forward(observations)
-        return Categorical(logits), values
-
     # ----------------------------------------------------------------- acting
     def _prepare(self, observations: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(observations, dtype=self._np_dtype))
 
     def act(self, observations: np.ndarray, rng: Optional[np.random.Generator] = None,
             deterministic: bool = False) -> PolicyOutput:
-        """Sample (or argmax) actions for a batch of observations, without a graph."""
-        observations = self._prepare(observations)
-        plan = self.compiled
-        if plan is not None:
-            self._compiled_calls += 1
-            actions, log_probs, values = plan.act(observations, rng=rng,
-                                                  deterministic=deterministic)
-            return PolicyOutput(actions=actions, log_probs=log_probs, values=values)
-        return self._act_graph(observations, rng=rng, deterministic=deterministic)
-
-    def _act_graph(self, observations: np.ndarray,
-                   rng: Optional[np.random.Generator] = None,
-                   deterministic: bool = False) -> PolicyOutput:
-        """Reference graph-based acting (parity baseline for the compiled plan)."""
-        observations = self._prepare(observations)
-        with no_grad():
-            distribution, values = self.distribution(Tensor(observations))
-            if deterministic:
-                actions = distribution.mode()
-            else:
-                actions = distribution.sample(rng=rng)
-            log_probs = distribution.log_prob(actions).numpy()
-        return PolicyOutput(actions=actions, log_probs=np.asarray(log_probs),
-                            values=values.numpy().copy())
+        """Sample (or argmax) actions for a batch of observations."""
+        actions, log_probs, values = self.compiled.act(
+            self._prepare(observations), rng=rng, deterministic=deterministic)
+        return PolicyOutput(actions=actions, log_probs=log_probs, values=values)
 
     def value(self, observations: np.ndarray) -> np.ndarray:
-        observations = self._prepare(observations)
-        plan = self.compiled
-        if plan is not None:
-            self._compiled_calls += 1
-            return plan.value(observations)
-        with no_grad():
-            _, values = self.forward(Tensor(observations))
-        return values.numpy().copy()
+        return self.compiled.value(self._prepare(observations))
 
     def action_probabilities(self, observation: np.ndarray) -> np.ndarray:
         """Probability of each action for a single observation (analysis helper)."""
-        observation = self._prepare(observation)
-        plan = self.compiled
-        if plan is not None:
-            self._compiled_calls += 1
-            return plan.action_probabilities(observation)[0]
-        with no_grad():
-            distribution, _ = self.distribution(Tensor(observation))
-        return distribution.probs[0]
+        return self.compiled.action_probabilities(self._prepare(observation))[0]

@@ -8,9 +8,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.autodiff import Adam
-from repro.autodiff import functional as F
-from repro.autodiff.tensor import Tensor
-from repro.rl.buffer import RolloutBatch, RolloutBuffer
+from repro.rl.buffer import RolloutBuffer
 from repro.rl.fused_loss import FusedPPOLoss
 from repro.rl.policy import ActorCriticPolicy
 
@@ -54,18 +52,9 @@ class PPOUpdater:
         self.optimizer = Adam(policy.parameters(), lr=config.learning_rate)
         self.entropy_coefficient = config.entropy_coefficient
         self._fused_loss: Optional[FusedPPOLoss] = None
-        # Minibatch updates that went through the fused graph-free kernel
-        # (guard tests use this to detect a silent fallback).
-        self.fused_minibatches = 0
 
-    def _fused(self) -> Optional[FusedPPOLoss]:
-        """The fused graph-free loss kernel, or ``None`` inside ``composed_ops()``.
-
-        Disabled together with the other fast paths by
-        :func:`repro.autodiff.functional.composed_ops`.
-        """
-        if not F.FUSED:
-            return None
+    def _fused(self) -> FusedPPOLoss:
+        """The fused graph-free loss kernel, built on first use."""
         if self._fused_loss is None:
             self._fused_loss = FusedPPOLoss(self.policy, self.config)
         return self._fused_loss
@@ -89,60 +78,11 @@ class PPOUpdater:
         start = self.config.entropy_coefficient
         self.entropy_coefficient = start + (final - start) * progress
 
-    def _batch_loss(self, batch: RolloutBatch) -> tuple:
-        config = self.config
-        if self.policy.dtype != "float64":
-            # float32 policies compute the whole loss graph in float32; the
-            # rollout buffer stays float64 (GAE precision), cast per batch.
-            cast = np.dtype(self.policy.dtype)
-            batch = RolloutBatch(
-                observations=batch.observations.astype(cast),
-                actions=batch.actions,
-                old_log_probs=batch.old_log_probs.astype(cast),
-                advantages=batch.advantages.astype(cast),
-                returns=batch.returns.astype(cast),
-                old_values=batch.old_values.astype(cast))
-        distribution, values = self.policy.distribution(Tensor(batch.observations))
-        log_probs = distribution.log_prob(batch.actions)
-        entropy = distribution.entropy().mean()
-
-        ratio = (log_probs - batch.old_log_probs).exp()
-        advantages = Tensor(batch.advantages)
-        unclipped = ratio * advantages
-        clipped = ratio.clip(1.0 - config.clip_ratio, 1.0 + config.clip_ratio) * advantages
-        policy_loss = -(unclipped.minimum(clipped).mean())
-
-        returns = Tensor(batch.returns)
-        if config.value_clip is not None:
-            old_values = Tensor(batch.old_values)
-            clipped_values = old_values + (values - old_values).clip(
-                -config.value_clip, config.value_clip)
-            loss_unclipped = (values - returns) ** 2
-            loss_clipped = (clipped_values - returns) ** 2
-            value_loss = loss_unclipped.maximum(loss_clipped).mean() * 0.5
-        else:
-            value_loss = ((values - returns) ** 2).mean() * 0.5
-
-        total = (policy_loss + config.value_coefficient * value_loss
-                 - self.entropy_coefficient * entropy)
-
-        with_ratio = ratio.numpy()
-        clip_fraction = float(np.mean(np.abs(with_ratio - 1.0) > config.clip_ratio))
-        approx_kl = float(np.mean(batch.old_log_probs - log_probs.numpy()))
-        return total, {
-            "policy_loss": policy_loss.item(),
-            "value_loss": value_loss.item(),
-            "entropy": entropy.item(),
-            "clip_fraction": clip_fraction,
-            "approx_kl": approx_kl,
-        }
-
     def update(self, buffer: RolloutBuffer) -> Dict[str, float]:
         """Run ``update_epochs`` passes of minibatch SGD over the buffer.
 
-        Each minibatch goes through the fused graph-free kernel
-        (bit-identical gradients), or through the reference autodiff graph
-        inside :func:`repro.autodiff.functional.composed_ops`.
+        Each minibatch goes through the fused graph-free kernel, whose
+        gradients are bit-identical to :func:`repro.autodiff.reference.ppo_loss`.
         """
         config = self.config
         fused = self._fused()
@@ -150,14 +90,8 @@ class PPOUpdater:
         for _ in range(config.update_epochs):
             for batch in buffer.iter_minibatches(config.minibatch_size, rng=self.rng,
                                                  normalize_advantages=config.normalize_advantages):
-                if fused is not None:
-                    self.optimizer.zero_grad()
-                    batch_metrics = fused.compute(batch, self.entropy_coefficient)
-                    self.fused_minibatches += 1
-                else:
-                    loss, batch_metrics = self._batch_loss(batch)
-                    self.optimizer.zero_grad()
-                    loss.backward()
+                self.optimizer.zero_grad()
+                batch_metrics = fused.compute(batch, self.entropy_coefficient)
                 self.optimizer.clip_grad_norm(config.max_grad_norm)
                 self.optimizer.step()
                 for key, value in batch_metrics.items():

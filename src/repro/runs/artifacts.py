@@ -131,8 +131,12 @@ def remove_artifact(path: Path) -> None:
 
 
 # ------------------------------------------------------------ verification
-def verify_artifact(path: Path) -> Optional[bool]:
-    """True/False for a checksummed artifact, None when no sidecar exists."""
+def verify_artifact(path: Path, data: Optional[bytes] = None) -> Optional[bool]:
+    """True/False for a checksummed artifact, None when no sidecar exists.
+
+    ``data`` is the artifact's content when the caller already read it: those
+    bytes are what gets checked, so the file is not read a second time.
+    """
     path = Path(path)
     sidecar = checksum_path(path)
     if not sidecar.exists():
@@ -141,7 +145,9 @@ def verify_artifact(path: Path) -> Optional[bool]:
         recorded = sidecar.read_text().split()[0]
     except (OSError, IndexError):
         return False
-    return _digest(path.read_bytes()) == recorded
+    if data is None:
+        data = path.read_bytes()
+    return _digest(data) == recorded
 
 
 def quarantine(path: Path, reason: str) -> Path:
@@ -166,15 +172,10 @@ def quarantine(path: Path, reason: str) -> Path:
 def _load_verified(path: Path) -> bytes:
     path = Path(path)
     data = path.read_bytes()
-    if verify_artifact(path) is False:
+    if verify_artifact(path, data) is False:
         quarantined = quarantine(path, "checksum mismatch")
         raise CorruptArtifactError(path, "checksum mismatch", quarantined)
     return data
-
-
-def load_bytes(path: Path) -> bytes:
-    """Read an artifact, verifying its checksum sidecar when present."""
-    return _load_verified(path)
 
 
 def load_text(path: Path) -> str:

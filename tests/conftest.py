@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.autodiff import reference
 from repro.cache.config import CacheConfig
 from repro.env.config import EnvConfig
 from repro.env.guessing_game import CacheGuessingGameEnv
+from repro.nn.compiled import CompiledForward
+from repro.rl.fused_loss import FusedPPOLoss
 
 
 def pytest_configure(config):
@@ -15,6 +20,37 @@ def pytest_configure(config):
     # slow tests still run in the default suite.
     config.addinivalue_line(
         "markers", "slow: a long-running end-to-end test (runs by default)")
+
+
+def _reference_compute(fused: FusedPPOLoss, batch, entropy_coefficient: float) -> dict:
+    loss, metrics = reference.ppo_loss(fused.policy, batch, fused.config,
+                                       entropy_coefficient)
+    loss.backward()
+    return metrics
+
+
+@pytest.fixture
+def on_reference_graph(monkeypatch):
+    """A context manager that runs the policy on the reference autodiff graph.
+
+    Inside it, ``CompiledForward.act``/``value`` and ``FusedPPOLoss.compute``
+    route to :mod:`repro.autodiff.reference`, so a whole ``PPOUpdater.update``
+    or ``PPOTrainer.train()`` runs on the parity oracle.
+    """
+    @contextlib.contextmanager
+    def switch():
+        with monkeypatch.context() as patch:
+            patch.setattr(CompiledForward, "act",
+                          lambda plan, observations, rng=None, deterministic=False:
+                          reference.act(plan.policy, observations, rng=rng,
+                                        deterministic=deterministic))
+            patch.setattr(CompiledForward, "value",
+                          lambda plan, observations:
+                          reference.value(plan.policy, observations))
+            patch.setattr(FusedPPOLoss, "compute", _reference_compute)
+            yield
+
+    return switch
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from repro.analysis import (
     hamming_distance,
     prime_probe_search_space,
 )
-from repro.analysis.search_space import rl_vs_brute_force
 from repro.attacks.sequences import AttackCategory, AttackSequence
 from repro.cache.config import CacheConfig
 from repro.env.config import EnvConfig
@@ -108,10 +107,6 @@ class TestMetricsAndSearchSpace:
     def test_search_space_grows_exponentially(self):
         values = [prime_probe_search_space(n) for n in (2, 4, 8, 12)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_rl_vs_brute_force_summary(self):
-        summary = rl_vs_brute_force(8, rl_steps=1e6)
-        assert summary["speedup"] > 100.0
 
     def test_invalid_ways_rejected(self):
         with pytest.raises(ValueError):

@@ -75,18 +75,6 @@ def _softmax_intermediates(logits: np.ndarray):
 class TestFusedKernels:
     """The fused PPO kernel's backward helpers replay the composed graph."""
 
-    def test_composed_ops_context_toggles_flag(self):
-        assert F.FUSED
-        with F.composed_ops():
-            assert not F.FUSED
-        assert F.FUSED
-
-    def test_composed_ops_restores_flag_after_error(self):
-        with pytest.raises(RuntimeError):
-            with F.composed_ops():
-                raise RuntimeError("inside the reference block")
-        assert F.FUSED
-
     @HELPER_SHAPES
     def test_log_softmax_grad_matches_graph_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))

