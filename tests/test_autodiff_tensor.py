@@ -46,6 +46,11 @@ class TestBasicOps:
         b = Tensor(np.arange(12.0).reshape(3, 4))
         assert np.allclose((a @ b).numpy(), a.numpy() @ b.numpy())
 
+    def test_matmul_batched_matches_numpy(self):
+        a = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        b = np.arange(8.0).reshape(4, 2)
+        assert np.array_equal((a @ b).numpy(), a.numpy() @ b)
+
     def test_matmul_rejects_vector_operands(self):
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0, 3.0]) @ Tensor(np.ones((3, 2)))
@@ -109,6 +114,8 @@ PRIMITIVES = {
     "mul_broadcast_column": lambda a, b: a * b[:, :1],
     "pow": lambda a, b: (a * b) ** 3,
     "matmul": lambda a, b: a @ b.reshape(4, 3),
+    "matmul_batched": lambda a, b: a.reshape(3, 2, 2) @ b.reshape(3, 2, 2),
+    "matmul_broadcast_batch": lambda a, b: a.reshape(3, 2, 2) @ b[0].reshape(2, 2),
     "exp": lambda a, b: (a * b).exp(),
     "log": lambda a, b: (a + b).log(),
     "tanh": lambda a, b: (a - b).tanh(),

@@ -168,20 +168,25 @@ class TestCompiledWorkspace:
         assert updater._fused().plan is policy.compiled
 
 
-class TestFusedUpdateParity:
-    def _filled_buffer(self, policy, seed=0, horizon=12):
-        rng = np.random.default_rng(seed)
-        buffer = RolloutBuffer(horizon=horizon, num_envs=4, observation_size=OBS_SIZE)
-        for _ in range(buffer.horizon):
-            buffer.add(rng.standard_normal((4, OBS_SIZE)),
-                       rng.integers(0, NUM_ACTIONS, size=4),
-                       rng.standard_normal(4),
-                       (rng.random(4) < 0.2).astype(float),
-                       rng.standard_normal(4),
-                       -np.abs(rng.standard_normal(4)))
-        buffer.finalize(rng.standard_normal(4), gamma=0.99, lam=0.95)
-        return buffer
+def filled_buffer(seed=0, horizon=12):
+    rng = np.random.default_rng(seed)
+    buffer = RolloutBuffer(horizon=horizon, num_envs=4, observation_size=OBS_SIZE)
+    for _ in range(buffer.horizon):
+        buffer.add(rng.standard_normal((4, OBS_SIZE)),
+                   rng.integers(0, NUM_ACTIONS, size=4),
+                   rng.standard_normal(4),
+                   (rng.random(4) < 0.2).astype(float),
+                   rng.standard_normal(4),
+                   -np.abs(rng.standard_normal(4)))
+    buffer.finalize(rng.standard_normal(4), gamma=0.99, lam=0.95)
+    return buffer
 
+
+def first_minibatch(buffer, size=16):
+    return next(iter(buffer.iter_minibatches(size, rng=np.random.default_rng(2))))
+
+
+class TestFusedUpdateParity:
     @pytest.mark.parametrize("value_clip", [0.2, None])
     def test_update_bit_identical_to_graph(self, value_clip, on_reference_graph):
         def run():
@@ -189,7 +194,7 @@ class TestFusedUpdateParity:
                                value_clip=value_clip)
             policy = make_policy()
             updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
-            metrics = updater.update(self._filled_buffer(policy))
+            metrics = updater.update(filled_buffer())
             return metrics, policy.state_dict()
 
         fast_metrics, fast_state = run()
@@ -208,7 +213,7 @@ class TestFusedUpdateParity:
             config = PPOConfig(minibatch_size=16, update_epochs=2)
             policy = make_policy(hidden_sizes=hidden_sizes)
             updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
-            metrics = updater.update(self._filled_buffer(policy))
+            metrics = updater.update(filled_buffer())
             return metrics, policy.state_dict()
 
         fast_metrics, fast_state = run()
@@ -229,9 +234,7 @@ class TestFusedUpdateParity:
         config = PPOConfig(minibatch_size=256, update_epochs=1)
         updater = PPOUpdater(policy, config, rng=np.random.default_rng(1))
         fused = updater._fused()
-        buffer = self._filled_buffer(policy, horizon=64)
-        batch = next(iter(buffer.iter_minibatches(config.minibatch_size,
-                                                  rng=np.random.default_rng(2))))
+        batch = first_minibatch(filled_buffer(horizon=64), config.minibatch_size)
         fused.compute(batch, 0.01)  # warm-up: allocates the workspace
         tracemalloc.start()
         try:
@@ -258,6 +261,115 @@ class TestFusedUpdateParity:
         assert fast_history == ref_history
         for name in fast_state:
             assert np.array_equal(fast_state[name], ref_state[name]), name
+
+
+class TestReferenceGraph:
+    """The oracle's own contract, independent of the kernels it checks."""
+
+    def test_act_returns_arrays_per_row(self):
+        policy = make_policy()
+        observations = np.random.default_rng(4).standard_normal((5, OBS_SIZE))
+        actions, log_probs, values = reference.act(
+            policy, observations, rng=np.random.default_rng(9))
+        assert actions.shape == log_probs.shape == values.shape == (5,)
+        assert ((actions >= 0) & (actions < NUM_ACTIONS)).all()
+        assert (log_probs <= 0.0).all()
+
+    def test_deterministic_act_takes_the_most_probable_action(self):
+        policy = make_policy(seed=2)
+        observations = np.random.default_rng(5).standard_normal((7, OBS_SIZE))
+        actions, log_probs, _ = reference.act(policy, observations,
+                                              deterministic=True)
+        probabilities = reference.action_probabilities(policy, observations)
+        assert np.array_equal(actions, probabilities.argmax(axis=-1))
+        assert np.allclose(np.exp(log_probs), probabilities.max(axis=-1))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_action_probabilities_are_distributions(self, dtype):
+        policy = make_policy(dtype)
+        observations = np.random.default_rng(6).standard_normal((4, OBS_SIZE))
+        probabilities = reference.action_probabilities(policy, observations)
+        assert probabilities.shape == (4, NUM_ACTIONS)
+        assert probabilities.dtype == np.dtype(dtype)
+        assert (probabilities >= 0.0).all()
+        assert np.allclose(probabilities.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_ppo_loss_backward_matches_fused_gradients_bitwise(self):
+        policy = make_policy()
+        updater = PPOUpdater(policy, PPOConfig(minibatch_size=16),
+                             rng=np.random.default_rng(1))
+        batch = first_minibatch(filled_buffer())
+        updater.optimizer.zero_grad()
+        fused_metrics = updater._fused().compute(batch, 0.01)
+        fused_grads = [p.grad.copy() for p in policy.parameters()]
+        updater.optimizer.zero_grad()
+        loss, ref_metrics = reference.ppo_loss(policy, batch, updater.config, 0.01)
+        loss.backward()
+        assert fused_metrics == ref_metrics
+        for fused_grad, parameter in zip(fused_grads, policy.parameters()):
+            assert np.array_equal(fused_grad, parameter.grad)
+
+    def test_ppo_loss_at_the_old_policy_clips_nothing(self):
+        # old_log_probs taken from the policy itself make every ratio 1, so
+        # nothing is clipped, the KL estimate is 0 and the surrogate is
+        # minus the mean advantage.
+        policy = make_policy()
+        batch = first_minibatch(filled_buffer())
+        # The log-probabilities of the batch's own actions under the policy.
+        log_probs = np.log(reference.action_probabilities(policy, batch.observations))
+        batch.old_log_probs[:] = log_probs[np.arange(len(batch.actions)),
+                                           batch.actions]
+        _, metrics = reference.ppo_loss(policy, batch, PPOConfig(), 0.01)
+        assert metrics["clip_fraction"] == 0.0
+        assert abs(metrics["approx_kl"]) < 1e-12
+        assert np.isclose(metrics["policy_loss"], -batch.advantages.mean())
+
+    def test_ppo_loss_wide_value_clip_equals_no_value_clip(self):
+        policy = make_policy()
+        batch = first_minibatch(filled_buffer())
+        wide, _ = reference.ppo_loss(policy, batch, PPOConfig(value_clip=1e9), 0.01)
+        unclipped, _ = reference.ppo_loss(policy, batch, PPOConfig(value_clip=None),
+                                          0.01)
+        assert wide.item() == unclipped.item()
+
+    def test_ppo_loss_entropy_coefficient_subtracts_the_entropy(self):
+        policy = make_policy()
+        batch = first_minibatch(filled_buffer())
+        without, metrics = reference.ppo_loss(policy, batch, PPOConfig(), 0.0)
+        with_bonus, _ = reference.ppo_loss(policy, batch, PPOConfig(), 0.5)
+        assert metrics["entropy"] > 0.0
+        assert np.isclose(without.item() - with_bonus.item(),
+                          0.5 * metrics["entropy"])
+
+    def test_float32_ppo_loss_casts_a_copy_of_the_batch(self):
+        policy = make_policy("float32")
+        batch = first_minibatch(filled_buffer())
+        loss, _ = reference.ppo_loss(policy, batch, PPOConfig(), 0.01)
+        loss.backward()
+        assert all(p.grad.dtype == np.float32 for p in policy.parameters())
+        assert batch.observations.dtype == batch.advantages.dtype == np.float64
+
+    def test_on_reference_graph_routes_inference_and_restores_it(
+            self, on_reference_graph, monkeypatch):
+        from repro.nn.compiled import CompiledForward
+
+        compiled_act = CompiledForward.act
+        calls = []
+        reference_act = reference.act
+        monkeypatch.setattr(reference, "act",
+                            lambda *args, **kwargs: calls.append(1)
+                            or reference_act(*args, **kwargs))
+        policy = make_policy()
+        observations = np.random.default_rng(8).standard_normal((3, OBS_SIZE))
+        with on_reference_graph():
+            routed = policy.act(observations, deterministic=True)
+        assert calls == [1]
+        assert CompiledForward.act is compiled_act
+        policy.act(observations, deterministic=True)
+        assert calls == [1]
+        assert np.array_equal(routed.actions,
+                              reference_act(policy, observations,
+                                            deterministic=True)[0])
 
 
 class TestGuardFastPathTaken:

@@ -98,6 +98,20 @@ class TestAtomicArtifacts:
             load_json(path)
         assert reads == [path]
 
+    def test_verify_artifact_checks_the_bytes_it_is_given(self, tmp_path):
+        path = tmp_path / "a.json"
+        atomic_write_json(path, {"x": 1})
+        good = path.read_bytes()
+        assert verify_artifact(path, b'{"x": 2}') is False
+        path.write_text('{"x": 2}')
+        assert verify_artifact(path, good) is True
+        assert verify_artifact(path) is False
+
+    def test_verify_artifact_without_sidecar_ignores_the_bytes(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text('{"x": 3}')
+        assert verify_artifact(path, b"anything") is None
+
     def test_truncated_file_quarantined(self, tmp_path):
         path = tmp_path / "a.json"
         atomic_write_json(path, {"payload": list(range(100))})
