@@ -24,7 +24,9 @@ Two metrics:
 
 Plus a **telemetry overhead** measurement on the fast path: updates/sec of
 the same ``train()`` loop with telemetry disabled vs enabled (the PR 10
-acceptance budget is < 2% regression with ``REPRO_TELEMETRY=1``).
+acceptance budget is < 2% regression with ``REPRO_TELEMETRY=1``).  With one
+trial per side (``--smoke``) the entry carries both rates but no overhead:
+one short trial varies by far more than 2%.
 
 Appends one entry to the perf trajectory file ``BENCH_train.json`` at the
 repo root, so successive PRs accumulate a training-throughput history.
@@ -140,10 +142,13 @@ def measure_telemetry_overhead(scenario: str, max_updates: int,
     measurement builds a fresh trainer after ``telemetry.configure``; the
     process-wide override is restored (and the registry drained) afterwards
     so the bench leaves no telemetry state behind.
+
+    ``overhead_pct`` compares the best rate of each side and is None with a
+    single trial, whose noise dwarfs the 2% budget.
     """
     from repro import telemetry
 
-    best = {False: 0.0, True: 0.0}
+    rates: dict = {False: [], True: []}
     try:
         for _ in range(trials):
             for enabled in (False, True):  # off first: cold-cache parity
@@ -153,14 +158,15 @@ def measure_telemetry_overhead(scenario: str, max_updates: int,
                 trainer.train(max_updates=max_updates, eval_every=5,
                               target_accuracy=2.0)
                 elapsed = time.perf_counter() - start
-                best[enabled] = max(best[enabled],
-                                    trainer.updates_done / elapsed)
+                rates[enabled].append(trainer.updates_done / elapsed)
     finally:
         telemetry.configure(enabled=None, reset=True)
-    overhead_pct = 100.0 * (1.0 - best[True] / best[False])
-    return {"updates_per_second_off": round(best[False], 2),
-            "updates_per_second_on": round(best[True], 2),
-            "overhead_pct": round(overhead_pct, 2)}
+    entry = {"trials": trials}
+    entry.update(_spread("updates_per_second_off", rates[False], 2))
+    entry.update(_spread("updates_per_second_on", rates[True], 2))
+    entry["overhead_pct"] = None if trials < 2 else round(
+        100.0 * (1.0 - max(rates[True]) / max(rates[False])), 2)
+    return entry
 
 
 def _spread(name: str, rates: list, digits: int) -> dict:
@@ -261,9 +267,14 @@ def main() -> None:
         Path(__file__).resolve().parent.parent / "BENCH_train.json"
     append_trajectory(entry, output)
     overhead = entry["telemetry"]
-    print(f"telemetry overhead: {overhead['updates_per_second_off']:.2f} -> "
-          f"{overhead['updates_per_second_on']:.2f} updates/s "
-          f"({overhead['overhead_pct']:+.2f}%)")
+    line = (f"telemetry off -> on: {overhead['updates_per_second_off']:.2f} -> "
+            f"{overhead['updates_per_second_on']:.2f} updates/s")
+    if overhead["overhead_pct"] is None:
+        line += " (one trial per side: noise, not an overhead figure)"
+    else:
+        line += (f" ({overhead['overhead_pct']:+.2f}% overhead, best of "
+                 f"{overhead['trials']})")
+    print(line)
     speedups = entry["speedups"]
     print(f"updates/s vs graph: fast {speedups['updates_fast_vs_graph']:.2f}x, "
           f"float32 {speedups['updates_fast_float32_vs_graph']:.2f}x -> {output}")

@@ -145,7 +145,8 @@ def _train(env_source: EnvSource, scale: ExperimentScale, seed: int,
         # checkpoint — the cell transparently re-runs from its last good state.
         memo = ctx.load_training(name)
         if memo is not None:
-            return memo, TrainedPolicyHandle(ctx.load_policy(name))
+            result, policy = memo
+            return result, TrainedPolicyHandle(policy)
     checkpoint_path = None
     if ctx is not None:
         checkpoint_path = ctx.checkpoint_path(name)

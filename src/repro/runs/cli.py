@@ -10,7 +10,7 @@ Subcommands
 ``submit``   register a campaign in the catalogue + enqueue its cells
 ``work``     drain the job queue as one cooperative worker (``--server`` for
              remote HTTP draining with no catalogue file access)
-``serve``    the campaign service HTTP API (submit/status/stream/query/leases)
+``serve``    the campaign service HTTP API (submit/status/rows/query/leases)
 ``proxy``    a deterministic TCP chaos proxy in front of ``repro serve``
 ``query``    cross-run aggregation of cell metrics over the catalogue
 ``store``    catalogue maintenance (``store ingest`` backfills runs trees)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.rl.stats import json_ready
 from repro.rl.trainer import PPOTrainer, TrainingResult
@@ -41,7 +41,6 @@ from repro.runs.artifacts import (
     load_text,
     quarantine,
     remove_artifact,
-    verify_artifact,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports us)
@@ -155,12 +154,14 @@ class CellContext:
         self._notify("training-result", self.result_path(name))
         remove_artifact(self.checkpoint_path(name))
 
-    def load_training(self, name: str) -> Optional[TrainingResult]:
-        """A previously finished training's result, or None.
+    def load_training(self, name: str) -> Optional[Tuple[TrainingResult, Any]]:
+        """A previously finished training's result and policy, or None.
 
-        Corruption anywhere in the memoized pair (result JSON or policy
-        pickle) quarantines the damaged file and returns None — the caller
-        retrains and the fresh artifacts overwrite whatever was left.
+        The policy pickle is read, checksummed and unpickled once.  A result
+        JSON or policy pickle that is missing, corrupt or unparseable
+        quarantines the damaged file (where it exists) and returns None —
+        the caller retrains and the fresh artifacts overwrite whatever was
+        left.
         """
         path = self.result_path(name)
         if not path.exists():
@@ -171,14 +172,11 @@ class CellContext:
             if path.exists():  # unparseable but checksum-valid: still unusable
                 quarantine(path, "unparseable TrainingResult")
             return None
-        policy_path = self.policy_path(name)
-        if policy_path.exists() and verify_artifact(policy_path) is False:
-            quarantine(policy_path, "checksum mismatch")
+        try:
+            policy = load_pickle(self.policy_path(name))
+        except (CorruptArtifactError, FileNotFoundError):
             return None
-        return result
-
-    def load_policy(self, name: str):
-        return load_pickle(self.policy_path(name))
+        return result, policy
 
     # ---------------------------------------------------------------- faults
     def _notify(self, artifact: str, path: Path) -> None:

@@ -11,7 +11,7 @@ multi-tenant, queryable system (ROADMAP open item 3):
   independent ``repro work`` processes drain one campaign with rows
   bit-identical to serial execution and crashed workers' cells are
   reclaimed;
-* ``repro serve`` — a stdlib HTTP JSON API for submit/status/stream and the
+* ``repro serve`` — a stdlib HTTP JSON API for submit/status/rows and the
   lease protocol (``repro proxy`` puts a network chaos proxy in front) — and
   ``repro query`` — cross-run aggregation ("accuracy by defense across all
   runs") with table/json/csv output.

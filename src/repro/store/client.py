@@ -41,8 +41,7 @@ not each pay for a TCP handshake and a server handler thread:
 * **fork** — a child process discards the idle sockets it inherited, so it
   never writes on its parent's connection.
 
-:meth:`StoreClient.stream` opens a dedicated ``Connection: close``
-connection per long-poll; :meth:`StoreClient.close` closes the pool.
+:meth:`StoreClient.close` closes the pool.
 
 Network faults are injected outside the client, by the TCP
 :class:`~repro.store.chaos.ChaosProxy`, so the client under test is the
@@ -59,7 +58,7 @@ import select
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import quote, urlsplit
 
 from repro import telemetry
@@ -431,119 +430,6 @@ class StoreClient:
             "host": host, "pid": pid,
             "idempotency_key": self._next_key("telemetry"),
         })
-
-    # -------------------------------------------------------- NDJSON streams
-    def stream(self, path: str,
-               timeout: Optional[float] = None) -> Iterator[Dict[str, Any]]:
-        """Yield parsed JSON objects from one NDJSON response (no retries).
-
-        Raises :class:`RetryableTransportError` for anything transient —
-        connection failures, per-read socket timeouts, torn lines — and
-        :class:`FatalRequestError` for 4xx, matching :meth:`request`'s
-        taxonomy so callers can share recovery logic.
-        """
-        deadline = self.timeout if timeout is None else float(timeout)
-        try:
-            host, port, target = _split_url(f"{self.base_url}{path}")
-            connection = _connect(host, port, deadline)
-        except http.client.InvalidURL as error:
-            raise FatalRequestError(f"GET {path} cannot be sent: {error}")
-        except OSError as error:
-            raise RetryableTransportError(
-                f"GET {path} failed: {type(error).__name__}: {error}")
-        try:
-            connection.request("GET", target, headers={"Connection": "close"})
-            response = connection.getresponse()
-            if 400 <= response.status < 500:
-                raise FatalRequestError(
-                    f"GET {path} rejected with {response.status}",
-                    status=response.status)
-            if not 200 <= response.status < 300:
-                raise RetryableTransportError(
-                    f"GET {path} failed with {response.status}",
-                    status=response.status)
-            for raw_line in response:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except ValueError:
-                    raise RetryableTransportError(
-                        f"GET {path} delivered a torn NDJSON line")
-        except (http.client.HTTPException, OSError) as error:
-            raise RetryableTransportError(
-                f"GET {path} stream broke: {type(error).__name__}: {error}")
-        finally:
-            connection.close()
-
-    def follow_campaign(self, run_id: str, poll_timeout: float = 30.0,
-                        max_reconnects: Optional[int] = None
-                        ) -> Iterator[Dict[str, Any]]:
-        """Follow a campaign's event stream across reconnects.
-
-        Resumes from the last-seen event after server ``shutdown`` /
-        ``timeout`` events and transient transport failures: cell events are
-        deduplicated by their latest seen status and the snapshot is
-        forwarded only once, so a consumer sees each transition exactly once
-        no matter how many times the underlying stream reconnects (the
-        PR 9 kill+restart scenario).  Ends after the terminal ``run`` /
-        ``error`` event; raises :class:`RetryableTransportError` only once
-        ``max_reconnects`` (default: the client's retry budget) consecutive
-        attempts yield no events.
-        """
-        budget = self.max_retries if max_reconnects is None else int(
-            max_reconnects)
-        delays = backoff_schedule(self.backoff, max(budget, 1),
-                                  self.retry_seed ^ 0x51A3)
-        seen: Dict[int, str] = {}
-        snapshot_sent = False
-        misses = 0
-        while True:
-            try:
-                for event in self.stream(
-                        f"/api/campaigns/{quote(run_id, safe='')}/stream"
-                        f"?timeout={poll_timeout}",
-                        timeout=poll_timeout + self.timeout):
-                    kind = event.get("event")
-                    if kind == "snapshot":
-                        misses = 0
-                        if not snapshot_sent:
-                            snapshot_sent = True
-                            yield event
-                    elif kind == "cell":
-                        misses = 0
-                        index = int(event["index"])
-                        if seen.get(index) == event["status"]:
-                            continue
-                        seen[index] = event["status"]
-                        yield event
-                    elif kind in ("run", "error"):
-                        yield event
-                        return
-                    elif kind == "shutdown":
-                        telemetry.counter("client.stream.shutdowns").inc()
-                        yield event
-                        break  # reconnect once the server is back
-                    elif kind == "timeout":
-                        break  # idle long-poll expiry: reconnect immediately
-                    else:
-                        yield event
-                else:
-                    # Stream ended without a terminal event (torn mid-line
-                    # EOF short of an exception): treat as a lost stream.
-                    misses += 1
-            except RetryableTransportError:
-                misses += 1
-            except FatalRequestError:
-                raise
-            if misses > budget:
-                raise RetryableTransportError(
-                    f"stream of {run_id!r} lost after {misses} consecutive"
-                    " reconnect attempts", attempts=misses)
-            if misses:
-                telemetry.counter("client.stream.reconnects").inc()
-                self._sleep(delays[min(misses - 1, len(delays) - 1)])
 
 
 __all__ = [

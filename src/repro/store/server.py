@@ -21,10 +21,6 @@ Endpoints
 ``GET  /api/campaigns``                  every run with progress counters
 ``GET  /api/campaigns/<id>``             one run: cells, provenance, queue
 ``GET  /api/campaigns/<id>/rows``        finished rows in cell order
-``GET  /api/campaigns/<id>/stream``      JSON-lines event stream: a snapshot,
-                                         then one event per newly finished
-                                         cell, then a terminal run /
-                                         timeout / shutdown event
 ``GET  /api/jobs[?run_id=..]``           queue counts + outstanding jobs
 ``POST /api/jobs/claim``                 lease the next job (503 while
                                          draining)
@@ -86,10 +82,9 @@ host, against 0.8 ms with Nagle off).
 Hardening: per-connection read timeouts (a stalled client cannot pin a
 handler thread), a request body cap (413 past it), and graceful drain —
 SIGTERM (or :meth:`CampaignServer.initiate_drain`) finishes in-flight
-requests, terminates long-poll streams with a ``shutdown`` event within one
-poll interval, and refuses new claims with 503 so workers fail over or back
-off (a complete still applies; the claim it carries leases nothing).  A
-drain also closes kept-alive connections: a handler waiting for its
+requests and refuses new claims with 503 so workers fail over or back off
+(a complete still applies; the claim it carries leases nothing).  A drain
+also closes kept-alive connections: a handler waiting for its
 connection's next request sees :attr:`CampaignServer.shutdown_event` within
 one poll interval and closes it, and every response sent while shutting
 down carries ``Connection: close`` — so ``server_close()`` joins no handler
@@ -140,13 +135,9 @@ from repro.store.queue import (
 
 DEFAULT_PORT = 8642
 
-#: Seconds between catalogue polls while streaming campaign events (also the
-#: worst-case latency for a stream or an idle kept-alive connection to
-#: observe a server shutdown).
-STREAM_POLL_SECONDS = 0.25
-
-#: Default wall-clock budget of one stream request.
-STREAM_TIMEOUT_SECONDS = 300.0
+#: Seconds between shutdown checks while a kept-alive connection idles (the
+#: worst-case latency for an idle connection to observe a server shutdown).
+POLL_SECONDS = 0.25
 
 #: Per-connection socket read deadline (seconds), also the longest a
 #: kept-alive connection may idle between requests.
@@ -172,9 +163,9 @@ class CampaignServer(ThreadingHTTPServer):
     the server's lock, and send their response after leaving that block.
 
     Non-daemon handler threads + ``block_on_close`` make ``server_close()``
-    *join* in-flight requests — safe because every long-poll and every idle
-    kept-alive connection observes :attr:`shutdown_event` and exits within
-    one poll interval — before it closes the connection.
+    *join* in-flight requests — safe because every idle kept-alive
+    connection observes :attr:`shutdown_event` and exits within one poll
+    interval — before it closes the connection.
     """
 
     daemon_threads = False
@@ -219,18 +210,12 @@ class CampaignServer(ThreadingHTTPServer):
         # The last connection to close checkpoints the WAL into the file.
         self._catalog.close()
 
-    def shutdown(self) -> None:
-        # Wake long-poll streams *before* stopping the accept loop, so the
-        # serve_forever caller is never left joining a 300-second stream.
-        self.shutdown_event.set()
-        super().shutdown()
-
     def initiate_drain(self) -> None:
-        """Graceful SIGTERM drain: refuse new claims, terminate streams,
-        finish in-flight requests, then stop.  Returns immediately; the
-        actual ``shutdown()`` must run off the serve_forever thread (calling
-        it inline from a handler or a signal landing on that thread would
-        deadlock)."""
+        """Graceful SIGTERM drain: refuse new claims, close idle kept-alive
+        connections, finish in-flight requests, then stop.  Returns
+        immediately; the actual ``shutdown()`` must run off the serve_forever
+        thread (calling it inline from a handler or a signal landing on that
+        thread would deadlock)."""
         self.draining = True
         self.shutdown_event.set()
         threading.Thread(target=self.shutdown, daemon=True).start()
@@ -264,9 +249,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] \
                     and parts[3] == "rows":
                 self._campaign_rows(parts[2])
-            elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] \
-                    and parts[3] == "stream":
-                self._stream(parts[2], query)
             elif parts == ["api", "jobs"]:
                 self._jobs_overview(query)
             elif parts == ["api", "query"]:
@@ -279,7 +261,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 self._json(404, {"error": f"no route for {url.path}"})
         except ValueError as error:
             self._json(400, {"error": str(error)})
-        except BrokenPipeError:  # client went away mid-stream
+        except BrokenPipeError:  # client went away mid-response
             pass
         except Exception as error:  # pragma: no cover - defensive 500
             self._json(500, {"error": f"{type(error).__name__}: {error}"})
@@ -571,58 +553,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self._json(200, {"metric": metric, "by": query.get("by"),
                          "rows": rows})
 
-    def _stream(self, run_id: str, query: Dict[str, str]) -> None:
-        """JSON-lines campaign events until completion, timeout, or shutdown.
-
-        The loop never sleeps blindly: it waits on the server's
-        ``shutdown_event``, so a draining server terminates every stream
-        with a ``shutdown`` event within one poll interval instead of
-        holding its handler thread for up to the full stream timeout.
-        """
-        timeout = float(query.get("timeout", STREAM_TIMEOUT_SECONDS))
-        deadline = time.perf_counter() + timeout
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        seen: Dict[int, str] = {}
-        first = True
-        while True:
-            with self.server.catalog() as catalog:
-                info = catalog.run_info(run_id)
-            if info is None:
-                self._stream_line({"event": "error",
-                                   "error": f"unknown campaign {run_id!r}"})
-                return
-            if first:
-                self._stream_line({"event": "snapshot", "run_id": run_id,
-                                   "status": info["status"],
-                                   "cells": len(info["cell_statuses"])})
-                first = False
-            for cell in info["cell_statuses"]:
-                status = cell["status"]
-                if status == "pending" or seen.get(cell["cell_index"]) == status:
-                    continue
-                seen[cell["cell_index"]] = status
-                self._stream_line({"event": "cell", "run_id": run_id,
-                                   "index": cell["cell_index"],
-                                   "status": status,
-                                   "attempts": cell["attempts"]})
-            if info["status"] in ("complete", "failed"):
-                self._stream_line({"event": "run", "run_id": run_id,
-                                   "status": info["status"]})
-                return
-            if time.perf_counter() > deadline:
-                self._stream_line({"event": "timeout", "run_id": run_id,
-                                   "status": info["status"]})
-                return
-            if self.server.shutdown_event.wait(STREAM_POLL_SECONDS):
-                self._stream_line({"event": "shutdown", "run_id": run_id,
-                                   "status": info["status"]})
-                return
-
     # --------------------------------------------------------------- plumbing
     def _json(self, code: int, payload: Any) -> None:
         body = dump_json(payload, indent=2).encode("utf-8")
@@ -633,10 +563,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
-
-    def _stream_line(self, payload: Any) -> None:
-        self.wfile.write((dump_json(payload) + "\n").encode("utf-8"))
-        self.wfile.flush()
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # quiet by default; the CLI prints the endpoint once
@@ -660,7 +586,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         True once request bytes (or the client's EOF) are readable; False —
         close the connection — when the server is shutting down or the
         connection idled for :attr:`timeout`.  Polls the socket in
-        ``STREAM_POLL_SECONDS`` steps, so a drain never joins an idle
+        ``POLL_SECONDS`` steps, so a drain never joins an idle
         handler for the whole idle timeout.
         """
         # Bytes the previous request's reads already buffered are invisible
@@ -679,7 +605,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         deadline = time.perf_counter() + float(self.timeout)
         while True:
             draining = self.server.shutdown_event.is_set()
-            if poller.poll(0 if draining else STREAM_POLL_SECONDS * 1000):
+            if poller.poll(0 if draining else POLL_SECONDS * 1000):
                 return True
             if draining or time.perf_counter() >= deadline:
                 return False
@@ -703,7 +629,7 @@ def _endpoint_label(method: str, parts: List[str]) -> str:
     """Low-cardinality metric label for one request path."""
     if len(parts) >= 2 and parts[0] == "api":
         if parts[1] == "campaigns" and len(parts) >= 4:
-            tail = parts[3] if parts[3] in ("rows", "stream") else "detail"
+            tail = "rows" if parts[3] == "rows" else "detail"
             return f"{method}.campaigns.{tail}"
         if parts[1] == "campaigns" and len(parts) == 3:
             return f"{method}.campaigns.detail"

@@ -191,14 +191,68 @@ class TestCellContext:
         second = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
         ref = first.to_dict()
         assert second.to_dict() == ref  # loaded from the memo, not retrained
-        assert ctx.load_policy("train") is not None
+        result, policy = ctx.load_training("train")
+        assert result.to_dict() == ref
+        assert policy is not None
+
+    def test_memo_hit_reads_the_policy_once(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from repro.experiments.common import train_agent
+
+        ctx = CellContext(tmp_path)
+        train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
+        policy_path = ctx.policy_path("train")
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            if path == policy_path:
+                reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
+        assert reads == [policy_path]
+
+    @pytest.mark.parametrize("damage", ["missing", "torn", "unpicklable"])
+    def test_unusable_policy_memo_retrains_bit_identically(self, tmp_path,
+                                                           damage):
+        from repro.experiments.common import train_agent
+        from repro.runs.artifacts import (atomic_write_bytes,
+                                          quarantine_log_entries)
+
+        ctx = CellContext(tmp_path)
+        first = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
+        policy_path = ctx.policy_path("train")
+        if damage == "missing":
+            policy_path.unlink()
+        elif damage == "torn":
+            policy_path.write_bytes(policy_path.read_bytes()[:-7])
+        else:  # checksum-valid bytes that are not a pickle
+            atomic_write_bytes(policy_path, b"not a pickle")
+        assert ctx.load_training("train") is None
+        reasons = [entry["reason"] for entry in quarantine_log_entries(tmp_path)
+                   if entry["artifact"] == policy_path.name]
+        expected = {"missing": [], "torn": ["checksum mismatch"],
+                    "unpicklable": ["unpicklable"]}[damage]
+        assert [reason.split(":")[0] for reason in reasons] == expected
+        second = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
+        first_key, second_key = first.to_dict(), second.to_dict()
+        first_key.pop("wall_time_seconds")
+        second_key.pop("wall_time_seconds")
+        assert second_key == first_key
+        result, policy = ctx.load_training("train")
+        assert result.to_dict() == second.to_dict()
+        assert policy is not None
 
     def test_policy_memo_from_before_mlp_only_policy_loads(self, tmp_path):
         # train.policy.pkl memos written while the policy still had a
         # backbone switch and an inference counter carry these attributes in
         # the pickled __dict__.
-        from repro.runs.artifacts import atomic_write_pickle
+        from repro.runs.artifacts import atomic_write_pickle, atomic_write_text
         from repro.rl.policy import ActorCriticPolicy
+        from repro.rl.trainer import TrainingResult
 
         policy = ActorCriticPolicy(12, 4, hidden_sizes=(16, 8),
                                    rng=np.random.default_rng(3))
@@ -208,7 +262,12 @@ class TestCellContext:
                                _compiled_unsupported=False, _compiled_calls=7)
         ctx = CellContext(tmp_path)
         atomic_write_pickle(ctx.policy_path("train"), legacy)
-        loaded = ctx.load_policy("train")
+        atomic_write_text(ctx.result_path("train"), TrainingResult(
+            converged=True, env_steps=1, updates=1, epochs_to_converge=None,
+            final_accuracy=1.0, final_guess_rate=1.0,
+            final_episode_length=1.0, final_episode_reward=1.0,
+            wall_time_seconds=0.0).to_json())
+        _, loaded = ctx.load_training("train")
         observations = np.random.default_rng(4).standard_normal((5, 12))
         for deterministic in (False, True):
             got = loaded.act(observations, rng=np.random.default_rng(5),
