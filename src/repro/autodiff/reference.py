@@ -80,8 +80,13 @@ def ppo_loss(policy: "ActorCriticPolicy", batch: "RolloutBatch", config: "PPOCon
              entropy_coefficient: float) -> Tuple[Tensor, Dict[str, float]]:
     """The minibatch's total PPO loss as a graph, and its metrics."""
     if policy.dtype != "float64":
-        # float32 policies compute the whole loss graph in float32; the
+        # float32 policies compute the per-sample graph in float32; the
         # rollout buffer stays float64 (GAE precision), cast per batch.
+        # Every full reduction's numpy scalar is lifted to float64 by
+        # ``tensor._as_array``, so the scalar tail, from the entropy and
+        # policy-loss means onwards, and the loss itself are float64.  The
+        # fused kernel matches this bit for bit; making the tail float32
+        # re-baselines float32 training bits (ROADMAP item 4).
         cast = np.dtype(policy.dtype)
         batch = dataclasses.replace(
             batch,

@@ -80,13 +80,13 @@ class TrainingResult:
         return self.env_steps / STEPS_PER_EPOCH
 
     # ---------------------------------------------------------- serialization
-    def to_dict(self, include_history: bool = True) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict that round-trips losslessly via :meth:`from_dict`.
 
         Run artifacts (``runs/<id>/``) and ``BENCH_*.json`` files both store
         results through this one path.
         """
-        data: Dict[str, Any] = {
+        return {
             "converged": bool(self.converged),
             "env_steps": int(self.env_steps),
             "updates": int(self.updates),
@@ -98,10 +98,8 @@ class TrainingResult:
             "final_episode_reward": float(self.final_episode_reward),
             "wall_time_seconds": float(self.wall_time_seconds),
             "extraction": None if self.extraction is None else self.extraction.to_dict(),
+            "history": self.history.to_dict(),
         }
-        if include_history:
-            data["history"] = self.history.to_dict()
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrainingResult":
@@ -123,8 +121,8 @@ class TrainingResult:
                         else AttackExtraction.from_dict(extraction)),
         )
 
-    def to_json(self, include_history: bool = True, **json_kwargs) -> str:
-        return dump_json(self.to_dict(include_history=include_history), **json_kwargs)
+    def to_json(self, **json_kwargs) -> str:
+        return dump_json(self.to_dict(), **json_kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "TrainingResult":
@@ -216,9 +214,7 @@ class PPOTrainer:
 
     # ------------------------------------------------------------------ train
     def train(self, max_updates: int = 100, target_accuracy: float = 0.95,
-              eval_every: int = 5, eval_episodes: int = 30,
-              max_env_steps: Optional[int] = None,
-              extract_on_success: bool = True) -> TrainingResult:
+              eval_every: int = 5, eval_episodes: int = 30) -> TrainingResult:
         """Train until evaluation accuracy reaches the target or the budget runs out.
 
         The loop continues from ``self.updates_done``, so calling ``train()``
@@ -279,13 +275,9 @@ class PPOTrainer:
                     self._converged = True
                     self._epochs_to_converge = self.env_steps / STEPS_PER_EPOCH
             self._notify_update(update, metrics)
-            if self._converged:
-                break
-            if max_env_steps is not None and self.env_steps >= max_env_steps:
-                break
 
         extraction = None
-        if extract_on_success and self._converged:
+        if self._converged:
             extraction = extract_attack_sequence(self.eval_env, self.policy,
                                                  seed=self.seed)
         evaluation = self._last_evaluation

@@ -71,7 +71,7 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
                              "watchdog that kills hung cells")
     parser.add_argument("--fault-plan", default=None,
                         help="chaos injection: a FaultPlan JSON file path or "
-                             "inline JSON (also via REPRO_RUN_FAULT_PLAN)")
+                             "inline JSON")
 
 
 def _campaign_options(args: argparse.Namespace) -> dict:

@@ -26,10 +26,9 @@ Every fault names the cell it targets (``cell=None`` matches any cell) and
 fires **once** by default: the injector
 records fired faults under ``<out_dir>/faults/`` so a resumed campaign does
 not re-inject them — which is exactly what makes "run under a fault plan,
-then resume to completion" deterministic.  Plans travel three ways:
-``repro.run(fault_plan=...)``, the ``REPRO_RUN_FAULT_PLAN`` environment
-variable (inline JSON or a file path), and ``python -m repro run
---fault-plan``.
+then resume to completion" deterministic.  Plans travel two ways:
+``repro.run(fault_plan=...)`` and ``python -m repro run --fault-plan``
+(inline JSON or a file path); a submitted plan rides in every job payload.
 
 Network chaos
 -------------
@@ -63,7 +62,6 @@ perturbs the same protocol steps.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -73,9 +71,6 @@ from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.registry import Record
 from repro.runs.artifacts import atomic_write_json
 from repro.runs.context import CampaignInterrupted
-
-#: Environment variable carrying a fault plan (inline JSON or a file path).
-FAULT_PLAN_ENV_VAR = "REPRO_RUN_FAULT_PLAN"
 
 FAULT_KINDS = ("kill", "torn-write", "bit-flip", "stall")
 
@@ -240,14 +235,6 @@ class ChaosSchedule:
                     self.fired.append({"kind": fault.kind, "path": path})
                 self._seen[index] += 1
         return matched
-
-
-def resolve_fault_plan(fault_plan: Any = None,
-                       environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
-    """The fault plan: argument, then ``REPRO_RUN_FAULT_PLAN``."""
-    environ = os.environ if environ is None else environ
-    return FaultPlan.resolve(fault_plan if fault_plan is not None
-                             else environ.get(FAULT_PLAN_ENV_VAR) or None)
 
 
 class FaultInjector:

@@ -48,7 +48,7 @@ one executor (:func:`execute_cell`), one heartbeat, and one
   (60 s) before it reclaims the cells the dead process held.
 
 * **Fault injection**: a :class:`~repro.runs.faults.FaultPlan`
-  (``fault_plan=``, ``REPRO_RUN_FAULT_PLAN``, or ``--fault-plan``) kills
+  (``fault_plan=`` or ``--fault-plan``) kills
   cells at checkpoint boundaries, tears or bit-flips artifacts, and stalls
   cells past the watchdog.  An injected kill ends its drainer the way a
   real one would.
@@ -340,7 +340,6 @@ def _attempt_cell(payload: Dict) -> Dict:
     max_attempts = max(1, int(payload.get("max_attempts", 1)))
     backoff = float(payload.get("retry_backoff", 0.0))
     prior = _prior_attempts(cell_dir)
-    run_label = Path(payload.get("out_dir", "")).name
     record: Dict = {}
     for attempt in range(1, max_attempts + 1):
         started = time.perf_counter()
@@ -348,9 +347,7 @@ def _attempt_cell(payload: Dict) -> Dict:
         if attempt > 1:
             telemetry.counter("runner.cell.retries").inc()
         try:
-            with telemetry.span("runner.cell", run_id=run_label,
-                                cell=index, attempt=prior + attempt):
-                outcome = _execute_cell(**payload)
+            outcome = _execute_cell(**payload)
             telemetry.counter(
                 "runner.cells." + outcome.get("status", "completed")).inc()
             return outcome
@@ -374,8 +371,7 @@ def _attempt_cell(payload: Dict) -> Dict:
 
 
 def execute_cell(payload: Dict,
-                 sink: Optional[Callable[[List[dict], List[dict]], None]] = None
-                 ) -> Dict:
+                 sink: Optional[Callable[[List[dict]], None]] = None) -> Dict:
     """Run one claimed cell payload: the executor behind every drain.
 
     Without a ``timeout`` in the payload the cell runs in-process.  With
@@ -415,10 +411,10 @@ def execute_cell(payload: Dict,
             payload, "failed", "WorkerDied",
             f"worker exited with code {child.exitcode} before reporting",
             elapsed=None)
-    outcome, points, spans = reply
-    if sink is not None and (points or spans):
+    outcome, points = reply
+    if sink is not None and points:
         try:
-            sink(points, spans)
+            sink(points)
         except Exception:
             pass  # telemetry is best-effort
     return outcome
@@ -433,8 +429,7 @@ def _cell_child(payload: Dict, sender: Any) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _forget_inherited_telemetry()
     outcome = _attempt_cell(payload)
-    registry = telemetry.get_registry()
-    sender.send((outcome, registry.snapshot(reset=True), registry.drain_spans()))
+    sender.send((outcome, telemetry.get_registry().snapshot(reset=True)))
 
 
 def _forget_inherited_telemetry() -> None:
@@ -587,8 +582,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         it past the budget (the cell then reports status ``timeout``).
     fault_plan:
         A :class:`~repro.runs.faults.FaultPlan` (or its dict/JSON/path form)
-        of deterministic faults to inject; also settable through the
-        ``REPRO_RUN_FAULT_PLAN`` env var.
+        of deterministic faults to inject.
     catalog:
         The SQLite catalogue (:mod:`repro.store`) whose queue the campaign
         drains through: ``None`` (default) uses

@@ -290,10 +290,9 @@ class Catalog:
 
     # ------------------------------------------------------------- telemetry
     def record_telemetry(self, worker: str, points: Sequence[Mapping[str, Any]],
-                         spans: Sequence[Mapping[str, Any]] = (),
                          host: Optional[str] = None,
                          pid: Optional[int] = None) -> Dict[str, int]:
-        """Land one telemetry flush batch (points + spans) transactionally.
+        """Land one telemetry flush batch of points transactionally.
 
         Points are delta snapshots (see ``repro.telemetry``); ``at_unix`` is
         stamped here with the catalogue's SQL clock so all reporters share
@@ -311,13 +310,7 @@ class Catalog:
                   dump_json(p["buckets"]) if p.get("buckets") else None,
                   dump_json(p["labels"]) if p.get("labels") else None,
                   now) for p in points])
-            self.conn.executemany(
-                "INSERT INTO telemetry_spans (worker, name, labels_json,"
-                " seconds, at_unix) VALUES (?, ?, ?, ?, ?)",
-                [(worker, s["name"],
-                  dump_json(s["labels"]) if s.get("labels") else None,
-                  float(s["seconds"]), now) for s in spans])
-        return {"points": len(points), "spans": len(spans)}
+        return {"points": len(points)}
 
     def telemetry_points(self, name: Optional[str] = None,
                          worker: Optional[str] = None,

@@ -419,14 +419,12 @@ class StoreClient:
 
     # ------------------------------------------------------------- telemetry
     def post_telemetry(self, worker: str, points: List[Dict[str, Any]],
-                       spans: Optional[List[Dict[str, Any]]] = None,
                        host: Optional[str] = None,
                        pid: Optional[int] = None) -> Dict[str, Any]:
         """Batch-report one telemetry flush (exactly-once: a retried batch
         whose response was lost replays instead of double-inserting)."""
         return self.post("/api/telemetry", {
             "worker": worker, "points": list(points),
-            "spans": list(spans) if spans else [],
             "host": host, "pid": pid,
             "idempotency_key": self._next_key("telemetry"),
         })

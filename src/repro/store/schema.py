@@ -33,22 +33,24 @@ service knows:
     delivery from the network) replays the recorded response instead of
     re-applying — which is what makes a retried ``complete`` unable to
     double-apply.
-``telemetry_points`` / ``telemetry_spans``
+``telemetry_points``
     Observability (schema v3): periodic flushes from ``repro.telemetry``.
     Points are *delta* snapshots per flush interval — counters reset after
     every snapshot, so summing ``value`` over rows gives the true total;
     gauges are last-write-wins; histograms store their preallocated bucket
-    layout as JSON in ``buckets_json``.  Spans are individual
-    ``time.perf_counter`` timings (name + labels + seconds).  ``at_unix``
-    is stamped by the catalogue's SQL clock at persist time, never by the
-    reporting process's wall clock.  The ``/api/workers`` roster joins
-    these tables with ``jobs`` and ``lease_events``.
+    layout as JSON in ``buckets_json``.  ``at_unix`` is stamped by the
+    catalogue's SQL clock at persist time, never by the reporting process's
+    wall clock.  The ``/api/workers`` roster joins this table with ``jobs``
+    and ``lease_events``.  A cell's own timing lives in its ``cells`` row
+    (``elapsed_seconds``, ``attempts``).
 
 Schema changes bump :data:`SCHEMA_VERSION`; ``ensure_schema`` refuses to
 open a catalogue written by a newer version, and upgrades older catalogues
 in place (the DDL is idempotent, so re-applying it adds any missing
 tables).  Upgrading to v4 drops the ``bench`` table v1-v3 kept: the
-checked-in ``BENCH_*.json`` files are the one perf record.
+checked-in ``BENCH_*.json`` files are the one perf record.  Upgrading to
+v5 drops the span table and index v3-v4 kept: points are the one
+telemetry record.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.connection import StoreConnection
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Job states in the cooperative queue.
 JOB_STATES = ("pending", "leased", "done", "failed")
@@ -166,17 +168,6 @@ CREATE INDEX IF NOT EXISTS telemetry_points_by_name
     ON telemetry_points(name, at_unix);
 CREATE INDEX IF NOT EXISTS telemetry_points_by_worker
     ON telemetry_points(worker, at_unix);
-
-CREATE TABLE IF NOT EXISTS telemetry_spans (
-    span_id     INTEGER PRIMARY KEY AUTOINCREMENT,
-    worker      TEXT NOT NULL,
-    name        TEXT NOT NULL,
-    labels_json TEXT,
-    seconds     REAL NOT NULL,
-    at_unix     INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS telemetry_spans_by_name
-    ON telemetry_spans(name, at_unix);
 """
 
 
@@ -187,10 +178,12 @@ def ensure_schema(conn: "StoreConnection") -> None:
     if recorded is None or int(recorded) < SCHEMA_VERSION:
         # Fresh catalogue, or an older one: the idempotent DDL above already
         # added any tables this version introduced; an older one may still
-        # hold the ``bench`` table v4 dropped.
+        # hold the ``bench`` table v4 dropped or the span table v5 dropped
+        # (its index goes with it).
         with conn.transaction():
             if recorded is not None:
                 conn.execute("DROP TABLE IF EXISTS bench")
+                conn.execute("DROP TABLE IF EXISTS telemetry_spans")
             conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) "
                 "VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))

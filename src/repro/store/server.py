@@ -363,14 +363,12 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         worker = str(body.get("worker") or "remote")
         points = body.get("points") or []
-        spans = body.get("spans") or []
-        if not isinstance(points, list) or not isinstance(spans, list):
-            raise ValueError('"points" and "spans" must be JSON arrays')
+        if not isinstance(points, list):
+            raise ValueError('"points" must be a JSON array')
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             recorded = catalog.record_telemetry(
-                worker, points, spans,
-                host=body.get("host"), pid=body.get("pid"))
+                worker, points, host=body.get("host"), pid=body.get("pid"))
             return {"recorded": recorded, "worker": worker}
 
         self._mutate("telemetry", body, apply)

@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.experiments.common import ScaleLike
-from repro.runs.faults import resolve_fault_plan
+from repro.runs.faults import FaultPlan
 from repro.runs.registry import ExperimentLike
 from repro.runs.runner import (
     _load_result,
@@ -121,7 +121,7 @@ def submit_campaign(experiment: ExperimentLike,
     """
     spec, scale, seed, out_dir = resolve_campaign(experiment, scale, seed, root,
                                                   out_dir)
-    plan = resolve_fault_plan(fault_plan)
+    plan = FaultPlan.resolve(fault_plan)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = spec.cells(scale)

@@ -1,4 +1,4 @@
-"""Hot-path-safe metrics and span tracing for the repro campaign stack.
+"""Hot-path-safe metrics for the repro campaign stack.
 
 Usage::
 
@@ -7,8 +7,8 @@ Usage::
     CLAIMS = telemetry.counter("worker.claim.total")
     CLAIM_SECONDS = telemetry.histogram("worker.claim.seconds")
 
-    with telemetry.span("runner.cell", run_id=run_id, cell=index):
-        ...
+    CLAIMS.inc()
+    CLAIM_SECONDS.record(time.perf_counter() - started)
 
 Guarantees:
 
@@ -22,9 +22,8 @@ Guarantees:
   clocks only** (``time.perf_counter``); wall-clock timestamps are
   stamped by the catalogue's SQL clock at persist time.
 * **Best-effort persistence** via ``flush.TelemetryFlusher`` into the
-  schema-v3 ``telemetry_points`` / ``telemetry_spans`` tables, either
-  directly (``CatalogSink``) or over HTTP (``ClientSink`` →
-  ``POST /api/telemetry``).
+  catalogue's ``telemetry_points`` table, either directly
+  (``CatalogSink``) or over HTTP (``ClientSink`` → ``POST /api/telemetry``).
 
 Metric names follow ``layer.component.metric`` (see CONTRIBUTING).
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.telemetry.flush import (
     CatalogSink,
@@ -50,10 +49,7 @@ from repro.telemetry.registry import (
     Histogram,
     MetricRegistry,
     NULL_METRIC,
-    NULL_SPAN,
     NullMetric,
-    NullSpan,
-    Span,
 )
 
 ENV_FLAG = "REPRO_TELEMETRY"
@@ -97,14 +93,8 @@ def gauge(name: str) -> Union[Gauge, NullMetric]:
     return _registry.gauge(name) if enabled() else NULL_METRIC
 
 
-def histogram(
-    name: str, edges: Optional[Sequence[float]] = None
-) -> Union[Histogram, NullMetric]:
-    return _registry.histogram(name, edges) if enabled() else NULL_METRIC
-
-
-def span(name: str, **labels: object) -> Union[Span, NullSpan]:
-    return _registry.span(name, **labels) if enabled() else NULL_SPAN
+def histogram(name: str) -> Union[Histogram, NullMetric]:
+    return _registry.histogram(name) if enabled() else NULL_METRIC
 
 
 __all__ = [
@@ -118,10 +108,7 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "NULL_METRIC",
-    "NULL_SPAN",
     "NullMetric",
-    "NullSpan",
-    "Span",
     "TelemetryFlusher",
     "configure",
     "counter",
@@ -131,5 +118,4 @@ __all__ = [
     "gauge",
     "get_registry",
     "histogram",
-    "span",
 ]

@@ -1,7 +1,7 @@
 """Periodic background flusher and persistence sinks for telemetry.
 
-A :class:`TelemetryFlusher` drains the process registry (delta snapshot of
-points plus buffered spans) into a *sink* on a fixed interval and once more
+A :class:`TelemetryFlusher` drains the process registry (a delta snapshot of
+points) into a *sink* on a fixed interval and once more
 at ``stop()``.  Two sinks exist, mirroring the two campaign transports:
 
 * :class:`CatalogSink` — writes directly into ``catalog.sqlite`` via
@@ -29,8 +29,8 @@ from repro.telemetry.registry import MetricRegistry
 
 DEFAULT_FLUSH_INTERVAL_SECONDS = 2.0
 
-#: A sink consumes one flush batch: ``sink(points, spans)``.
-Sink = Callable[[List[dict], List[dict]], None]
+#: A sink consumes one flush batch: ``sink(points)``.
+Sink = Callable[[List[dict]], None]
 
 
 def default_instance(worker: Optional[str] = None) -> dict:
@@ -57,12 +57,12 @@ class CatalogSink:
         self.host = host or socket.gethostname()
         self.pid = pid if pid is not None else os.getpid()
 
-    def __call__(self, points: List[dict], spans: List[dict]) -> None:
+    def __call__(self, points: List[dict]) -> None:
         from repro.store.catalog import Catalog
 
         with Catalog(self.catalog_file) as catalog:
             catalog.record_telemetry(
-                self.worker, points, spans, host=self.host, pid=self.pid
+                self.worker, points, host=self.host, pid=self.pid
             )
 
 
@@ -87,12 +87,12 @@ class ClientSink:
         self.host = host or socket.gethostname()
         self.pid = pid if pid is not None else os.getpid()
 
-    def __call__(self, points: List[dict], spans: List[dict]) -> None:
+    def __call__(self, points: List[dict]) -> None:
         from repro.store.client import StoreClientError
 
         try:
             self.client.post_telemetry(
-                self.worker, points, spans, host=self.host, pid=self.pid
+                self.worker, points, host=self.host, pid=self.pid
             )
         except StoreClientError:
             pass
@@ -131,11 +131,9 @@ class TelemetryFlusher:
 
         if not telemetry.enabled():
             return
-        registry = self._resolve_registry()
-        points = registry.snapshot(reset=True)
-        spans = registry.drain_spans()
-        if points or spans:
-            self.sink(points, spans)
+        points = self._resolve_registry().snapshot(reset=True)
+        if points:
+            self.sink(points)
 
     def start(self) -> "TelemetryFlusher":
         from repro import telemetry

@@ -1,4 +1,4 @@
-"""Process-local metric registry: counters, gauges, fixed-bucket histograms, spans.
+"""Process-local metric registry: counters, gauges, fixed-bucket histograms.
 
 Design contract (mirrors the hot-path doctrine in ``repro.lint``):
 
@@ -8,25 +8,24 @@ Design contract (mirrors the hot-path doctrine in ``repro.lint``):
   and ``record`` does a ``searchsorted`` plus an in-place increment.  No
   dict, list, or array construction happens on the record path; the
   ``telemetry.record-alloc`` lint rule enforces this.
-* **Monotonic clock only.**  Spans time with ``time.perf_counter``.
-  Nothing in this module reads the wall clock; cross-process timestamps
+* **No wall clock.**  Nothing in this module reads the wall clock;
+  callers time with ``time.perf_counter`` and cross-process timestamps
   are stamped by the catalogue's SQL clock at persist time
   (``Catalog.record_telemetry``).
 * **Best-effort under threads.**  Record paths are deliberately
   lock-free (a lost increment under a rare race is acceptable for
-  telemetry); the registry lock only guards metric creation, span
-  buffering, and snapshot/drain.
+  telemetry); the registry lock only guards metric creation and
+  ``snapshot``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
-#: Default histogram bucket upper edges, in seconds.  Spans campaign work
+#: Histogram bucket upper edges, in seconds.  They cover campaign work
 #: from sub-millisecond store round-trips to multi-second training cells.
 DEFAULT_BUCKET_EDGES = (
     0.0005,
@@ -45,10 +44,6 @@ DEFAULT_BUCKET_EDGES = (
     10.0,
     30.0,
 )
-
-#: Cap on buffered spans between flushes; older spans win, new ones are
-#: dropped (and counted) so a stuck flusher cannot grow memory unboundedly.
-MAX_PENDING_SPANS = 2048
 
 
 class Counter:
@@ -108,17 +103,16 @@ class Histogram:
 
     ``record`` is alloc-free: a scalar ``searchsorted`` against the
     preallocated edge array plus an in-place count increment.  Bucket ``i``
-    counts values ``<= edges[i]``; the final slot is the overflow bucket.
+    counts values ``<= edges[i]`` of :data:`DEFAULT_BUCKET_EDGES`; the final
+    slot is the overflow bucket.
     """
 
     kind = "histogram"
     __slots__ = ("name", "edges", "counts", "sum", "count")
 
-    def __init__(self, name: str, edges: Sequence[float] = DEFAULT_BUCKET_EDGES) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.edges = np.asarray(edges, dtype=np.float64)
-        if self.edges.ndim != 1 or self.edges.shape[0] == 0:
-            raise ValueError("histogram edges must be a non-empty 1-D sequence")
+        self.edges = np.asarray(DEFAULT_BUCKET_EDGES, dtype=np.float64)
         self.counts = np.zeros(self.edges.shape[0] + 1, dtype=np.int64)
         self.sum = 0.0
         self.count = 0
@@ -153,33 +147,6 @@ class Histogram:
 Metric = Union[Counter, Gauge, Histogram]
 
 
-class Span:
-    """Context manager timing one operation with ``time.perf_counter``.
-
-    On exit the duration is appended to the owning registry's span buffer;
-    the buffer is drained (not reset in place) by the flusher, so spans are
-    reported exactly once.
-    """
-
-    __slots__ = ("_registry", "name", "labels", "seconds", "_started")
-
-    def __init__(self, registry: "MetricRegistry", name: str, labels: Mapping[str, object]) -> None:
-        self._registry = registry
-        self.name = name
-        self.labels = labels
-        self.seconds: Optional[float] = None
-        self._started = 0.0
-
-    def __enter__(self) -> "Span":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.seconds = time.perf_counter() - self._started
-        self._registry.record_span(self.name, self.labels, self.seconds)
-        return False
-
-
 class NullMetric:
     """Shared do-nothing stand-in returned when telemetry is disabled."""
 
@@ -195,38 +162,21 @@ class NullMetric:
         pass
 
 
-class NullSpan:
-    """Stateless no-op span; a single shared instance is safe to reuse."""
-
-    __slots__ = ()
-    seconds = None
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
 NULL_METRIC = NullMetric()
-NULL_SPAN = NullSpan()
 
 
 class MetricRegistry:
-    """Name-keyed store of process-local metrics plus a bounded span buffer."""
+    """Name-keyed store of process-local metrics."""
 
-    def __init__(self, max_pending_spans: int = MAX_PENDING_SPANS) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
-        self._spans: List[dict] = []
-        self._max_pending_spans = max_pending_spans
-        self.dropped_spans = 0
 
-    def _get(self, name: str, cls, *args) -> Metric:
+    def _get(self, name: str, cls) -> Metric:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, *args)
+                metric = cls(name)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -241,22 +191,8 @@ class MetricRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)  # type: ignore[return-value]
 
-    def histogram(self, name: str, edges: Optional[Sequence[float]] = None) -> Histogram:
-        if edges is None:
-            return self._get(name, Histogram)  # type: ignore[return-value]
-        return self._get(name, Histogram, edges)  # type: ignore[return-value]
-
-    def span(self, name: str, **labels: object) -> Span:
-        return Span(self, name, labels)
-
-    def record_span(self, name: str, labels: Mapping[str, object], seconds: float) -> None:
-        with self._lock:
-            if len(self._spans) >= self._max_pending_spans:
-                self.dropped_spans += 1
-                return
-            self._spans.append(
-                {"name": name, "labels": dict(labels), "seconds": float(seconds)}
-            )
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, Histogram)  # type: ignore[return-value]
 
     def snapshot(self, reset: bool = True) -> List[dict]:
         """Return points for every metric that changed since the last reset."""
@@ -269,8 +205,3 @@ class MetricRegistry:
                 if reset:
                     metric.reset()
             return points
-
-    def drain_spans(self) -> List[dict]:
-        with self._lock:
-            spans, self._spans = self._spans, []
-            return spans

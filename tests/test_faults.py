@@ -36,12 +36,7 @@ from repro.runs.artifacts import (
     verify_artifact,
 )
 from repro.runs.cli import main as cli_main
-from repro.runs.faults import (
-    FAULT_PLAN_ENV_VAR,
-    NetworkChaosPlan,
-    NetworkFault,
-    resolve_fault_plan,
-)
+from repro.runs.faults import NetworkChaosPlan, NetworkFault
 
 
 def chaos_spec(*cells: dict) -> ExperimentSpec:
@@ -177,19 +172,13 @@ class TestFaultPlan:
 
     def test_resolution_precedence(self, tmp_path):
         plan = FaultPlan(faults=(Fault(kind="kill", at_update=4),), seed=1)
-        assert resolve_fault_plan(plan, {}) is plan
-        assert resolve_fault_plan(plan.to_dict(), {}) == plan
-        assert resolve_fault_plan(plan.to_json(), {}) == plan
+        assert FaultPlan.resolve(plan) is plan
+        assert FaultPlan.resolve(plan.to_dict()) == plan
+        assert FaultPlan.resolve(plan.to_json()) == plan
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(plan.to_json())
-        assert resolve_fault_plan(str(plan_file), {}) == plan
-        # env var: inline JSON or a file path; the explicit argument wins
-        env = {FAULT_PLAN_ENV_VAR: plan.to_json()}
-        assert resolve_fault_plan(None, env) == plan
-        assert resolve_fault_plan(None, {FAULT_PLAN_ENV_VAR: str(plan_file)}) == plan
-        other = FaultPlan(seed=9)
-        assert resolve_fault_plan(other, env) is other
-        assert resolve_fault_plan(None, {}) is None
+        assert FaultPlan.resolve(str(plan_file)) == plan
+        assert FaultPlan.resolve(None) is None
 
 
 # --------------------------------------------------------------------------

@@ -53,6 +53,24 @@ CREATE INDEX bench_by_key ON bench(benchmark, key);
 BENCH_OBJECTS = ("SELECT COUNT(*) FROM sqlite_master"
                  " WHERE name IN ('bench', 'bench_by_key')")
 
+#: A v4 catalogue's span table holding one row, and its index.
+V4_SPANS_DDL = """
+CREATE TABLE telemetry_spans (
+    span_id     INTEGER PRIMARY KEY AUTOINCREMENT,
+    worker      TEXT NOT NULL,
+    name        TEXT NOT NULL,
+    labels_json TEXT,
+    seconds     REAL NOT NULL,
+    at_unix     INTEGER NOT NULL
+);
+CREATE INDEX telemetry_spans_by_name ON telemetry_spans(name, at_unix);
+INSERT INTO telemetry_spans (worker, name, labels_json, seconds, at_unix)
+    VALUES ('w-old', 'runner.cell', '{"cell": 0}', 0.25, 1700000000);
+"""
+SPAN_OBJECTS = ("SELECT COUNT(*) FROM sqlite_master WHERE name IN"
+                " ('telemetry_spans', 'telemetry_spans_by_name')")
+POINT_ROWS = "SELECT * FROM telemetry_points ORDER BY point_id"
+
 
 def _campaign_tables(conn) -> dict:
     """Every row of the runs, provenance, cells, metrics and jobs tables."""
@@ -78,7 +96,7 @@ class TestConnection:
             assert tables == {"runs", "cells", "metrics", "jobs",
                               "lease_events", "provenance", "meta",
                               "idempotency", "telemetry_points",
-                              "telemetry_spans", "sqlite_sequence"}
+                              "sqlite_sequence"}
 
     def test_refuses_newer_schema(self, tmp_path):
         path = tmp_path / "catalog.sqlite"
@@ -112,7 +130,7 @@ class TestConnection:
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "4"
+                               "WHERE key = 'schema_version'") == "5"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master "
                 "WHERE type = 'table' AND name = 'idempotency'") == 1
@@ -122,15 +140,14 @@ class TestConnection:
         path = tmp_path / "catalog.sqlite"
         with connect(path) as conn:
             conn.execute("DROP TABLE telemetry_points")
-            conn.execute("DROP TABLE telemetry_spans")
             conn.execute("UPDATE meta SET value = '2' "
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "4"
+                               "WHERE key = 'schema_version'") == "5"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'"
-                " AND name IN ('telemetry_points', 'telemetry_spans')") == 2
+                " AND name = 'telemetry_points'") == 1
 
     def test_upgrades_v3_catalog_and_drops_bench(self, tmp_path):
         # A v3 catalogue still holds the bench table that mirrored the
@@ -147,9 +164,34 @@ class TestConnection:
         assert before["runs"] and before["cells"] and before["jobs"]
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "4"
+                               "WHERE key = 'schema_version'") == "5"
             assert conn.scalar(BENCH_OBJECTS) == 0
             assert _campaign_tables(conn) == before
+
+    def test_upgrades_v4_catalog_and_drops_spans(self, tmp_path):
+        # A v4 catalogue still holds the span table nothing read; upgrading
+        # drops it and its index and keeps every campaign and point row.
+        root = tmp_path / "runs"
+        repro.run("table1", scale="smoke", root=root)
+        path = catalog_path(root)
+        with Catalog(path) as catalog:
+            catalog.record_telemetry(
+                "w-old", [{"name": "runner.cell.attempts", "value": 1.0}])
+        with connect(path) as conn:
+            conn.executescript(V4_SPANS_DDL)
+            assert conn.scalar(SPAN_OBJECTS) == 2
+            conn.execute("UPDATE meta SET value = '4' "
+                         "WHERE key = 'schema_version'")
+            before = _campaign_tables(conn)
+            points = [tuple(row) for row in conn.fetchall(POINT_ROWS)]
+        assert before["runs"] and before["cells"] and before["jobs"]
+        assert points
+        with connect(path) as conn:
+            assert conn.scalar("SELECT value FROM meta "
+                               "WHERE key = 'schema_version'") == "5"
+            assert conn.scalar(SPAN_OBJECTS) == 0
+            assert _campaign_tables(conn) == before
+            assert [tuple(row) for row in conn.fetchall(POINT_ROWS)] == points
 
 
 # --------------------------------------------------------------------------
@@ -741,7 +783,7 @@ class TestServer:
     def test_health_reports_version_and_uptime(self, server_root):
         root, port = server_root
         health = _get(port, "/api/health")
-        assert health["schema_version"] == 4
+        assert health["schema_version"] == 5
         assert health["started_unix"] > 1_700_000_000
         assert health["uptime_seconds"] >= 0.0
         assert health["code_version"]
@@ -766,10 +808,8 @@ class TestServer:
             "wtel",
             [{"name": "worker.cells.completed", "kind": "counter",
               "value": 3.0}],
-            spans=[{"name": "runner.cell", "seconds": 0.25,
-                    "labels": {"cell": 0}}],
             host="testhost", pid=os.getpid())
-        assert recorded["recorded"] == {"points": 1, "spans": 1}
+        assert recorded["recorded"] == {"points": 1}
         read = _get(port, "/api/telemetry?name=worker.cells.completed")
         assert read["points"][0]["worker"] == "wtel"
         assert read["points"][0]["value"] == 3.0
@@ -779,6 +819,26 @@ class TestServer:
         entry = next(w for w in roster if w["worker"] == "wtel")
         assert entry["alive"] is True
         assert entry["pid"] == os.getpid()
+
+    def test_telemetry_report_ignores_an_older_workers_spans(self, server_root):
+        # A worker from before spans were dropped still sends a "spans"
+        # array; the server records its points and ignores the extra key.
+        root, port = server_root
+        body = {"worker": "wold",
+                "points": [{"name": "worker.cells.completed",
+                            "kind": "counter", "value": 2.0}],
+                "spans": [{"name": "runner.cell", "seconds": 0.25,
+                           "labels": {"cell": 0}}],
+                "idempotency_key": "wold-telemetry-1"}
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/api/telemetry",
+            data=json.dumps(body).encode(), method="POST")
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            assert json.loads(response.read())["recorded"] == {"points": 1}
+        read = _get(port, "/api/telemetry?worker=wold")
+        assert [(p["name"], p["value"]) for p in read["points"]] == [
+            ("worker.cells.completed", 2.0)]
 
 
 # --------------------------------------------------------------------------
@@ -880,7 +940,7 @@ class TestCLI:
             server.shutdown()
             server.server_close()
         out = capsys.readouterr().out
-        assert "table1-smoke" in out and "schema=v4" in out
+        assert "table1-smoke" in out and "schema=v5" in out
 
     def test_top_without_catalog_reports_error_frame(self, tmp_path, capsys):
         assert cli_main(["top", "--root", str(tmp_path / "nope"),

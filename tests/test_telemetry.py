@@ -1,8 +1,7 @@
 """Tests for the telemetry layer: registry, no-op mode, flushing, determinism.
 
 The contract under test is the one the observability PR promises: metrics
-are cheap and alloc-free to record, spans time with the monotonic clock,
-``REPRO_TELEMETRY=0`` is a strict no-op, and — most importantly — campaign
+are cheap and alloc-free to record, ``REPRO_TELEMETRY=0`` is a strict no-op, and — most importantly — campaign
 results are byte-identical with telemetry on and off.
 """
 
@@ -61,13 +60,20 @@ class TestRegistry:
 
     def test_histogram_buckets_and_overflow(self):
         registry = MetricRegistry()
-        hist = registry.histogram("lat", edges=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 99.0):
+        hist = registry.histogram("lat")
+        for value in (0.0001, 0.3, 0.5, 0.5, 99.0):
             hist.record(value)
         point = registry.snapshot(reset=True)[0]
-        assert point["count"] == 4
-        assert point["value"] == pytest.approx(100.05)
-        assert point["buckets"]["counts"] == [1, 2, 1]
+        assert point["count"] == 5
+        assert point["value"] == pytest.approx(100.3001)
+        edges = list(telemetry.DEFAULT_BUCKET_EDGES)
+        assert point["buckets"]["edges"] == edges
+        counts = point["buckets"]["counts"]
+        assert len(counts) == len(edges) + 1
+        assert counts[0] == 1  # <= the first edge
+        assert counts[edges.index(0.5)] == 3  # (0.25, 0.5]: edges are inclusive
+        assert counts[-1] == 1  # past the last edge: the overflow bucket
+        assert sum(counts) == 5
         assert hist.count == 0  # reset with the snapshot
 
     def test_histogram_record_path_is_alloc_free(self):
@@ -83,24 +89,6 @@ class TestRegistry:
         registry.counter("x")
         with pytest.raises(TypeError, match="already registered"):
             registry.gauge("x")
-
-    def test_span_times_and_drains_once(self):
-        registry = MetricRegistry()
-        with registry.span("runner.cell", run_id="r", cell=3) as span:
-            pass
-        assert span.seconds is not None and span.seconds >= 0.0
-        spans = registry.drain_spans()
-        assert spans[0]["name"] == "runner.cell"
-        assert spans[0]["labels"] == {"run_id": "r", "cell": 3}
-        assert registry.drain_spans() == []
-
-    def test_span_buffer_bounded(self):
-        registry = MetricRegistry(max_pending_spans=2)
-        for _ in range(5):
-            with registry.span("s"):
-                pass
-        assert len(registry.drain_spans()) == 2
-        assert registry.dropped_spans == 3
 
     def test_thread_concurrent_records_survive(self):
         registry = MetricRegistry()
@@ -127,11 +115,8 @@ class TestNoOpMode:
         assert telemetry.counter("x") is telemetry.NULL_METRIC
         assert telemetry.gauge("x") is telemetry.NULL_METRIC
         assert telemetry.histogram("x") is telemetry.NULL_METRIC
-        assert telemetry.span("x") is telemetry.NULL_SPAN
         telemetry.counter("x").inc()
         telemetry.histogram("x").record(1.0)
-        with telemetry.span("x"):
-            pass
         assert telemetry.get_registry().snapshot() == []
 
     def test_env_flag_disables(self, monkeypatch):
@@ -146,7 +131,7 @@ class TestNoOpMode:
         telemetry.configure(enabled=False)
         calls = []
         flusher = telemetry.TelemetryFlusher(
-            lambda points, spans: calls.append((points, spans)))
+            lambda points: calls.append(points))
         flusher.start()
         assert flusher._thread is None  # no thread in no-op mode
         flusher.stop()
@@ -155,25 +140,22 @@ class TestNoOpMode:
 
 # --------------------------------------------------------------------------
 class TestFlusher:
-    def test_flush_delivers_points_and_spans_once(self):
+    def test_flush_delivers_points_once(self):
         telemetry.counter("f.c").inc(2)
-        with telemetry.span("f.s"):
-            pass
         batches = []
-        flusher = telemetry.TelemetryFlusher(
-            lambda points, spans: batches.append((points, spans)))
+        flusher = telemetry.TelemetryFlusher(batches.append)
         flusher.flush()
-        assert len(batches) == 1
-        points, spans = batches[0]
-        assert points[0]["name"] == "f.c" and points[0]["value"] == 2.0
-        assert spans[0]["name"] == "f.s"
+        assert batches == [[{"name": "f.c", "kind": "counter", "value": 2.0}]]
         flusher.flush()  # nothing new -> sink not called again
         assert len(batches) == 1
+        telemetry.counter("f.c").inc()
+        flusher.flush()  # a new delta is delivered once, not the old total
+        assert batches[1] == [{"name": "f.c", "kind": "counter", "value": 1.0}]
 
     def test_stop_performs_final_flush(self):
         batches = []
         flusher = telemetry.TelemetryFlusher(
-            lambda points, spans: batches.append(points), interval=60.0)
+            batches.append, interval=60.0)
         flusher.start()
         telemetry.counter("f.tail").inc()
         flusher.stop()
@@ -182,7 +164,7 @@ class TestFlusher:
     def test_sink_failure_is_swallowed(self):
         telemetry.counter("f.c").inc()
 
-        def bad_sink(points, spans):
+        def bad_sink(points):
             raise OSError("disk gone")
 
         flusher = telemetry.TelemetryFlusher(bad_sink)
@@ -192,8 +174,6 @@ class TestFlusher:
         catalog_file = tmp_path / "catalog.sqlite"
         telemetry.counter("worker.cells.completed").inc(4)
         telemetry.histogram("runner.cell.seconds").record(0.2)
-        with telemetry.span("runner.cell", cell=1):
-            pass
         telemetry.flush_to_catalog(catalog_file, worker="w-test")
         with Catalog(catalog_file) as catalog:
             points = catalog.telemetry_points(worker="w-test")
@@ -205,9 +185,6 @@ class TestFlusher:
             totals = {t["name"]: t["total"]
                       for t in catalog.telemetry_totals()}
             assert totals["worker.cells.completed"] == 4.0
-            spans = catalog.conn.fetchall(
-                "SELECT worker, name, seconds FROM telemetry_spans")
-            assert [dict(s)["name"] for s in spans] == ["runner.cell"]
 
     def test_flush_to_catalog_none_is_noop(self):
         telemetry.counter("x").inc()
@@ -246,9 +223,11 @@ class TestInstrumentation:
             totals = {t["name"]: t["total"]
                       for t in catalog.telemetry_totals()}
             assert totals.get("runner.cell.attempts", 0) >= 2
-            spans = catalog.conn.fetchall(
-                "SELECT name FROM telemetry_spans")
-            assert len(spans) >= 2  # one runner.cell span per executed cell
+            # A cell's own timing lives in its catalogue row.
+            cells = catalog.conn.fetchall(
+                "SELECT elapsed_seconds FROM cells WHERE run_id = 'chaos-smoke'")
+            assert len(cells) == 2
+            assert all(c["elapsed_seconds"] is not None for c in cells)
 
     def test_results_identical_with_telemetry_on_and_off(self, tmp_path):
         spec = chaos_spec({"mode": "ok", "name": "a", "offset": 2},
