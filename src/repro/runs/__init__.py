@@ -19,6 +19,10 @@ or from the command line::
     python -m repro run table5 --scale smoke --workers 4
     python -m repro status
     python -m repro results table5 --scale smoke --format json
+
+``repro status`` reads each campaign's progress from the ``catalog.sqlite``
+that every run records into; :func:`load_rows` and ``repro results`` read
+the rows back from the artifact tree.
 """
 
 from repro.runs.artifacts import (
@@ -50,8 +54,6 @@ from repro.runs.registry import (
 from repro.runs.runner import (
     CampaignResult,
     campaign_id,
-    campaign_status,
-    list_campaigns,
     load_rows,
     run,
 )
@@ -78,10 +80,8 @@ __all__ = [
     "atomic_write_pickle",
     "atomic_write_text",
     "campaign_id",
-    "campaign_status",
     "get_experiment",
     "is_experiment_registered",
-    "list_campaigns",
     "list_experiments",
     "load_rows",
     "quarantined_files",

@@ -4,8 +4,8 @@ Subcommands
 -----------
 ``run``      run (or resume) an experiment campaign and print its rows
 ``list``     list registered experiments (``--scenarios`` for environments)
-``status``   show completion state of campaigns (catalogue-backed when a
-             ``catalog.sqlite`` exists under the root; tree scan otherwise)
+``status``   show completion state of the campaigns in the root's
+             ``catalog.sqlite`` (``store ingest`` indexes a tree without one)
 ``results``  print the rows of an existing campaign artifact
 ``submit``   register a campaign in the catalogue + enqueue its cells
 ``work``     drain the job queue as one cooperative worker (``--server`` for
@@ -40,7 +40,7 @@ from repro.experiments.common import SCALES
 from repro.rl.stats import dump_json
 from repro.runs.context import CampaignInterrupted
 from repro.runs.registry import get_experiment, list_experiments
-from repro.runs.runner import list_campaigns, load_rows, run
+from repro.runs.runner import load_rows, run
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
@@ -109,12 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="list registered environment scenarios instead")
 
     status_parser = commands.add_parser(
-        "status", help="show completion state of campaign artifacts")
+        "status", help="show completion state of the catalogued campaigns")
     status_parser.add_argument("--root", default="runs",
                                help="artifact root directory (default: runs)")
-    status_parser.add_argument("--no-catalog", action="store_true",
-                               help="force the artifact-tree scan even when a "
-                                    "catalog.sqlite exists under the root")
     status_parser.add_argument("--watch", type=float, default=None,
                                metavar="SECONDS",
                                help="reprint the status every N seconds "
@@ -305,31 +302,21 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _status_once(args: argparse.Namespace) -> int:
-    """One status table: from the catalogue when one exists (with a workers
-    column while someone drains), else from a scan of the artifact tree."""
+    """One status table from the root's catalogue, with a workers column
+    while someone drains."""
     from repro.runs.artifacts import quarantined_files
     from repro.store.catalog import Catalog, catalog_path
 
     catalog_file = catalog_path(Path(args.root))
-    draining: dict = {}
-    footer = None
-    if catalog_file.exists() and not args.no_catalog:
-        with Catalog(catalog_file) as catalog:
-            records = catalog.list_runs()
-            draining = catalog.active_workers_by_run()
-        campaigns = [dict(record, campaign=record["run_id"],
-                          completed=record["completed"] or 0,
-                          failed=record["failed"] or 0,
-                          quarantined=len(quarantined_files(
-                              catalog_file.parent / record["run_id"])))
-                     for record in records]
-        empty = f"catalogue {catalog_file} holds no runs yet"
-        footer = f"\n(catalogue: {catalog_file}; pass --no-catalog for the tree scan)"
-    else:
-        campaigns = list_campaigns(args.root)
-        empty = f"no campaign artifacts under {args.root}/"
+    if not catalog_file.exists():
+        print(f"no catalogue at {catalog_file}; run a campaign or "
+              "'repro store ingest' first", file=sys.stderr)
+        return 1
+    with Catalog(catalog_file) as catalog:
+        campaigns = catalog.list_runs()
+        draining = catalog.active_workers_by_run()
     if not campaigns:
-        print(empty)
+        print(f"catalogue {catalog_file} holds no runs yet")
         return 0
     workers_header = f"{'workers':<8} " if draining else ""
     header = (f"{'campaign':<28} {'experiment':<14} {'scale':<6} {'cells':<9} "
@@ -339,14 +326,15 @@ def _status_once(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for status in campaigns:
         cells = f"{status['completed']}/{status['cells']}"
-        workers = (f"{draining.get(status['campaign'], 0):<8} "
+        workers = (f"{draining.get(status['run_id'], 0):<8} "
                    if draining else "")
-        print(f"{status['campaign']:<28} {status['experiment']:<14} "
+        quarantined = len(quarantined_files(
+            catalog_file.parent / status["run_id"]))
+        print(f"{status['run_id']:<28} {status['experiment']:<14} "
               f"{status['scale']:<6} {cells:<9} {status['failed']:<7} "
-              f"{status['attempts']:<9} {workers}{status['quarantined']:<12} "
+              f"{status['attempts']:<9} {workers}{quarantined:<12} "
               f"{status['status']}")
-    if footer:
-        print(footer)
+    print(f"\n(catalogue: {catalog_file})")
     return 0
 
 

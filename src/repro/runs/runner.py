@@ -8,7 +8,7 @@ with the same :func:`repro.store.worker.work` loop that ``repro work``
 runs — in-process for ``workers=1``, in N child processes otherwise.  So
 serial, parallel, queue, HTTP, and resumed runs share one submission path,
 one executor (:func:`execute_cell`), one heartbeat, and one
-``results.json`` writer (:func:`repro.store.server.finalize_from_catalog`).
+``results.json`` writer (:func:`repro.store.queue.finalize_from_catalog`).
 
 * **Artifacts** live under ``out_dir`` (default
   ``runs/<experiment>-<scale>[-seed<seed>]``)::
@@ -76,7 +76,6 @@ from repro.runs.artifacts import (
     clear_quarantine,
     load_json,
     quarantine,
-    quarantined_files,
 )
 from repro.runs.context import CampaignInterrupted, CellContext
 from repro.runs.faults import FaultInjector, FaultPlan
@@ -591,8 +590,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         ``run()`` returns.
     """
     from repro.store.catalog import Catalog, catalog_path  # late: repro.store imports us
-    from repro.store.queue import JobQueue
-    from repro.store.server import finalize_from_catalog
+    from repro.store.queue import JobQueue, finalize_from_catalog
     from repro.store.worker import submit_campaign
 
     spec, scale, seed, out_dir = resolve_campaign(experiment, scale, seed, root,
@@ -603,18 +601,14 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
                     else Path(catalog))
     try:
         with Catalog(catalog_file) as store:
-            run_id = submit_campaign(
+            submission = submit_campaign(
                 spec, scale, seed, out_dir=out_dir,
                 checkpoint_every=checkpoint_every, max_attempts=max_attempts,
                 retry_backoff=retry_backoff, fault_plan=fault_plan,
-                timeout=timeout, catalog=store).run_id
+                timeout=timeout, catalog=store)
+            run_id, cached = submission.run_id, submission.cached
             queued = JobQueue(store).outstanding(run_id)
         cells = spec.cells(scale)
-        cached = {}
-        for index, params in enumerate(cells):
-            result = _load_result(_cell_dir(out_dir, index, params) / "result.json")
-            if result is not None:
-                cached[index] = result["row"]
         if queued:
             _drain(run_id, catalog_file, max(1, min(workers, queued)))
         with Catalog(catalog_file) as store:
@@ -667,68 +661,6 @@ def _raise_on_failures(cells: List[Dict], out_dir: Path) -> None:
 
 
 # --------------------------------------------------------------- inspection
-def campaign_status(out_dir: os.PathLike) -> Optional[Dict[str, Any]]:
-    """Status summary for one campaign directory (None if not a campaign)."""
-    out_dir = Path(out_dir)
-    manifest_file = out_dir / "manifest.json"
-    if not manifest_file.exists():
-        return None
-    try:
-        manifest = load_json(manifest_file)
-    except CorruptArtifactError:
-        return None
-    if manifest.get("format") != MANIFEST_FORMAT:
-        return None
-    cells = manifest.get("cells", [])
-    done = in_flight = failed = attempts = 0
-    cell_attempts: Dict[int, int] = {}
-    for cell in cells:
-        cell_dir = out_dir / "cells" / cell["slug"]
-        prior = _prior_attempts(cell_dir)
-        if prior:
-            cell_attempts[cell["index"]] = prior
-            attempts += prior
-        if (cell_dir / "result.json").exists():
-            done += 1
-        elif (cell_dir / "error.json").exists():
-            failed += 1
-        elif any(cell_dir.glob("*.checkpoint.pkl")) or any(cell_dir.glob("*.result.json")):
-            # An in-flight checkpoint, or memoized finished trainings of a
-            # multi-run cell interrupted between trainings.
-            in_flight += 1
-    quarantined = len(quarantined_files(out_dir))
-    return {
-        "campaign": out_dir.name,
-        "out_dir": str(out_dir),
-        "experiment": manifest["experiment"]["experiment_id"],
-        "scale": manifest["scale"]["name"],
-        "seed": manifest["seed"],
-        "cells": len(cells),
-        "completed": done,
-        "in_flight": in_flight,
-        "failed": failed,
-        "attempts": attempts,
-        "cell_attempts": cell_attempts,
-        "quarantined": quarantined,
-        "status": ("complete" if done == len(cells)
-                   else "failed" if failed
-                   else "in-flight" if (done or in_flight) else "pending"),
-    }
-
-
-def list_campaigns(root: os.PathLike = "runs") -> List[Dict[str, Any]]:
-    """Status of every campaign artifact under ``root``."""
-    root = Path(root)
-    if not root.exists():
-        return []
-    statuses = []
-    for child in sorted(root.iterdir()):
-        status = campaign_status(child)
-        if status is not None:
-            statuses.append(status)
-    return statuses
-
-
 def load_rows(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
               seed: Optional[int] = None, root: os.PathLike = "runs",
               out_dir: Optional[os.PathLike] = None) -> List[Dict]:

@@ -21,11 +21,13 @@ quarantine); the catalogue is the durable, queryable index over it.  All
 SQL goes through :mod:`repro.store.connection` — literal statements, bound
 parameters — which the ``artifacts.store-connection`` lint rule enforces.
 
-Import layout: this package only pulls in the storage core.  The modules
-that reach back into the runner (:mod:`repro.store.worker`,
+Import layout: this package pulls in the catalogue, the queue (with
+``finalize_from_catalog``, the ``results.json`` writer), the query helpers
+and the HTTP *client* (:mod:`http.client`), never the HTTP server.  The
+modules that reach back into the runner (:mod:`repro.store.worker`,
 :mod:`repro.store.server`, :mod:`repro.store.ingest`) are imported lazily by
 their callers (the CLI, tests) to keep ``repro.runs`` -> ``repro.store``
-imports cycle-free.
+imports cycle-free; a local ``repro.run()`` never loads :mod:`http.server`.
 """
 
 from repro.store.catalog import Catalog, catalog_path, code_version, spec_hash

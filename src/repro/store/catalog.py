@@ -38,6 +38,22 @@ from repro.store.connection import (
 #: Outcome statuses that count as a finished cell (mirrors the runner's).
 FINISHED_STATUSES = ("completed", "cached")
 
+#: Cell statuses that make a campaign read ``failed``.  An ``interrupted``
+#: cell is not one: a resume continues it from its checkpoint.
+FAILED_STATUSES = ("failed", "timeout")
+
+
+def run_status(counts: Mapping[str, int]) -> str:
+    """A campaign's status from its number of cells per cell status."""
+    total = sum(counts.values())
+    if total and counts.get("completed") == total:
+        return "complete"
+    if any(counts.get(status) for status in FAILED_STATUSES):
+        return "failed"
+    if counts.get("completed") or counts.get("interrupted"):
+        return "in-flight"
+    return "pending"
+
 
 def spec_hash(spec_json: str) -> str:
     """SHA-256 of a spec's canonical JSON — the provenance identity."""
@@ -183,22 +199,10 @@ class Catalog:
         self.refresh_run_status(run_id)
 
     def refresh_run_status(self, run_id: str) -> str:
-        """Derive + store the run's coarse status from its cell statuses."""
-        counts = {r["status"]: r["n"] for r in self.conn.fetchall(
+        """Derive + store the run's status from its cell statuses."""
+        status = run_status({r["status"]: r["n"] for r in self.conn.fetchall(
             "SELECT status, COUNT(*) AS n FROM cells WHERE run_id = ?"
-            " GROUP BY status", (run_id,))}
-        total = sum(counts.values())
-        done = counts.get("completed", 0)
-        bad = sum(n for s, n in counts.items()
-                  if s in ("failed", "timeout", "interrupted"))
-        if total and done == total:
-            status = "complete"
-        elif bad:
-            status = "failed"
-        elif done:
-            status = "in-flight"
-        else:
-            status = "pending"
+            " GROUP BY status", (run_id,))})
         with self.conn.transaction():
             self.conn.execute(
                 "UPDATE runs SET status = ?, updated_unix ="
@@ -238,18 +242,25 @@ class Catalog:
             "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)) is not None
 
     def list_runs(self) -> List[Dict[str, Any]]:
-        """Every recorded run with derived progress counters."""
-        rows = self.conn.fetchall(
-            "SELECT r.run_id, r.experiment, r.scale, r.seed, r.out_dir,"
-            " r.cells, r.status,"
-            " SUM(CASE WHEN c.status = 'completed' THEN 1 ELSE 0 END)"
-            "   AS completed,"
-            " SUM(CASE WHEN c.status IN ('failed','timeout','interrupted')"
-            "   THEN 1 ELSE 0 END) AS failed,"
-            " COALESCE(SUM(c.attempts), 0) AS attempts"
-            " FROM runs r LEFT JOIN cells c ON c.run_id = r.run_id"
-            " GROUP BY r.run_id ORDER BY r.run_id")
-        return [dict(row) for row in rows]
+        """Every recorded run with its progress counters and its status,
+        derived here from the cell statuses (see :func:`run_status`)."""
+        counts: Dict[str, Dict[str, int]] = {}
+        for row in self.conn.fetchall(
+                "SELECT run_id, status, COUNT(*) AS n FROM cells"
+                " GROUP BY run_id, status"):
+            counts.setdefault(row["run_id"], {})[row["status"]] = row["n"]
+        runs = []
+        for row in self.conn.fetchall(
+                "SELECT r.run_id, r.experiment, r.scale, r.seed, r.out_dir,"
+                " r.cells, COALESCE(SUM(c.attempts), 0) AS attempts"
+                " FROM runs r LEFT JOIN cells c ON c.run_id = r.run_id"
+                " GROUP BY r.run_id ORDER BY r.run_id"):
+            cells = counts.get(row["run_id"], {})
+            runs.append(dict(row, status=run_status(cells),
+                             completed=cells.get("completed", 0),
+                             failed=sum(cells.get(status, 0)
+                                        for status in FAILED_STATUSES)))
+        return runs
 
     def run_info(self, run_id: str) -> Optional[Dict[str, Any]]:
         """One run's record + provenance + per-cell statuses (None if absent)."""

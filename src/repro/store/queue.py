@@ -21,6 +21,10 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
   (:meth:`JobQueue.complete_and_claim`), so a busy drain pays one round
   trip per cell.
 
+Once a run has no job outstanding and every cell row landed,
+:func:`finalize_from_catalog` writes its ``results.json`` from the
+catalogue rows.
+
 Every transition appends to ``lease_events`` (claimed / heartbeat /
 completed / failed / released / reclaimed), which is what the chaos tests
 assert against when they kill a worker mid-cell.
@@ -35,9 +39,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rl.stats import dump_json
+from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog
 
 #: Queue-level attempt budget per cell (re-claims after failures/reclaims).
@@ -248,3 +254,29 @@ class JobQueue:
             " detail, at_unix) VALUES (?, ?, ?, ?, ?,"
             " CAST(strftime('%s','now') AS INTEGER))",
             (run_id, int(cell_index), worker, event, detail))
+
+
+def finalize_from_catalog(catalog: Catalog, run_id: str) -> None:
+    """Write a drained run's ``results.json`` from its catalogue rows.
+
+    The one writer of ``results.json``: the server calls it after each
+    remote completion (remote workers never touch the server host's
+    artifact tree), local drainers after each cell, and ``repro.run()``
+    after its drain.  It writes only once the queue has nothing outstanding
+    and every cell row landed; rows round-trip through the canonical
+    ``dump_json``, so every drain produces the same bytes.
+    """
+    if JobQueue(catalog).outstanding(run_id) != 0:
+        return
+    info = catalog.conn.fetchone(
+        "SELECT experiment, scale, seed, out_dir FROM runs"
+        " WHERE run_id = ?", (run_id,))
+    if info is None:
+        return
+    rows = catalog.rows(run_id)
+    if not rows or any(row is None for row in rows):
+        return
+    atomic_write_json(Path(info["out_dir"]) / "results.json", {
+        "experiment": info["experiment"], "scale": info["scale"],
+        "seed": int(info["seed"]), "rows": rows,
+    }, indent=2)

@@ -122,7 +122,6 @@ from urllib.parse import parse_qs, unquote, urlparse
 from repro import telemetry
 from repro._blas import blas_threads
 from repro.rl.stats import dump_json
-from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog, catalog_path, code_version
 from repro.store.query import aggregate_metric
 from repro.store.schema import SCHEMA_VERSION
@@ -131,6 +130,7 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
+    finalize_from_catalog,
 )
 
 DEFAULT_PORT = 8642
@@ -646,32 +646,6 @@ class _Responded(BaseException):
     """
 
 
-def finalize_from_catalog(catalog: Catalog, run_id: str) -> None:
-    """Write a drained run's ``results.json`` from its catalogue rows.
-
-    The one writer of ``results.json``: the server calls it after each
-    remote completion (remote workers never touch the server host's
-    artifact tree), local drainers after each cell, and ``repro.run()``
-    after its drain.  It writes only once the queue has nothing outstanding
-    and every cell row landed; rows round-trip through the canonical
-    ``dump_json``, so every drain produces the same bytes.
-    """
-    if JobQueue(catalog).outstanding(run_id) != 0:
-        return
-    info = catalog.conn.fetchone(
-        "SELECT experiment, scale, seed, out_dir FROM runs"
-        " WHERE run_id = ?", (run_id,))
-    if info is None:
-        return
-    rows = catalog.rows(run_id)
-    if not rows or any(row is None for row in rows):
-        return
-    atomic_write_json(Path(info["out_dir"]) / "results.json", {
-        "experiment": info["experiment"], "scale": info["scale"],
-        "seed": int(info["seed"]), "rows": rows,
-    }, indent=2)
-
-
 def make_server(root: Path, host: str = "127.0.0.1",
                 port: int = DEFAULT_PORT) -> CampaignServer:
     """Build (but do not start) a campaign server; port 0 picks a free one."""
@@ -706,7 +680,6 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
     "REQUEST_TIMEOUT_SECONDS",
-    "finalize_from_catalog",
     "make_server",
     "serve",
 ]

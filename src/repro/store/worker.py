@@ -83,8 +83,8 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
+    finalize_from_catalog,
 )
-from repro.store.server import finalize_from_catalog
 
 
 @dataclass
@@ -95,6 +95,9 @@ class Submission:
     out_dir: Path
     cells: int
     enqueued: int
+    #: The rows of the cells whose ``result.json`` loaded at submission,
+    #: by cell index: they need no drain.
+    cached: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"run_id": self.run_id, "out_dir": str(self.out_dir),
@@ -130,8 +133,11 @@ def submit_campaign(experiment: ExperimentLike,
                              checkpoint_every=checkpoint_every,
                              fault_plan=plan, max_attempts=max_attempts,
                              retry_backoff=retry_backoff, timeout=timeout)
-    lost = [payload["index"] for payload in payloads
-            if _load_result(Path(payload["cell_dir"]) / "result.json") is None]
+    cached = {}
+    for payload in payloads:
+        result = _load_result(Path(payload["cell_dir"]) / "result.json")
+        if result is not None:
+            cached[payload["index"]] = result["row"]
     run_id = out_dir.name
     owns_catalog = catalog is None
     catalog = catalog if catalog is not None else Catalog(
@@ -142,12 +148,13 @@ def submit_campaign(experiment: ExperimentLike,
             slugs=[cell_slug(i, params) for i, params in enumerate(cells)],
             fault_plan=plan.to_dict() if plan is not None else None,
             manifest_version=manifest["version"])
+        lost = [index for index in range(len(cells)) if index not in cached]
         enqueued = JobQueue(catalog).submit(run_id, payloads, requeue=lost)
     finally:
         if owns_catalog:
             catalog.close()
     return Submission(run_id=run_id, out_dir=out_dir, cells=len(cells),
-                      enqueued=enqueued)
+                      enqueued=enqueued, cached=cached)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from repro.runs import (
     ExperimentSpec,
     Fault,
     FaultPlan,
-    campaign_status,
     quarantined_files,
     stray_tmp_files,
 )
@@ -37,6 +36,7 @@ from repro.runs.artifacts import (
 )
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import NetworkChaosPlan, NetworkFault
+from repro.store import Catalog, catalog_path
 
 
 def chaos_spec(*cells: dict) -> ExperimentSpec:
@@ -49,6 +49,12 @@ def assert_clean_tree(out_dir) -> None:
     """No stray temp files and no live quarantined corpses."""
     assert stray_tmp_files(out_dir) == []
     assert quarantined_files(out_dir) == []
+
+
+def catalogued(out_dir: Path) -> dict:
+    """``Catalog.list_runs()``'s record of the campaign in ``out_dir``."""
+    with Catalog(catalog_path(out_dir.parent)) as catalog:
+        return {run["run_id"]: run for run in catalog.list_runs()}[out_dir.name]
 
 
 # --------------------------------------------------------------------------
@@ -226,17 +232,32 @@ class TestChaosTrainingCampaigns:
 
     @pytest.mark.parametrize("boundary", [2, 4, 6])
     def test_kill_at_each_checkpoint_boundary(self, tmp_path, table5_baseline,
-                                              boundary):
+                                              boundary, capsys):
         plan = FaultPlan(faults=(
             Fault(kind="kill", cell=1, artifact="checkpoint", at_update=boundary),))
+        out = tmp_path / "table5-smoke"
         with pytest.raises(CampaignInterrupted, match="injected kill"):
-            repro.run("table5", scale="smoke", out_dir=tmp_path, fault_plan=plan)
-        assert campaign_status(tmp_path)["status"] in ("in-flight", "pending")
+            repro.run("table5", scale="smoke", out_dir=out, fault_plan=plan)
+        # Cell 0 completed and cell 1 resumes from its checkpoint: every
+        # view reads the campaign as in-flight, with no failed cell.
+        status = catalogued(out)
+        assert (status["status"], status["completed"], status["failed"]) == (
+            "in-flight", 1, 0)
+        assert cli_main(["status", "--root", str(tmp_path)]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("table5-smoke")]
+        assert line.split()[3:5] == ["1/3", "0"]
+        assert line.split()[-1] == "in-flight"
+        assert cli_main(["top", "--root", str(tmp_path), "--once"]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if "table5-smoke" in line]
+        assert line.endswith("in-flight") and "failed=" not in line
         # Resume under the SAME plan: the fired marker prevents re-injection.
-        resumed = repro.run("table5", scale="smoke", out_dir=tmp_path,
+        resumed = repro.run("table5", scale="smoke", out_dir=out,
                             fault_plan=plan)
         assert dump_json(resumed.rows) == table5_baseline
-        assert_clean_tree(tmp_path)
+        assert catalogued(out)["status"] == "complete"
+        assert_clean_tree(out)
 
     def test_checkpoint_bit_flip_quarantined_on_resume(self, tmp_path,
                                                        table5_baseline):
@@ -320,7 +341,7 @@ class TestFailureIsolation:
         assert partial.errors[0]["index"] == 1
         assert "1 cell(s) failed" in partial.format_results()
         assert not (tmp_path / "results.json").exists()
-        status = campaign_status(tmp_path)
+        status = catalogued(tmp_path)
         assert status["failed"] == 1 and status["status"] == "failed"
 
         monkeypatch.setenv("CHAOS_HEAL", "1")
@@ -329,7 +350,7 @@ class TestFailureIsolation:
         assert [c["status"] for c in healed.cells] == ["cached", "completed"]
         assert all(row is not None for row in healed.rows)
         assert (tmp_path / "results.json").exists()
-        assert campaign_status(tmp_path)["status"] == "complete"
+        assert catalogued(tmp_path)["status"] == "complete"
         assert_clean_tree(tmp_path)
 
     def test_retry_budget_and_cumulative_attempts(self, tmp_path):

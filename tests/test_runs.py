@@ -16,9 +16,7 @@ from repro.runs import (
     ExperimentSpec,
     Fault,
     FaultPlan,
-    campaign_status,
     get_experiment,
-    list_campaigns,
     list_experiments,
     load_rows,
     register_experiment,
@@ -26,6 +24,7 @@ from repro.runs import (
 )
 from repro.runs.cli import main as cli_main
 from repro.runs.runner import cell_slug
+from repro.store import Catalog, catalog_path
 
 EXPECTED_EXPERIMENTS = {"table1", "table3", "table4", "table5", "table6", "table7",
                         "table8", "table9", "table10", "fig4", "search"}
@@ -120,6 +119,25 @@ class TestCampaignFastExperiments:
         assert second.resumed == len(second.cells)
         assert dump_json(second.rows) == dump_json(first.rows)
 
+    def test_resume_reads_each_result_once(self, tmp_path, monkeypatch):
+        from repro.runs import runner
+
+        out = tmp_path / "c"
+        first = repro.run("table1", scale="smoke", out_dir=out)
+        reads = []
+        load_json = runner.load_json
+
+        def counting_load_json(path, *args, **kwargs):
+            if path.name == "result.json":
+                reads.append(path.parent.name)
+            return load_json(path, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_json", counting_load_json)
+        second = repro.run("table1", scale="smoke", out_dir=out)
+        assert second.resumed == len(second.cells) == 4
+        assert dump_json(second.rows) == dump_json(first.rows)
+        assert sorted(reads) == sorted(c["slug"] for c in second.cells)
+
     def test_refuses_mismatched_out_dir(self, tmp_path):
         out = tmp_path / "c"
         repro.run("table1", scale="smoke", out_dir=out)
@@ -130,10 +148,12 @@ class TestCampaignFastExperiments:
 
     def test_status_and_load_rows(self, tmp_path):
         campaign = repro.run("table1", scale="smoke", root=tmp_path)
-        status = campaign_status(campaign.out_dir)
+        with Catalog(catalog_path(tmp_path)) as catalog:
+            [status] = catalog.list_runs()
+        assert status["run_id"] == "table1-smoke"
         assert status["status"] == "complete"
         assert status["completed"] == status["cells"] == 4
-        assert [s["campaign"] for s in list_campaigns(tmp_path)] == ["table1-smoke"]
+        assert status["failed"] == 0
         rows = load_rows("table1", scale="smoke", root=tmp_path)
         assert dump_json(rows) == dump_json(campaign.rows)
 
@@ -164,9 +184,11 @@ class TestCampaignTraining:
         with pytest.raises(CampaignInterrupted):
             repro.run("table5", scale="smoke", out_dir=tmp_path / "resume",
                       fault_plan=kill)
-        status = campaign_status(tmp_path / "resume")
+        # The killed cell is resumable, not failed, in the catalogue too.
+        with Catalog(catalog_path(tmp_path)) as catalog:
+            status = {run["run_id"]: run for run in catalog.list_runs()}["resume"]
         assert status["status"] == "in-flight"
-        assert status["in_flight"] >= 1
+        assert status["failed"] == 0
         resumed = repro.run("table5", scale="smoke", out_dir=tmp_path / "resume")
         assert dump_json(resumed.rows) == dump_json(serial.rows)
 
@@ -287,18 +309,6 @@ class TestCellContext:
             train_agent("guessing/quickstart", SMOKE, seed=2, ctx=ctx)
         with pytest.raises(ValueError, match="different parameters"):
             train_agent("guessing/quickstart", BENCH, seed=1, ctx=ctx)
-
-    def test_status_counts_memoized_partial_cells_as_in_flight(self, tmp_path):
-        out = tmp_path / "c"
-        repro.run("table10", scale="smoke", out_dir=out)
-        # Simulate a multi-run cell interrupted *between* trainings: the cell
-        # has memoized training results but neither a checkpoint nor its row.
-        cell_dir = next((out / "cells").iterdir())
-        (cell_dir / "result.json").unlink()
-        (cell_dir / "run0.result.json").write_text("{}")
-        status = campaign_status(out)
-        assert status["in_flight"] == 1
-        assert status["status"] == "in-flight"
 
 
 class TestCLI:

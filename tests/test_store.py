@@ -25,7 +25,7 @@ from repro.rl.stats import dump_json
 from repro.runs import ExperimentSpec, register_experiment, unregister_experiment
 from repro.runs.cli import main as cli_main
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
-from repro.store.catalog import code_version
+from repro.store.catalog import code_version, run_status
 from repro.store.ingest import ingest
 from repro.store.query import aggregate_metric, format_rows
 from repro.store.queue import Job
@@ -238,6 +238,15 @@ class TestCatalog:
         assert len(rows) == len(campaign.rows)
         for row in rows:
             assert row["n"] == 1
+
+    def test_run_status_rule(self):
+        assert run_status({"completed": 3}) == "complete"
+        assert run_status({"completed": 2, "timeout": 1}) == "failed"
+        assert run_status({"failed": 1, "interrupted": 1}) == "failed"
+        # An interrupted cell resumes from its checkpoint: not a failure.
+        assert run_status({"interrupted": 1, "pending": 2}) == "in-flight"
+        assert run_status({"completed": 1, "pending": 2}) == "in-flight"
+        assert run_status({"pending": 3}) == run_status({}) == "pending"
 
     def test_code_version_resolves_in_repo(self):
         version = code_version(REPO_ROOT)
@@ -849,9 +858,6 @@ class TestCLI:
         assert cli_main(["status", "--root", str(root)]) == 0
         out = capsys.readouterr().out
         assert "table1-smoke" in out and "catalogue" in out
-        assert cli_main(["status", "--root", str(root), "--no-catalog"]) == 0
-        out = capsys.readouterr().out
-        assert "table1-smoke" in out and "catalogue" not in out
 
     def test_query_and_list_keys(self, tmp_path, capsys):
         root = tmp_path / "runs"
@@ -877,11 +883,31 @@ class TestCLI:
         assert summary["completed"] == 4
         assert (root / "table1-smoke" / "results.json").exists()
 
+    def test_local_run_does_not_import_http_server(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        probe = ("import sys, repro; repro.run('table1', scale='smoke'); "
+                 "print('http.server' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                cwd=tmp_path, capture_output=True, text=True,
+                                check=True)
+        assert result.stdout.strip() == "False"
+        assert (tmp_path / "runs" / "table1-smoke" / "results.json").exists()
+
     def test_store_ingest(self, tmp_path, capsys):
         root = tmp_path / "runs"
         repro.run("table1", scale="smoke", root=root, catalog=False)
+        # status reads only the catalogue, and names the way to make one
+        assert cli_main(["status", "--root", str(root)]) == 1
+        assert "'repro store ingest' first" in capsys.readouterr().err
         assert cli_main(["store", "ingest", "--root", str(root)]) == 0
         assert "1 run(s)" in capsys.readouterr().out
+        assert cli_main(["status", "--root", str(root)]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("table1-smoke")]
+        assert line.split()[3] == "4/4" and line.split()[-1] == "complete"
 
     def test_status_watch_reprints_until_interrupted(self, tmp_path,
                                                      capsys, monkeypatch):
