@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                metavar="SECONDS",
                                help="reprint the status every N seconds "
                                     "until interrupted (plain output, no "
-                                    "screen control)")
+                                    "screen control; keeps polling until a "
+                                    "catalogue exists)")
 
     submit_parser = commands.add_parser(
         "submit", help="register a campaign in the catalogue and enqueue "
@@ -291,9 +292,7 @@ def _command_status(args: argparse.Namespace) -> int:
     interval = max(0.1, float(args.watch))
     try:
         while True:
-            code = _status_once(args)
-            if code != 0:
-                return code
+            _status_once(args)  # no catalogue yet: the hint, then poll on
             print(f"-- refreshing every {interval:g}s (Ctrl-C to stop) --",
                   flush=True)
             time.sleep(interval)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -39,7 +40,8 @@ from repro.store.connection import (
 FINISHED_STATUSES = ("completed", "cached")
 
 #: Cell statuses that make a campaign read ``failed``.  An ``interrupted``
-#: cell is not one: a resume continues it from its checkpoint.
+#: cell is not one: re-running ``repro run``/``repro submit`` on the
+#: campaign resumes it from its checkpoint.
 FAILED_STATUSES = ("failed", "timeout")
 
 
@@ -150,8 +152,8 @@ class Catalog:
         with self.conn.transaction():
             self.conn.execute(
                 "INSERT INTO runs (run_id, experiment, scale, seed, out_dir,"
-                " spec_json, cells, status, created_unix, updated_unix)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, 'pending', ?, ?)"
+                " spec_json, cells, created_unix, updated_unix)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
                 " ON CONFLICT(run_id) DO UPDATE SET out_dir = excluded.out_dir,"
                 " updated_unix = excluded.updated_unix",
                 (run_id, spec.experiment_id, scale_name, int(seed),
@@ -168,7 +170,6 @@ class Catalog:
                 " params_json, status) VALUES (?, ?, ?, ?, 'pending')",
                 [(run_id, index, slugs[index], dump_json(params))
                  for index, params in enumerate(cells)])
-        self.refresh_run_status(run_id)
 
     def record_cell(self, run_id: str, index: int,
                     params: Mapping[str, Any], status: str,
@@ -196,19 +197,9 @@ class Catalog:
                     " value_num, value_text) VALUES (?, ?, ?, ?, ?)",
                     [(run_id, int(index), key, num, text)
                      for key, num, text in _metric_pairs(params, row)])
-        self.refresh_run_status(run_id)
-
-    def refresh_run_status(self, run_id: str) -> str:
-        """Derive + store the run's status from its cell statuses."""
-        status = run_status({r["status"]: r["n"] for r in self.conn.fetchall(
-            "SELECT status, COUNT(*) AS n FROM cells WHERE run_id = ?"
-            " GROUP BY status", (run_id,))})
-        with self.conn.transaction():
             self.conn.execute(
-                "UPDATE runs SET status = ?, updated_unix ="
-                " CAST(strftime('%s','now') AS INTEGER) WHERE run_id = ?",
-                (status, run_id))
-        return status
+                "UPDATE runs SET updated_unix = ? WHERE run_id = ?",
+                (now, run_id))
 
     # ----------------------------------------------------------- idempotency
     def idempotent_replay(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
@@ -263,9 +254,10 @@ class Catalog:
         return runs
 
     def run_info(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """One run's record + provenance + per-cell statuses (None if absent)."""
+        """One run's record + provenance + per-cell statuses (None if
+        absent); the status is derived from the cells, as in :meth:`list_runs`."""
         run = self.conn.fetchone(
-            "SELECT run_id, experiment, scale, seed, out_dir, cells, status,"
+            "SELECT run_id, experiment, scale, seed, out_dir, cells,"
             " created_unix, updated_unix FROM runs WHERE run_id = ?",
             (run_id,))
         if run is None:
@@ -277,6 +269,8 @@ class Catalog:
             " WHERE run_id = ?", (run_id,))
         info["provenance"] = dict(provenance) if provenance else None
         info["cell_statuses"] = self.cell_statuses(run_id)
+        info["status"] = run_status(
+            Counter(cell["status"] for cell in info["cell_statuses"]))
         return info
 
     def cell_statuses(self, run_id: str) -> List[Dict[str, Any]]:

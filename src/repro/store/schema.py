@@ -5,8 +5,10 @@ service knows:
 
 ``runs``
     One row per campaign: experiment/scale/seed, the artifact directory, the
-    full :class:`~repro.runs.spec.ExperimentSpec` JSON, and a coarse status
-    derived from its cells.
+    full :class:`~repro.runs.spec.ExperimentSpec` JSON.  Its ``status``
+    column is kept only so that older catalogues open unchanged: nothing
+    writes or reads it, and every reader derives a campaign's status from
+    its cells (:func:`repro.store.catalog.run_status`).
 ``provenance``
     What produced a run: code version (git commit when available), the
     SHA-256 of the spec JSON, the campaign seed, and the fault-plan hash (if

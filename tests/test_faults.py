@@ -252,6 +252,11 @@ class TestChaosTrainingCampaigns:
         [line] = [line for line in capsys.readouterr().out.splitlines()
                   if "table5-smoke" in line]
         assert line.endswith("in-flight") and "failed=" not in line
+        with Catalog(catalog_path(tmp_path)) as catalog:
+            # The runs.status column an older catalogue still holds is not
+            # read: GET /api/campaigns/<id> derives the status as well.
+            catalog.conn.execute("UPDATE runs SET status = 'failed'")
+            assert catalog.run_info("table5-smoke")["status"] == "in-flight"
         # Resume under the SAME plan: the fired marker prevents re-injection.
         resumed = repro.run("table5", scale="smoke", out_dir=out,
                             fault_plan=plan)

@@ -926,6 +926,23 @@ class TestCLI:
         assert out.count("table1-smoke") == 3  # one table per tick
         assert "refreshing every 1s" in out
 
+    def test_status_watch_polls_until_a_catalogue_exists(self, tmp_path,
+                                                         capsys, monkeypatch):
+        root = tmp_path / "runs"
+        ticks = iter(["run", "stop"])
+
+        def fake_sleep(seconds):
+            if next(ticks) == "run":
+                repro.run("table1", scale="smoke", root=root)
+            else:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", fake_sleep)
+        assert cli_main(["status", "--root", str(root), "--watch", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "'repro store ingest' first" in captured.err
+        assert captured.out.count("table1-smoke") == 1  # the second tick
+
     def test_status_shows_workers_column_while_draining(self, tmp_path,
                                                         capsys):
         spec = chaos_spec({"mode": "ok", "name": "a"},
