@@ -42,31 +42,24 @@ from repro._blas import budget_threads as _budget_threads
 
 _budget_threads()
 
-from repro.cache import Cache, CacheConfig
-from repro.defenses import (
-    DefenseSpec,
-    get_defense,
-    list_defenses,
-    register_defense,
-)
-from repro.env import CacheGuessingGameEnv, EnvConfig, RewardConfig
-from repro.rl import PPOConfig, PPOTrainer
-from repro.scenarios import (
-    ScenarioSpec,
-    get_spec,
-    list_scenarios,
-    make,
-    make_factory,
-    register,
-)
-from repro.runs import (
-    CampaignResult,
-    ExperimentSpec,
-    get_experiment,
-    list_experiments,
-    register_experiment,
-    run,
-)
+from repro._lazy import lazy_exports
+
+# Resolved on first access (PEP 562): ``import repro`` loads neither numpy nor
+# the learner, so the campaign service (``repro serve``, ``status``,
+# ``query``, ``top``) starts without them.
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(("Cache", "CacheConfig"), "repro.cache"),
+    **dict.fromkeys(("DefenseSpec", "get_defense", "list_defenses",
+                     "register_defense"), "repro.defenses"),
+    **dict.fromkeys(("CacheGuessingGameEnv", "EnvConfig", "RewardConfig"),
+                    "repro.env"),
+    **dict.fromkeys(("PPOConfig", "PPOTrainer"), "repro.rl"),
+    **dict.fromkeys(("ScenarioSpec", "get_spec", "list_scenarios", "make",
+                     "make_factory", "register"), "repro.scenarios"),
+    **dict.fromkeys(("CampaignResult", "ExperimentSpec", "get_experiment",
+                     "list_experiments", "register_experiment", "run"),
+                    "repro.runs"),
+})
 
 __all__ = [
     "__version__",

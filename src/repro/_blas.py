@@ -9,9 +9,16 @@ therefore calls :func:`budget_threads` before anything else, which sets the
 library to one thread unless the user chose a count with
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 
-The count is set through the library's exported setter, so it holds even
-when numpy was imported first, and forked children (drainers, watchdog
-children) inherit it.  Results do not depend on it: OpenBLAS splits a GEMM
+The library is found without importing numpy, which would cost ``import
+repro`` (and so ``repro serve``) about 190 ms against about 5 ms for loading
+the library on a 2-core host: :func:`importlib.util.find_spec` locates the
+installed numpy package on disk without running it, and numpy's wheel
+bundles OpenBLAS in the sibling ``numpy.libs`` directory.  Loading that file through :mod:`ctypes` maps the
+same library numpy links against later (the dynamic linker matches it by
+name), so the count set here is the one numpy's GEMMs run with.  The count is
+set through the library's exported setter, so it holds whether numpy is
+imported before or after, and forked children (drainers, watchdog children)
+inherit it.  Results do not depend on it: OpenBLAS splits a GEMM
 across threads by rows and columns, never along the summed dimension (a test
 holds a 2-worker campaign's ``results.json`` to that).  A numpy built
 against another
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import os
 from typing import Any, Optional
 
@@ -40,9 +48,10 @@ def _openblas() -> Any:
     global _library, _searched
     if not _searched:
         _searched = True
-        import numpy
-
-        pattern = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+        spec = importlib.util.find_spec("numpy")
+        if spec is None or spec.origin is None:
+            return None
+        pattern = os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
                                "numpy.libs", "*openblas*.so*")
         for path in sorted(glob.glob(pattern)):
             try:

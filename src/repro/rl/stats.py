@@ -1,9 +1,7 @@
-"""Training statistics helpers and the shared metrics serialization path.
+"""Training statistics helpers: running windows and per-update history.
 
-Run artifacts (``runs/<id>/``), benchmark JSON files, and checkpoint metadata
-all serialize training metrics through the helpers here, so there is exactly
-one JSON dialect: numpy scalars become Python scalars, arrays become lists,
-and tuples become lists.
+Histories serialize through :mod:`repro.jsonio`, the one JSON dialect of run
+artifacts.
 """
 
 from __future__ import annotations
@@ -15,39 +13,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
-
-def json_ready(value: Any) -> Any:
-    """Recursively convert ``value`` into plain JSON-serializable data.
-
-    numpy scalars/arrays are converted to Python scalars/lists, tuples to
-    lists, and mappings are rebuilt with their values converted.  This is the
-    single normalization applied to every row/metric dict before it is written
-    to a run artifact or a ``BENCH_*.json`` file.
-    """
-    # Exact built-in types first: the abstract ``Mapping`` check is a slow
-    # ``typing`` instance check, and most values are plain dicts and lists.
-    kind = type(value)
-    if kind is dict:
-        return {key: json_ready(item) for key, item in value.items()}
-    if kind is list or kind is tuple:
-        return [json_ready(item) for item in value]
-    if kind in (str, int, float, bool) or value is None:
-        return value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, Mapping):
-        return {key: json_ready(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(item) for item in value]
-    return value
-
-
-def dump_json(value: Any, **kwargs) -> str:
-    """``json.dumps`` over :func:`json_ready`-normalized data."""
-    kwargs.setdefault("sort_keys", True)
-    return json.dumps(json_ready(value), **kwargs)
+from repro.jsonio import dump_json, json_ready
 
 
 class RunningStats:

@@ -20,11 +20,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro import telemetry
+from repro.jsonio import dump_json
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOUpdater
 from repro.rl.replay import AttackExtraction, evaluate_policy, extract_attack_sequence
-from repro.rl.stats import RunningStats, TrainingHistory, dump_json
+from repro.rl.stats import RunningStats, TrainingHistory
 from repro.rl.vec_env import VecEnv
 
 # The paper reports training time in epochs of 3000 training steps (Table V).

@@ -25,6 +25,7 @@ that every run records into; :func:`load_rows` and ``repro results`` read
 the rows back from the artifact tree.
 """
 
+from repro._lazy import lazy_exports
 from repro.runs.artifacts import (
     CorruptArtifactError,
     atomic_write_bytes,
@@ -34,15 +35,6 @@ from repro.runs.artifacts import (
     quarantined_files,
     stray_tmp_files,
 )
-from repro.runs.context import CampaignInterrupted, CellContext
-from repro.runs.faults import (
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    InjectedFault,
-    NetworkChaosPlan,
-    NetworkFault,
-)
 from repro.runs.registry import (
     ExperimentLike,
     get_experiment,
@@ -51,16 +43,21 @@ from repro.runs.registry import (
     register_experiment,
     unregister_experiment,
 )
-from repro.runs.runner import (
-    CampaignResult,
-    campaign_id,
-    load_rows,
-    run,
-)
 from repro.runs.spec import ExperimentSpec
 
 # Register the built-in catalogue (all tables/figures of the paper).
 import repro.runs.builtin  # noqa: E402,F401  (registration side effect)
+
+# The runner, the cell context and the fault plans load the learner; they
+# resolve on first access, so the campaign service reads the registry
+# without them.
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(("CampaignInterrupted", "CellContext"), "repro.runs.context"),
+    **dict.fromkeys(("Fault", "FaultInjector", "FaultPlan", "InjectedFault",
+                     "NetworkChaosPlan", "NetworkFault"), "repro.runs.faults"),
+    **dict.fromkeys(("CampaignResult", "campaign_id", "load_rows", "run"),
+                    "repro.runs.runner"),
+})
 
 __all__ = [
     "CampaignInterrupted",

@@ -33,7 +33,7 @@ import pickle
 from pathlib import Path
 from typing import Any, List, Optional
 
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 
 #: Temp-file naming: ``.<name>.tmp-<pid>`` in the destination directory (same
 #: filesystem, so ``os.replace`` is atomic).  ``stray_tmp_files`` globs this.

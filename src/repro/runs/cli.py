@@ -27,6 +27,11 @@ Examples::
     python -m repro serve --root runs --port 8642
     python -m repro query accuracy --by defense --format table
     python -m repro store ingest --root runs
+
+Start-up: this module imports no numpy and no learner, so ``serve``,
+``status``, ``query`` and ``top`` start without them; ``run``,
+``results``, ``submit`` and ``work`` import the runner inside their
+handlers.
 """
 
 from __future__ import annotations
@@ -36,11 +41,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.common import SCALES
-from repro.rl.stats import dump_json
-from repro.runs.context import CampaignInterrupted
+from repro.experiments.scales import SCALES
+from repro.jsonio import dump_json
 from repro.runs.registry import get_experiment, list_experiments
-from repro.runs.runner import load_rows, run
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
@@ -241,6 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.runs.context import CampaignInterrupted
+    from repro.runs.runner import run
+
     try:
         campaign = run(args.experiment, workers=args.workers,
                        strict=not args.lenient, **_campaign_options(args))
@@ -338,6 +344,8 @@ def _status_once(args: argparse.Namespace) -> int:
 
 
 def _command_results(args: argparse.Namespace) -> int:
+    from repro.runs.runner import load_rows
+
     spec = get_experiment(args.experiment)
     try:
         rows = load_rows(spec, scale=args.scale, seed=args.seed,

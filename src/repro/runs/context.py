@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
-from repro.rl.stats import json_ready
+from repro.jsonio import json_ready
 from repro.rl.trainer import PPOTrainer, TrainingResult
 from repro.runs.artifacts import (
     CorruptArtifactError,

@@ -69,6 +69,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro._blas import blas_threads
+# From common, not scales: importing the runner loads the learner, so a
+# campaign's first cell does not pay for it inside its run.
 from repro.experiments.common import ExperimentScale, ScaleLike, resolve_scale
 from repro.runs.artifacts import (
     CorruptArtifactError,
@@ -550,7 +552,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         Registered experiment id or an :class:`ExperimentSpec`.
     scale:
         ``"smoke"`` / ``"bench"`` / ``"paper"`` or an
-        :class:`~repro.experiments.common.ExperimentScale`; defaults to the
+        :class:`~repro.experiments.scales.ExperimentScale`; defaults to the
         spec's ``default_scale``.
     seed:
         Campaign seed (defaults to the spec's ``base_seed``), passed to

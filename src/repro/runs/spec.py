@@ -14,7 +14,7 @@ implementing the cell protocol:
 
 ``run_cell(params, scale, seed=0, ctx=None) -> dict``
     Compute one row of the experiment.  ``params`` is one grid entry,
-    ``scale`` an :class:`~repro.experiments.common.ExperimentScale`, and
+    ``scale`` an :class:`~repro.experiments.scales.ExperimentScale`, and
     ``ctx`` an optional :class:`repro.runs.CellContext` enabling
     checkpoint/resume and per-cell artifacts.  Drivers must be
     deterministic in ``(params, scale, seed)`` — the fault-tolerance
@@ -40,7 +40,7 @@ import importlib
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.experiments.common import ScaleLike, format_table, resolve_scale
+from repro.experiments.scales import ScaleLike, format_table, resolve_scale
 from repro.registry import Record
 
 

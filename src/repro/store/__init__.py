@@ -21,23 +21,29 @@ quarantine); the catalogue is the durable, queryable index over it.  All
 SQL goes through :mod:`repro.store.connection` — literal statements, bound
 parameters — which the ``artifacts.store-connection`` lint rule enforces.
 
-Import layout: this package pulls in the catalogue, the queue (with
-``finalize_from_catalog``, the ``results.json`` writer), the query helpers
-and the HTTP *client* (:mod:`http.client`), never the HTTP server.  The
-modules that reach back into the runner (:mod:`repro.store.worker`,
-:mod:`repro.store.server`, :mod:`repro.store.ingest`) are imported lazily by
-their callers (the CLI, tests) to keep ``repro.runs`` -> ``repro.store``
-imports cycle-free; a local ``repro.run()`` never loads :mod:`http.server`.
+Import layout: this package loads the catalogue, the queue (with
+``finalize_from_catalog``, the ``results.json`` writer) and the query
+helpers, none of which imports numpy or the learner, and the client's error
+taxonomy (:mod:`repro.store.errors`).  :class:`StoreClient` resolves lazily
+on first access, so a local ``repro.run()`` never loads :mod:`http.client`,
+and nothing here loads :mod:`http.server`.  The modules that reach back into the runner
+(:mod:`repro.store.worker`, :mod:`repro.store.ingest`) and the server are
+imported by their callers (the CLI, tests), which keeps ``repro.runs`` ->
+``repro.store`` imports cycle-free.  ``repro serve`` and the catalogue
+commands (``status``, ``query``, ``top``) import no numpy and no learner; a
+tier-1 test holds :mod:`repro.store.server`, :mod:`repro.store.catalog`,
+:mod:`repro.store.queue`, :mod:`repro.store.query`,
+:mod:`repro.store.connection` and :mod:`repro.store.schema` to that.
 """
 
+from repro._lazy import lazy_exports
 from repro.store.catalog import Catalog, catalog_path, code_version, spec_hash
-from repro.store.client import (
+from repro.store.connection import CATALOG_NAME, StoreConnection, connect
+from repro.store.errors import (
     FatalRequestError,
     RetryableTransportError,
-    StoreClient,
     StoreClientError,
 )
-from repro.store.connection import CATALOG_NAME, StoreConnection, connect
 from repro.store.query import (
     aggregate_metric,
     format_rows,
@@ -45,6 +51,8 @@ from repro.store.query import (
 )
 from repro.store.queue import Job, JobQueue
 from repro.store.schema import SCHEMA_VERSION, ensure_schema
+
+__getattr__ = lazy_exports(__name__, {"StoreClient": "repro.store.client"})
 
 __all__ = [
     "CATALOG_NAME",

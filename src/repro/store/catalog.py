@@ -28,7 +28,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.store.connection import (
     CATALOG_NAME,
     StoreConnection,

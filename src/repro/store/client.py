@@ -16,7 +16,8 @@ this is where the reliability contract lives:
   5xx, a draining server's 503, torn response bytes) and
   :class:`FatalRequestError` (4xx, protocol violations): only the former is
   ever retried, and it is raised to the caller only once the budget is
-  exhausted;
+  exhausted (the taxonomy and the retry defaults live in
+  :mod:`repro.store.errors`, which imports no HTTP);
 * **idempotency keys** — every mutating call carries a client-unique key,
   stable across its retries, so the server can make the lease protocol
   exactly-once: a retried ``complete`` whose first response was lost
@@ -62,49 +63,20 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import quote, urlsplit
 
 from repro import telemetry
-from repro.rl.stats import dump_json
-
-#: Per-attempt socket deadline (seconds) unless the caller overrides it.
-DEFAULT_TIMEOUT_SECONDS = 30.0
-
-#: Retries after the first attempt (6 retries -> 7 attempts total).
-DEFAULT_MAX_RETRIES = 6
-
-#: Base backoff (seconds); doubles per retry up to :data:`BACKOFF_CAP_SECONDS`.
-DEFAULT_BACKOFF_SECONDS = 0.25
-
-BACKOFF_CAP_SECONDS = 8.0
+from repro.jsonio import dump_json
+from repro.store.errors import (
+    BACKOFF_CAP_SECONDS,
+    DEFAULT_BACKOFF_SECONDS,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_TIMEOUT_SECONDS,
+    FatalRequestError,
+    RetryableTransportError,
+    StoreClientError,
+)
 
 #: A transport is any callable with this signature.
 Transport = Callable[[str, str, Optional[bytes], Mapping[str, str], float],
                      Tuple[int, bytes]]
-
-
-class StoreClientError(Exception):
-    """Base of the client's error taxonomy."""
-
-
-class FatalRequestError(StoreClientError):
-    """A non-retryable failure: the request itself is wrong (4xx, protocol
-    violations).  Retrying an identical request cannot succeed, so the
-    client fails fast instead of burning its budget."""
-
-    def __init__(self, message: str, status: Optional[int] = None):
-        super().__init__(message)
-        self.status = status
-
-
-class RetryableTransportError(StoreClientError):
-    """A transient failure: connection refused/reset, a timeout, a 5xx, a
-    draining server's 503, or a response torn mid-flight.  The client
-    retries these (mutations re-send the same idempotency key); the
-    instance that escapes to the caller carries the attempt count."""
-
-    def __init__(self, message: str, status: Optional[int] = None,
-                 attempts: int = 1):
-        super().__init__(message)
-        self.status = status
-        self.attempts = attempts
 
 
 def _mix64(value: int) -> int:

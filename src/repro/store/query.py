@@ -18,8 +18,8 @@ import csv
 import io
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.common import format_table
-from repro.rl.stats import dump_json
+from repro.experiments.scales import format_table
+from repro.jsonio import dump_json
 from repro.store.catalog import Catalog
 
 #: Columns of an aggregation result row, in rendering order.

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog
 

@@ -121,7 +121,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 from repro import telemetry
 from repro._blas import blas_threads
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.store.catalog import Catalog, catalog_path, code_version
 from repro.store.query import aggregate_metric
 from repro.store.schema import SCHEMA_VERSION

@@ -27,7 +27,8 @@ Two queue backends share that loop:
 * **remote** (``server="http://host:port"``): the worker speaks the lease
   protocol over HTTP through one :class:`~repro.store.client.StoreClient` —
   deadline, bounded deterministic retries, idempotency keys — and never
-  touches the catalogue (network chaos comes from pointing it at a
+  touches the catalogue (only this backend imports the client, so a local
+  drain never loads :mod:`http.client`) (network chaos comes from pointing it at a
   :class:`~repro.store.chaos.ChaosProxy`).  Cell artifacts land under a
   *local* root (payload paths are remapped per host); the finished row is
   uploaded with ``complete`` and the **server** materializes
@@ -58,7 +59,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
-from repro.experiments.common import ScaleLike
+from repro.experiments.scales import ScaleLike
 from repro.runs.faults import FaultPlan
 from repro.runs.registry import ExperimentLike
 from repro.runs.runner import (
@@ -70,13 +71,12 @@ from repro.runs.runner import (
     resolve_campaign,
 )
 from repro.store.catalog import Catalog, catalog_path
-from repro.store.client import (
+from repro.store.errors import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_MAX_RETRIES,
     DEFAULT_TIMEOUT_SECONDS,
     FatalRequestError,
     RetryableTransportError,
-    StoreClient,
 )
 from repro.store.queue import (
     DEFAULT_JOB_ATTEMPTS,
@@ -372,6 +372,8 @@ class _RemoteBackend:
     def __init__(self, server: str, worker_id: str, local_root: Path,
                  max_job_attempts: int, timeout: float, retries: int,
                  backoff: float):
+        from repro.store.client import StoreClient  # only a remote drain speaks HTTP
+
         self.worker_id = worker_id
         self.local_root = Path(local_root)
         self.max_job_attempts = int(max_job_attempts)

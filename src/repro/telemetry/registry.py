@@ -4,10 +4,12 @@ Design contract (mirrors the hot-path doctrine in ``repro.lint``):
 
 * **Alloc-free record paths.**  ``Counter.inc`` / ``Gauge.set`` /
   ``Histogram.record`` touch only preallocated state — the histogram's
-  bucket-edge and count arrays are numpy arrays sized at construction,
-  and ``record`` does a ``searchsorted`` plus an in-place increment.  No
-  dict, list, or array construction happens on the record path; the
-  ``telemetry.record-alloc`` lint rule enforces this.
+  bucket edges are a tuple and its counts an ``array('q')`` sized at
+  construction, and ``record`` does a ``bisect`` plus an in-place
+  increment.  No dict, list, or array construction happens on the record
+  path; the ``telemetry.record-alloc`` lint rule enforces this.
+* **No numpy.**  The campaign service (``repro serve`` and the catalogue
+  commands) records metrics without loading numpy or the learner.
 * **No wall clock.**  Nothing in this module reads the wall clock;
   callers time with ``time.perf_counter`` and cross-process timestamps
   are stamped by the catalogue's SQL clock at persist time
@@ -21,9 +23,9 @@ Design contract (mirrors the hot-path doctrine in ``repro.lint``):
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from typing import Dict, List, Union
-
-import numpy as np
 
 #: Histogram bucket upper edges, in seconds.  They cover campaign work
 #: from sub-millisecond store round-trips to multi-second training cells.
@@ -44,6 +46,9 @@ DEFAULT_BUCKET_EDGES = (
     10.0,
     30.0,
 )
+
+#: A zeroed count buffer: one slot per edge plus the overflow slot.
+_ZERO_COUNTS = array("q", bytes(8 * (len(DEFAULT_BUCKET_EDGES) + 1)))
 
 
 class Counter:
@@ -99,12 +104,13 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram backed by preallocated numpy arrays.
+    """Fixed-bucket histogram over preallocated edges and counts.
 
-    ``record`` is alloc-free: a scalar ``searchsorted`` against the
-    preallocated edge array plus an in-place count increment.  Bucket ``i``
-    counts values ``<= edges[i]`` of :data:`DEFAULT_BUCKET_EDGES`; the final
-    slot is the overflow bucket.
+    ``record`` is alloc-free: a ``bisect_left`` over the edge tuple plus an
+    in-place increment of the ``array('q')`` count buffer.  Bucket ``i``
+    counts values ``<= edges[i]`` of :data:`DEFAULT_BUCKET_EDGES` (the bucket
+    ``np.searchsorted`` picks); the final slot is the overflow bucket, which
+    also takes NaN, as ``searchsorted`` sorts it last.
     """
 
     kind = "histogram"
@@ -112,13 +118,17 @@ class Histogram:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.edges = np.asarray(DEFAULT_BUCKET_EDGES, dtype=np.float64)
-        self.counts = np.zeros(self.edges.shape[0] + 1, dtype=np.int64)
+        self.edges = DEFAULT_BUCKET_EDGES
+        self.counts = array("q", _ZERO_COUNTS)
         self.sum = 0.0
         self.count = 0
 
     def record(self, value: float) -> None:
-        self.counts[int(np.searchsorted(self.edges, value))] += 1
+        # NaN compares false against every edge, so bisect would put it first.
+        if value == value:
+            self.counts[bisect_left(self.edges, value)] += 1
+        else:
+            self.counts[-1] += 1
         self.sum += value
         self.count += 1
 
@@ -135,7 +145,7 @@ class Histogram:
         }
 
     def reset(self) -> None:
-        self.counts[:] = 0
+        self.counts[:] = _ZERO_COUNTS
         self.sum = 0.0
         self.count = 0
 

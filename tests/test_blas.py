@@ -49,6 +49,29 @@ def test_user_count_is_kept(variable):
     assert run_python(THREADS, **{variable: "2"}).strip() == "2"
 
 
+NUMPY_AFTER = """
+    import sys
+    import repro
+    from repro._blas import blas_threads
+    print("numpy" in sys.modules)
+    import numpy
+    numpy.ones((64, 64)) @ numpy.ones((64, 64))
+    print(blas_threads())
+"""
+
+
+def test_budget_holds_for_numpy_imported_after_repro():
+    """``import repro`` finds and budgets the library without numpy."""
+    assert run_python(NUMPY_AFTER).split() == ["False", "1"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS caps the count at the cores it sees")
+def test_user_count_is_kept_for_numpy_imported_after_repro():
+    assert run_python(NUMPY_AFTER, OPENBLAS_NUM_THREADS="2").split() == [
+        "False", "2"]
+
+
 def test_budget_holds_after_numpy_was_imported():
     script = "import numpy; numpy.ones((2, 2)) @ numpy.ones((2, 2)); " + THREADS
     assert run_python(script).strip() == "1"

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Adam
+from repro.jsonio import dump_json, json_ready
 from repro.nn import Linear
 from repro.rl import PPOConfig, PPOTrainer
 from repro.rl.replay import AttackExtraction
-from repro.rl.stats import TrainingHistory, dump_json, json_ready
+from repro.rl.stats import TrainingHistory
 from repro.rl.trainer import TrainingResult
 
 SCENARIO = "guessing/quickstart"

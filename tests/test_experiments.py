@@ -16,7 +16,7 @@ from repro.experiments.table7 import make_env_factory as table7_factory
 from repro.experiments.table8_fig3 import covert_env_config, make_covert_env_factory
 from repro.experiments.table3 import make_env_factory as table3_factory
 from repro.hardware.machines import get_machine
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs import get_experiment, list_experiments
 
 FAST_EXPERIMENTS = [experiment_id for experiment_id in list_experiments()

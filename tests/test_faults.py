@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs import (
     CampaignInterrupted,
     ExperimentSpec,

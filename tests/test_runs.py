@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.experiments.common import SMOKE, resolve_scale
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs import (
     CampaignInterrupted,
     CellContext,

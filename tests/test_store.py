@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs import ExperimentSpec, register_experiment, unregister_experiment
 from repro.runs.cli import main as cli_main
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
@@ -883,18 +883,26 @@ class TestCLI:
         assert summary["completed"] == 4
         assert (root / "table1-smoke" / "results.json").exists()
 
-    def test_local_run_does_not_import_http_server(self, tmp_path):
+    @staticmethod
+    def _local_run_imports(tmp_path, module: str) -> str:
+        """Whether a fresh interpreter's ``repro.run()`` imported ``module``."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO_ROOT / "src")]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         probe = ("import sys, repro; repro.run('table1', scale='smoke'); "
-                 "print('http.server' in sys.modules)")
+                 f"print({module!r} in sys.modules)")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 cwd=tmp_path, capture_output=True, text=True,
                                 check=True)
-        assert result.stdout.strip() == "False"
         assert (tmp_path / "runs" / "table1-smoke" / "results.json").exists()
+        return result.stdout.strip()
+
+    def test_local_run_does_not_import_http_server(self, tmp_path):
+        assert self._local_run_imports(tmp_path, "http.server") == "False"
+
+    def test_local_run_does_not_import_http_client(self, tmp_path):
+        assert self._local_run_imports(tmp_path, "http.client") == "False"
 
     def test_store_ingest(self, tmp_path, capsys):
         root = tmp_path / "runs"

@@ -33,7 +33,7 @@ import pytest
 
 import repro
 from repro import telemetry
-from repro.rl.stats import dump_json
+from repro.jsonio import dump_json
 from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import ChaosSchedule, NetworkChaosPlan, NetworkFault

@@ -7,7 +7,9 @@ results are byte-identical with telemetry on and off.
 
 from __future__ import annotations
 
+import math
 import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -82,7 +84,29 @@ class TestRegistry:
         for _ in range(100):
             hist.record(0.01)
         assert hist.counts is counts_buffer  # in-place, never reallocated
-        assert isinstance(hist.counts, np.ndarray)
+        assert isinstance(hist.counts, array)
+        hist.reset()
+        assert hist.counts is counts_buffer  # reset zeroes it in place
+        assert list(hist.counts) == [0] * len(counts_buffer)
+
+    @pytest.mark.parametrize("value", [
+        0.01,                 # exactly an edge: counted in that edge's bucket
+        0.003,                # between two edges
+        0.0001,               # below the first edge
+        -1.0,                 # negative
+        99.0,                 # past the last edge
+        math.inf,
+        -math.inf,
+        math.nan,             # searchsorted sorts NaN last: the overflow bucket
+        np.float64(0.25),     # numpy scalars, as the trainer records them
+    ])
+    def test_histogram_bucket_matches_searchsorted(self, value):
+        hist = MetricRegistry().histogram("lat")
+        hist.record(value)
+        expected = int(np.searchsorted(
+            np.asarray(telemetry.DEFAULT_BUCKET_EDGES), value))
+        assert list(hist.counts).index(1) == expected
+        assert sum(hist.counts) == 1
 
     def test_kind_mismatch_rejected(self):
         registry = MetricRegistry()
