@@ -52,9 +52,10 @@ import repro.runs.builtin  # noqa: E402,F401  (registration side effect)
 # resolve on first access, so the campaign service reads the registry
 # without them.
 __getattr__ = lazy_exports(__name__, {
-    **dict.fromkeys(("CampaignInterrupted", "CellContext"), "repro.runs.context"),
-    **dict.fromkeys(("Fault", "FaultInjector", "FaultPlan", "InjectedFault",
-                     "NetworkChaosPlan", "NetworkFault"), "repro.runs.faults"),
+    "CellContext": "repro.runs.context",
+    **dict.fromkeys(("CampaignInterrupted", "Fault", "FaultInjector",
+                     "FaultPlan", "InjectedFault", "NetworkChaosPlan",
+                     "NetworkFault"), "repro.runs.faults"),
     **dict.fromkeys(("CampaignResult", "campaign_id", "load_rows", "run"),
                     "repro.runs.runner"),
 })

@@ -64,10 +64,9 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=int, default=2,
                         help="save a resumable checkpoint every N PPO updates")
     parser.add_argument("--max-attempts", type=int, default=1,
-                        help="in-process retries per cell (deterministic "
-                             "exponential backoff between attempts)")
-    parser.add_argument("--retry-backoff", type=float, default=0.25,
-                        help="base backoff seconds (doubles per attempt)")
+                        help="claims a failing or timed-out cell may use "
+                             "before it is marked failed (an interrupted "
+                             "cell uses none; any drainer resumes it)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-cell wall-clock budget, enforced by a "
@@ -81,8 +80,7 @@ def _campaign_options(args: argparse.Namespace) -> dict:
     """Keyword arguments shared by ``run()`` and ``submit_campaign()``."""
     return {"scale": args.scale, "seed": args.seed, "root": args.root,
             "out_dir": args.out_dir, "checkpoint_every": args.checkpoint_every,
-            "max_attempts": args.max_attempts,
-            "retry_backoff": args.retry_backoff, "timeout": args.timeout,
+            "max_attempts": args.max_attempts, "timeout": args.timeout,
             "fault_plan": args.fault_plan}
 
 
@@ -138,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     work_parser.add_argument("--lease-ttl", type=int, default=60,
                              help="lease seconds before a silent worker's cell "
                                   "is reclaimable (heartbeats extend it)")
-    work_parser.add_argument("--max-job-attempts", type=int, default=3,
-                             help="queue-level claims per cell before it is "
-                                  "marked failed")
     work_parser.add_argument("--poll", type=float, default=0.5,
                              help="seconds between claims while others hold leases")
     work_parser.add_argument("--watch", action="store_true",
@@ -244,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    from repro.runs.context import CampaignInterrupted
+    from repro.runs.faults import CampaignInterrupted
     from repro.runs.runner import run
 
     try:
@@ -252,8 +247,8 @@ def _command_run(args: argparse.Namespace) -> int:
                        strict=not args.lenient, **_campaign_options(args))
     except (CampaignInterrupted, KeyboardInterrupt) as error:
         print(f"campaign interrupted: {error or 'Ctrl-C'}", file=sys.stderr)
-        print("re-run the same command to resume from the checkpoint",
-              file=sys.stderr)
+        print("re-run the same command, or drain with 'python -m repro "
+              "work', to resume from the checkpoint", file=sys.stderr)
         return 3
     except RuntimeError as error:
         print(f"campaign failed: {error}", file=sys.stderr)
@@ -384,7 +379,6 @@ def _command_work(args: argparse.Namespace) -> int:
     try:
         summary = work(root=args.root, run_id=args.run_id,
                        worker_id=args.worker_id, lease_ttl=args.lease_ttl,
-                       max_job_attempts=args.max_job_attempts,
                        poll_seconds=args.poll, watch=args.watch,
                        max_cells=args.max_cells, catalog_file=args.catalog,
                        server=args.server,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.jsonio import json_ready
 from repro.rl.trainer import PPOTrainer, TrainingResult
@@ -42,13 +42,7 @@ from repro.runs.artifacts import (
     quarantine,
     remove_artifact,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports us)
-    from repro.runs.faults import FaultInjector
-
-
-class CampaignInterrupted(RuntimeError):
-    """Raised when a (real or injected) kill aborts a campaign mid-cell."""
+from repro.runs.faults import FaultInjector
 
 
 @dataclass
@@ -57,7 +51,7 @@ class CellContext:
 
     cell_dir: Path
     checkpoint_every: int = 2
-    injector: Optional["FaultInjector"] = field(default=None, repr=False)
+    injector: Optional[FaultInjector] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.cell_dir = Path(self.cell_dir)

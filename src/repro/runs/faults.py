@@ -70,7 +70,6 @@ from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.registry import Record
 from repro.runs.artifacts import atomic_write_json
-from repro.runs.context import CampaignInterrupted
 
 FAULT_KINDS = ("kill", "torn-write", "bit-flip", "stall")
 
@@ -81,6 +80,10 @@ NETWORK_FAULT_KINDS = ("reset", "http-500", "stall", "drop-response",
 #: Artifact kinds a fault can target, as the runner/context report them.
 ARTIFACT_KINDS = ("checkpoint", "result", "training-result", "history",
                   "extraction", "policy", "manifest", "results")
+
+
+class CampaignInterrupted(RuntimeError):
+    """Raised when a (real or injected) kill aborts a campaign mid-cell."""
 
 
 class InjectedFault(CampaignInterrupted):

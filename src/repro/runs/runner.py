@@ -33,19 +33,23 @@ one executor (:func:`execute_cell`), one heartbeat, and one
   good checkpoint.  The SQLite catalogue next to ``out_dir`` indexes the
   tree and holds the queue (``catalog=False``: a throw-away catalogue).
 
-* **Failures** are isolated per cell: a structured ``error.json`` record,
-  bounded in-process retries with deterministic exponential backoff, and
-  an opt-in per-cell ``timeout`` — a job property every drainer's executor
-  enforces by running the cell in a child process under a watchdog.
+* **Failures** are isolated per cell: the executor runs a claimed cell
+  once and writes a structured ``error.json`` record when it fails, and an
+  opt-in per-cell ``timeout`` — a job property every drainer's executor
+  enforces by running the cell in a child process under a watchdog.  A
+  retry is a queue re-claim: the job's ``max_attempts``, set at submission,
+  is the one budget (:meth:`repro.store.queue.JobQueue.release`).
   ``strict=True`` raises one aggregated error afterwards; ``strict=False``
   returns partial rows with per-cell status.
 
-* **Resume**: re-invoking ``repro.run()`` submits the campaign again; cells
-  whose ``result.json`` loads report ``cached``, unfinished cells are
-  re-attempted, and in-flight PPO trainings continue from their
-  checkpoints, bit-identically.  A run killed hard (SIGKILL, out-of-memory)
-  cannot release its leases, so the resumed run waits up to one lease TTL
-  (60 s) before it reclaims the cells the dead process held.
+* **Resume**: an interrupted cell goes back to the queue without spending
+  its budget, so any drainer — a sibling inside the same ``run()``, or a
+  later ``repro work`` — resumes it.  Re-invoking ``repro.run()`` submits
+  the campaign again; cells whose ``result.json`` loads report ``cached``,
+  unfinished cells are re-attempted, and in-flight PPO trainings continue
+  from their checkpoints, bit-identically.  A run killed hard (SIGKILL,
+  out-of-memory) cannot release its leases, so the resumed run waits up to
+  one lease TTL (60 s) before it reclaims the cells the dead process held.
 
 * **Fault injection**: a :class:`~repro.runs.faults.FaultPlan`
   (``fault_plan=`` or ``--fault-plan``) kills
@@ -79,8 +83,8 @@ from repro.runs.artifacts import (
     load_json,
     quarantine,
 )
-from repro.runs.context import CampaignInterrupted, CellContext
-from repro.runs.faults import FaultInjector, FaultPlan
+from repro.runs.context import CellContext
+from repro.runs.faults import CampaignInterrupted, FaultInjector, FaultPlan
 from repro.runs.registry import ExperimentLike, get_experiment
 from repro.runs.spec import ExperimentSpec
 
@@ -295,15 +299,14 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
             "elapsed_seconds": payload["elapsed_seconds"]}
 
 
-def _error_record(index: int, error: BaseException, attempt: int,
-                  elapsed: float, status: str = "failed") -> Dict:
+def _error_record(index: int, error: BaseException, elapsed: float,
+                  status: str = "failed") -> Dict:
     return {
         "index": index,
         "status": status,
         "error_type": type(error).__name__,
         "error": f"{type(error).__name__}: {error}",
         "traceback": traceback.format_exc(),
-        "attempt": attempt,
         "elapsed_seconds": elapsed,
     }
 
@@ -320,55 +323,38 @@ def _recorded_error(cell_dir: Path) -> Dict:
     return record if isinstance(record, dict) else {}
 
 
-def _prior_attempts(cell_dir: Path) -> int:
-    """Cumulative attempt count recorded by previous invocations."""
-    try:
-        return int(_recorded_error(cell_dir).get("attempt", 0))
-    except (TypeError, ValueError):
-        return 0
-
-
 def _attempt_cell(payload: Dict) -> Dict:
-    """Run one cell with the bounded retry/backoff budget.
+    """Run one claimed cell once.
 
-    Returns an outcome dict (never raises for ordinary failures).  Control
-    flow — ``KeyboardInterrupt``/``SystemExit`` — is re-raised so Ctrl-C
-    tears the drain down promptly; an (injected or real) kill comes back
-    as an ``interrupted`` outcome for the caller to surface.
+    Returns an outcome dict (never raises for ordinary failures: those are
+    recorded in ``error.json``, and the queue decides whether the job is
+    claimed again).  Control flow — ``KeyboardInterrupt``/``SystemExit`` —
+    is re-raised so Ctrl-C tears the drain down promptly; an (injected or
+    real) kill comes back as an ``interrupted`` outcome for the caller to
+    surface.
     """
-    index = payload["index"]
-    cell_dir = Path(payload["cell_dir"])
-    max_attempts = max(1, int(payload.get("max_attempts", 1)))
-    backoff = float(payload.get("retry_backoff", 0.0))
-    prior = _prior_attempts(cell_dir)
-    record: Dict = {}
-    for attempt in range(1, max_attempts + 1):
-        started = time.perf_counter()
-        telemetry.counter("runner.cell.attempts").inc()
-        if attempt > 1:
-            telemetry.counter("runner.cell.retries").inc()
-        try:
-            outcome = _execute_cell(**payload)
-            telemetry.counter(
-                "runner.cells." + outcome.get("status", "completed")).inc()
-            return outcome
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except CampaignInterrupted as error:
-            # A (simulated) kill: a real crash would persist nothing, so no
-            # error.json — the cell's checkpoint is what resume picks up.
-            telemetry.counter("runner.cells.interrupted").inc()
-            return _error_record(index, error, prior + attempt,
-                                 time.perf_counter() - started,
-                                 status="interrupted")
-        except Exception as error:
-            telemetry.counter("runner.cells.failed").inc()
-            record = _error_record(index, error, prior + attempt,
-                                   time.perf_counter() - started)
-            atomic_write_json(cell_dir / "error.json", record, indent=2)
-            if attempt < max_attempts:
-                time.sleep(backoff * (2 ** (attempt - 1)))
-    return record
+    started = time.perf_counter()
+    telemetry.counter("runner.cell.attempts").inc()
+    try:
+        outcome = _execute_cell(**payload)
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except CampaignInterrupted as error:
+        # A (simulated) kill: a real crash would persist nothing, so no
+        # error.json — the cell's checkpoint is what resume picks up.
+        telemetry.counter("runner.cells.interrupted").inc()
+        return _error_record(payload["index"], error,
+                             time.perf_counter() - started,
+                             status="interrupted")
+    except Exception as error:
+        telemetry.counter("runner.cells.failed").inc()
+        record = _error_record(payload["index"], error,
+                               time.perf_counter() - started)
+        atomic_write_json(Path(payload["cell_dir"]) / "error.json", record,
+                          indent=2)
+        return record
+    telemetry.counter("runner.cells." + outcome["status"]).inc()
+    return outcome
 
 
 def execute_cell(payload: Dict,
@@ -459,7 +445,6 @@ def _watchdog_record(payload: Dict, status: str, error_type: str,
         "error_type": error_type,
         "error": f"{error_type}: {message}",
         "traceback": "",
-        "attempt": _prior_attempts(cell_dir) + 1,
         "elapsed_seconds": elapsed,
     }
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -472,7 +457,6 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
                   out_dir: Path, cells: List[Dict], checkpoint_every: int = 2,
                   fault_plan: Optional[FaultPlan] = None,
                   max_attempts: int = 1,
-                  retry_backoff: float = 0.25,
                   timeout: Optional[float] = None) -> List[Dict]:
     """One plain-data execution payload per cell: the unit of work that the
     campaign service enqueues as a catalogue job and every drainer executes
@@ -489,7 +473,6 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
         "checkpoint_every": checkpoint_every,
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
         "max_attempts": max_attempts,
-        "retry_backoff": retry_backoff,
         "timeout": float(timeout) if timeout is not None else None,
     } for index, params in enumerate(cells)]
 
@@ -498,16 +481,14 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
 def _drain(run_id: str, catalog_file: Path, drainers: int) -> None:
     """Drain one campaign's jobs with ``drainers`` local ``work()`` loops.
 
-    One drainer runs in-process; more run as child processes.  Each cell
-    gets one queue claim (``max_job_attempts=1``), so a failed cell is not
-    re-claimed within one ``run()`` — its retry budget is ``max_attempts``,
-    in-process.  Ctrl-C sends SIGTERM to child drainers, whose signal guard
-    releases their leases, and reaches the caller as ``KeyboardInterrupt``.
+    One drainer runs in-process; more run as child processes.  Ctrl-C sends
+    SIGTERM to child drainers, whose signal guard releases their leases,
+    and reaches the caller as ``KeyboardInterrupt``.
     """
     from repro.store.worker import work
 
     options = {"run_id": run_id, "catalog_file": catalog_file,
-               "max_job_attempts": 1, "poll_seconds": _DRAIN_POLL_SECONDS}
+               "poll_seconds": _DRAIN_POLL_SECONDS}
     if drainers == 1:
         if work(**options).interrupted:
             raise KeyboardInterrupt
@@ -541,7 +522,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         seed: Optional[int] = None, workers: int = 1,
         out_dir: Optional[os.PathLike] = None, root: os.PathLike = "runs",
         checkpoint_every: int = 2, *,
-        strict: bool = True, max_attempts: int = 1, retry_backoff: float = 0.25,
+        strict: bool = True, max_attempts: int = 1,
         timeout: Optional[float] = None,
         fault_plan: Any = None, catalog: Any = None) -> CampaignResult:
     """Run (or resume) an experiment campaign and return its rows.
@@ -560,7 +541,8 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         derive their training seeds from it.
     workers:
         Number of local drainers.  One drains in-process; more drain in
-        child processes.  Results are row-for-row identical either way.
+        child processes, and a sibling resumes a cell whose drainer was
+        killed.  Results are row-for-row identical either way.
     out_dir / root:
         Artifact location.  Default: ``<root>/<experiment>-<scale>[-seedN]``.
     checkpoint_every:
@@ -572,11 +554,11 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         positions) plus structured per-cell error records; a later
         ``repro.run()`` on the same out_dir re-attempts only the
         non-completed cells.
-    max_attempts / retry_backoff:
-        Bounded in-process retries per cell with deterministic exponential
-        backoff (``retry_backoff * 2**(attempt-1)`` seconds between
-        attempts).  Attempt counts accumulate across invocations in the
-        cell's ``error.json``.
+    max_attempts:
+        Each cell's attempt budget: a failed or timed-out cell is claimed
+        again until it has been charged ``max_attempts`` claims.  An
+        interrupted cell is charged nothing and any drainer resumes it.
+        A resubmission starts a fresh budget.
     timeout:
         Opt-in per-cell wall-clock budget in seconds, stored on each job:
         the executor runs the cell in a child process and a watchdog kills
@@ -606,8 +588,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
             submission = submit_campaign(
                 spec, scale, seed, out_dir=out_dir,
                 checkpoint_every=checkpoint_every, max_attempts=max_attempts,
-                retry_backoff=retry_backoff, fault_plan=fault_plan,
-                timeout=timeout, catalog=store)
+                fault_plan=fault_plan, timeout=timeout, catalog=store)
             run_id, cached = submission.run_id, submission.cached
             queued = JobQueue(store).outstanding(run_id)
         cells = spec.cells(scale)

@@ -326,8 +326,8 @@ class StoreClient:
         return int(self.get(f"/api/jobs{query}")["outstanding"])
 
     # ----------------------------------------------------- the lease protocol
-    def claim(self, run_id: Optional[str] = None, lease_ttl: int = 60,
-              max_job_attempts: int = 3) -> Optional[Dict[str, Any]]:
+    def claim(self, run_id: Optional[str] = None,
+              lease_ttl: int = 60) -> Optional[Dict[str, Any]]:
         """Claim the next job (None when nothing is claimable).
 
         The idempotency key makes a retried claim return the *same* job
@@ -336,7 +336,6 @@ class StoreClient:
         response = self.post("/api/jobs/claim", {
             "worker": self.worker_id, "run_id": run_id,
             "lease_ttl": int(lease_ttl),
-            "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("claim"),
         })
         return response.get("job")
@@ -355,20 +354,18 @@ class StoreClient:
         return bool(response.get("alive"))
 
     def complete(self, run_id: str, cell_index: int, *, status: str,
-                 row: Optional[Mapping[str, Any]], attempts: int,
+                 row: Optional[Mapping[str, Any]],
                  elapsed_seconds: Optional[float] = None,
                  claim: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Upload a finished cell's row and mark its job done (exactly-once).
 
-        ``claim`` (``run_id``, ``lease_ttl``, ``max_job_attempts``, as for
-        :meth:`claim`) also leases the next job in the same server
+        ``claim`` (``run_id`` and ``lease_ttl``, as for :meth:`claim`) also leases the next job in the same server
         transaction; it is the answer's ``"job"``.  The complete's key
         covers both, so a retry replays the same next job.
         """
         body: Dict[str, Any] = {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "row": row,
-            "attempts": int(attempts),
             "elapsed_seconds": elapsed_seconds,
             "idempotency_key": self._next_key("complete"),
         }
@@ -377,15 +374,12 @@ class StoreClient:
         return self.post("/api/jobs/complete", body)
 
     def release(self, run_id: str, cell_index: int, *, status: str,
-                error: Optional[str], attempts: int,
-                max_job_attempts: int = 3) -> Dict[str, Any]:
+                error: Optional[str]) -> Dict[str, Any]:
         """Give a failed/interrupted job back to the queue (exactly-once);
-        past ``max_job_attempts`` claims the job is retired as failed."""
+        a failed job past its submitted ``max_attempts`` is retired."""
         return self.post("/api/jobs/release", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "error": error,
-            "attempts": int(attempts),
-            "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("release"),
         })
 

@@ -6,9 +6,10 @@ tree, which stays authoritative: every ``runs/<id>/`` directory with a
 campaign manifest is registered with provenance (spec hash from the
 manifest; the ingest is marked as such), and each cell is recorded from its
 artifacts: ``result.json`` becomes a completed row (+ metrics),
-``error.json`` a failed/timed-out cell with its cumulative attempt count,
-anything else stays pending.  Re-ingesting is idempotent — recording
-upserts.
+``error.json`` a failed/timed-out cell charged one attempt (older trees
+whose records carry a cumulative ``attempt`` keep that count), anything
+else stays pending.  Re-ingesting is idempotent — recording
+upserts, and never lowers a cell's attempt count already in the catalogue.
 """
 
 from __future__ import annotations
@@ -52,12 +53,18 @@ def _ingest_campaign(catalog: Catalog, out_dir: Path) -> int:
         slugs=[entry["slug"] for entry in cell_entries],
         manifest_version=manifest.get("version", 1),
         ingested_from=str(out_dir))
+    # A live catalogue already counts the queue's claims: never lower them.
+    charged = {row["cell_index"]: row["attempts"] for row in
+               catalog.conn.fetchall("SELECT cell_index, attempts FROM cells"
+                                     " WHERE run_id = ?", (out_dir.name,))}
     recorded = 0
     for entry in cell_entries:
         cell_dir = out_dir / "cells" / entry["slug"]
         outcome = _cell_outcome(cell_dir)
         if outcome is None:
             continue
+        outcome["attempts"] = max(outcome.get("attempts", 0),
+                                  charged.get(entry["index"], 0))
         catalog.record_cell(out_dir.name, entry["index"], entry["params"],
                             **outcome)
         recorded += 1
@@ -75,7 +82,7 @@ def _cell_outcome(cell_dir: Path) -> Optional[Dict[str, Any]]:
         return None
     return {"status": record.get("status", "failed"),
             "error": record.get("error"),
-            "attempts": int(record.get("attempt", 0) or 0),
+            "attempts": int(record.get("attempt") or 1),
             "elapsed_seconds": record.get("elapsed_seconds")}
 
 

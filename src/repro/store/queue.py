@@ -12,12 +12,15 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
   ``lease_ttl/3`` seconds on the catalogue's shared clock.  A worker that
   dies stops heartbeating, its lease expires, and the cell is claimable
   again — the queue-level analogue of the executor's watchdog;
-* **completion/release** — a finished cell marks its job ``done`` and a
-  failed cell goes back to ``pending`` (``failed`` once the queue-level
-  attempt budget is exhausted).  Either transition lands the catalogue cell
-  row in the same transaction, and only if the worker still owns the lease:
-  a late worker whose cell was reclaimed changes nothing.  A completion may
-  also claim the worker's next job in that transaction
+* **completion/release** — a finished cell marks its job ``done``; a
+  failed or timed-out one goes back to ``pending`` until its claims reach
+  the job's ``max_attempts`` (set at submission: the one retry budget),
+  then to ``failed``.  An interrupted cell gives its claim back and goes
+  back to ``pending``, so any drainer resumes it.  Every transition lands
+  the catalogue cell row (whose ``attempts`` counts the charged claims) in
+  the same transaction, and only if the worker still owns the lease: a late
+  worker whose cell was reclaimed changes nothing.  A completion may also
+  claim the worker's next job in that transaction
   (:meth:`JobQueue.complete_and_claim`), so a busy drain pays one round
   trip per cell.
 
@@ -46,9 +49,6 @@ from repro.jsonio import dump_json
 from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog
 
-#: Queue-level attempt budget per cell (re-claims after failures/reclaims).
-DEFAULT_JOB_ATTEMPTS = 3
-
 #: Default lease time-to-live in seconds (heartbeats extend it).
 DEFAULT_LEASE_TTL = 60
 
@@ -67,11 +67,9 @@ class Job:
 class JobQueue:
     """Lease-based claim/heartbeat/complete operations over one catalogue."""
 
-    def __init__(self, catalog: Catalog,
-                 max_job_attempts: int = DEFAULT_JOB_ATTEMPTS):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self.conn = catalog.conn
-        self.max_job_attempts = int(max_job_attempts)
 
     # ---------------------------------------------------------------- submit
     def submit(self, run_id: str, payloads: Sequence[Mapping[str, Any]],
@@ -163,7 +161,6 @@ class JobQueue:
     # ------------------------------------------------------------ completion
     def complete(self, job: Job, worker: str, *, status: str = "completed",
                  row: Optional[Mapping[str, Any]] = None,
-                 attempts: Optional[int] = None,
                  elapsed_seconds: Optional[float] = None) -> bool:
         """Mark a job done and land its cell row, in one transaction; a
         ``worker`` that no longer owns the lease changes no row (False)."""
@@ -177,7 +174,7 @@ class JobQueue:
             if done:
                 self._event(job.run_id, job.cell_index, worker, "completed",
                             None)
-                self._record_cell(job, status, row=row, attempts=attempts,
+                self._record_cell(job, status, job.attempts, row=row,
                                   elapsed_seconds=elapsed_seconds)
         return done
 
@@ -194,28 +191,34 @@ class JobQueue:
             return done, self.claim(worker, run_id=run_id, lease_ttl=lease_ttl)
 
     def release(self, job: Job, worker: str, *, status: str = "failed",
-                error: Optional[str] = None,
-                attempts: Optional[int] = None) -> Optional[str]:
-        """Give a failed/interrupted job back (or retire it past the budget)
-        and land its cell row, in one transaction.
+                error: Optional[str] = None) -> Optional[str]:
+        """Give an unfinished job back (or retire it past its budget) and
+        land its cell row, in one transaction.
 
-        Returns the job's new state: ``"pending"`` (re-claimable) or
-        ``"failed"`` (queue-level attempt budget exhausted).  A ``worker``
-        that no longer owns the lease changes no row and gets None.
+        A ``failed``/``timeout`` release charges the claim: the job goes
+        back to ``pending``, or to ``failed`` once its claims reach the
+        payload's ``max_attempts``.  An ``interrupted`` release gives the
+        claim back and always returns the job to ``pending``; it cannot
+        loop, because an interrupted drainer stops claiming.  Returns the
+        job's new state; a ``worker`` that no longer owns the lease changes
+        no row and gets None.
         """
-        state = ("failed" if job.attempts >= self.max_job_attempts
-                 else "pending")
+        refund = 1 if status == "interrupted" else 0
+        exhausted = job.attempts >= int(job.payload["max_attempts"])
+        state = "failed" if exhausted and not refund else "pending"
         with self.conn.transaction():
             cursor = self.conn.execute(
                 "UPDATE jobs SET state = ?, worker = NULL,"
-                " lease_expires_unix = NULL WHERE run_id = ?"
-                " AND cell_index = ? AND worker = ? AND state = 'leased'",
-                (state, job.run_id, job.cell_index, worker))
+                " lease_expires_unix = NULL, attempts = attempts - ?"
+                " WHERE run_id = ? AND cell_index = ? AND worker = ?"
+                " AND state = 'leased'",
+                (state, refund, job.run_id, job.cell_index, worker))
             if cursor.rowcount != 1:
                 return None
             self._event(job.run_id, job.cell_index, worker,
                         "failed" if state == "failed" else "released", error)
-            self._record_cell(job, status, error=error, attempts=attempts)
+            self._record_cell(job, status, job.attempts - refund,
+                              error=error)
         return state
 
     # ------------------------------------------------------------ inspection
@@ -240,12 +243,11 @@ class JobQueue:
         return [dict(row) for row in rows]
 
     # -------------------------------------------------------------- internal
-    def _record_cell(self, job: Job, status: str,
-                     attempts: Optional[int], **outcome: Any) -> None:
+    def _record_cell(self, job: Job, status: str, attempts: int,
+                     **outcome: Any) -> None:
         self.catalog.record_cell(
             job.run_id, job.cell_index, job.payload["params"], status,
-            attempts=job.attempts if attempts is None else int(attempts),
-            **outcome)
+            attempts=attempts, **outcome)
 
     def _event(self, run_id: str, cell_index: int, worker: Optional[str],
                event: str, detail: Optional[str]) -> None:

@@ -5,17 +5,17 @@ service knows:
 
 ``runs``
     One row per campaign: experiment/scale/seed, the artifact directory, the
-    full :class:`~repro.runs.spec.ExperimentSpec` JSON.  Its ``status``
-    column is kept only so that older catalogues open unchanged: nothing
-    writes or reads it, and every reader derives a campaign's status from
-    its cells (:func:`repro.store.catalog.run_status`).
+    full :class:`~repro.runs.spec.ExperimentSpec` JSON.  A campaign's
+    status is not stored: every reader derives it from its cells
+    (:func:`repro.store.catalog.run_status`).
 ``provenance``
     What produced a run: code version (git commit when available), the
     SHA-256 of the spec JSON, the campaign seed, and the fault-plan hash (if
     chaos was injected) — enough to detect "same campaign id, different
     code/spec" across ingests.
 ``cells``
-    One row per campaign cell: params, status, cumulative attempt count,
+    One row per campaign cell: params, status, attempt count (the queue
+    claims charged to the cell; an interrupted claim is given back),
     elapsed seconds, and the finished row JSON (the same bytes that live in
     the cell's ``result.json``).
 ``metrics``
@@ -52,7 +52,9 @@ in place (the DDL is idempotent, so re-applying it adds any missing
 tables).  Upgrading to v4 drops the ``bench`` table v1-v3 kept: the
 checked-in ``BENCH_*.json`` files are the one perf record.  Upgrading to
 v5 drops the span table and index v3-v4 kept: points are the one
-telemetry record.
+telemetry record.  Upgrading to v6 drops the ``runs.status`` column v1-v5
+kept, which nothing read or wrote; under an SQLite older than 3.35, which
+cannot drop a column, the column stays with its default and is never read.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.connection import StoreConnection
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Job states in the cooperative queue.
 JOB_STATES = ("pending", "leased", "done", "failed")
@@ -85,7 +87,6 @@ CREATE TABLE IF NOT EXISTS runs (
     out_dir     TEXT NOT NULL,
     spec_json   TEXT NOT NULL,
     cells       INTEGER NOT NULL,
-    status      TEXT NOT NULL DEFAULT 'pending',
     created_unix INTEGER NOT NULL,
     updated_unix INTEGER NOT NULL
 );
@@ -180,12 +181,16 @@ def ensure_schema(conn: "StoreConnection") -> None:
     if recorded is None or int(recorded) < SCHEMA_VERSION:
         # Fresh catalogue, or an older one: the idempotent DDL above already
         # added any tables this version introduced; an older one may still
-        # hold the ``bench`` table v4 dropped or the span table v5 dropped
-        # (its index goes with it).
+        # hold the ``bench`` table v4 dropped, the span table v5 dropped
+        # (its index goes with it), or the ``runs.status`` column v6 dropped.
         with conn.transaction():
             if recorded is not None:
                 conn.execute("DROP TABLE IF EXISTS bench")
                 conn.execute("DROP TABLE IF EXISTS telemetry_spans")
+                columns = [row[1] for row in
+                           conn.fetchall("PRAGMA table_info(runs)")]
+                if "status" in columns and _can_drop_columns(conn):
+                    conn.execute("ALTER TABLE runs DROP COLUMN status")
             conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) "
                 "VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
@@ -194,3 +199,9 @@ def ensure_schema(conn: "StoreConnection") -> None:
         raise RuntimeError(
             f"catalogue {conn.path} has schema version {recorded}, newer than "
             f"this code's {SCHEMA_VERSION}; upgrade the repro package")
+
+
+def _can_drop_columns(conn: "StoreConnection") -> bool:
+    """``ALTER TABLE ... DROP COLUMN`` needs SQLite 3.35 or later."""
+    version = conn.scalar("SELECT sqlite_version()")
+    return tuple(int(part) for part in version.split(".")[:2]) >= (3, 35)

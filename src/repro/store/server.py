@@ -27,9 +27,8 @@ Endpoints
 ``POST /api/jobs/heartbeat``             extend a lease
 ``POST /api/jobs/complete``              upload a finished row, mark done;
                                          an optional ``claim`` object
-                                         (``run_id``, ``lease_ttl``,
-                                         ``max_job_attempts``) also leases
-                                         the next job (``"job"`` in the
+                                         (``run_id``, ``lease_ttl``) also
+                                         leases the next job (``"job"`` in the
                                          answer; ``null`` plus
                                          ``"draining": true`` while
                                          draining)
@@ -126,7 +125,6 @@ from repro.store.catalog import Catalog, catalog_path, code_version
 from repro.store.query import aggregate_metric
 from repro.store.schema import SCHEMA_VERSION
 from repro.store.queue import (
-    DEFAULT_JOB_ATTEMPTS,
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
@@ -148,8 +146,7 @@ MAX_BODY_BYTES = 8_000_000
 
 #: The keys a ``POST /api/campaigns`` body may carry; any other is a 400.
 SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "checkpoint_every",
-                         "max_attempts", "retry_backoff", "fault_plan",
-                         "timeout"})
+                         "max_attempts", "fault_plan", "timeout"})
 
 #: The parameters ``GET /api/query`` reads; any other is a 400.
 QUERY_KEYS = frozenset({"metric", "by", "experiment", "scale"})
@@ -388,7 +385,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             seed=body.get("seed"), root=self.server.root,
             checkpoint_every=int(body.get("checkpoint_every", 2)),
             max_attempts=int(body.get("max_attempts", 1)),
-            retry_backoff=float(body.get("retry_backoff", 0.25)),
             fault_plan=body.get("fault_plan"), timeout=body.get("timeout"))
         self._json(201, {"submitted": submission.to_dict()})
 
@@ -472,7 +468,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             job = self._job_from(catalog, body)
             queue = JobQueue(catalog)
             outcome = dict(status=str(body.get("status", "completed")),
-                           row=body.get("row"), attempts=body.get("attempts"),
+                           row=body.get("row"),
                            elapsed_seconds=body.get("elapsed_seconds"))
             response: Dict[str, Any] = {"run_id": job.run_id,
                                         "cell_index": job.cell_index}
@@ -497,11 +493,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             job = self._job_from(catalog, body)
-            queue = JobQueue(catalog, max_job_attempts=int(
-                body.get("max_job_attempts", DEFAULT_JOB_ATTEMPTS)))
-            state = queue.release(
+            state = JobQueue(catalog).release(
                 job, worker, status=str(body.get("status", "failed")),
-                error=body.get("error"), attempts=body.get("attempts"))
+                error=body.get("error"))
             return {"applied": state is not None, "state": state,
                     "run_id": job.run_id, "cell_index": job.cell_index}
 

@@ -6,11 +6,14 @@
 catalogue, and enqueues one job per cell.  Nothing executes yet — execution
 belongs to drainers.
 
-``work()`` is one drainer: claim a job, execute its cell through the
+``work()`` is one drainer: claim a job, execute its cell once through the
 runner's :func:`~repro.runs.runner.execute_cell` (same artifact tree, same
-retry/timeout/fault semantics everywhere), then mark the job done (the
-:class:`~repro.store.queue.JobQueue` transition lands the catalogue cell row
-in the same transaction).  The completion carries the claim of the next job
+timeout/fault semantics everywhere), then mark the job done or release it
+(the :class:`~repro.store.queue.JobQueue` transition lands the catalogue
+cell row in the same transaction).  A retry is a re-claim: the queue
+charges a failed or timed-out claim against the job's ``max_attempts``,
+fixed at submission, and re-queues the job until the budget is spent.
+The completion carries the claim of the next job
 (:meth:`~repro.store.queue.JobQueue.complete_and_claim`), so a busy drain
 makes one queue request per cell; a standalone claim is made only for the
 first cell, after a release, and after an empty answer.  One background
@@ -42,7 +45,8 @@ or the next job its last completion claimed (recorded as ``released`` in
 ``lease_events``), marks its summary
 ``interrupted``, and the CLI exits non-zero.  An injected kill ends the
 drainer the same way a crash would: its lease is released and it claims no
-further cell.
+further cell.  An interrupted release costs the job no attempt, so any
+other drainer — now or later — resumes the cell from its checkpoint.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from repro.store.errors import (
     RetryableTransportError,
 )
 from repro.store.queue import (
-    DEFAULT_JOB_ATTEMPTS,
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
@@ -110,12 +113,14 @@ def submit_campaign(experiment: ExperimentLike,
                     root: os.PathLike = "runs",
                     out_dir: Optional[os.PathLike] = None,
                     checkpoint_every: int = 2,
-                    max_attempts: int = 1, retry_backoff: float = 0.25,
+                    max_attempts: int = 1,
                     fault_plan: Any = None, timeout: Optional[float] = None,
                     catalog: Optional[Catalog] = None) -> Submission:
     """Register a campaign in the catalogue and enqueue its cells.
 
-    ``timeout`` is the per-cell wall-clock budget every drainer enforces.
+    ``max_attempts`` is each cell's attempt budget (the claims a failed or
+    timed-out cell may be charged) and ``timeout`` the per-cell wall-clock
+    budget every drainer enforces; both are job properties.
     Submitting a campaign again is how it resumes: the manifest check
     refuses a *different* campaign in the same directory (a torn manifest
     is quarantined and rewritten), queued jobs take the fresh payload, and
@@ -132,7 +137,7 @@ def submit_campaign(experiment: ExperimentLike,
     payloads = cell_payloads(spec, scale, seed, out_dir, cells,
                              checkpoint_every=checkpoint_every,
                              fault_plan=plan, max_attempts=max_attempts,
-                             retry_backoff=retry_backoff, timeout=timeout)
+                             timeout=timeout)
     cached = {}
     for payload in payloads:
         result = _load_result(Path(payload["cell_dir"]) / "result.json")
@@ -176,7 +181,7 @@ class WorkerSummary:
 class WorkerSignalled(BaseException):
     """SIGTERM/SIGINT reached the drain loop.
 
-    A ``BaseException`` so the runner's ``except Exception`` retry paths
+    A ``BaseException`` so the runner's ``except Exception`` failure path
     cannot swallow it — the signal must reach the loop that releases the
     lease.
     """
@@ -310,11 +315,11 @@ def default_worker_id() -> str:
 class _LocalBackend:
     """Queue access through the catalogue file (same-host draining)."""
 
-    def __init__(self, path: Path, worker_id: str, max_job_attempts: int):
+    def __init__(self, path: Path, worker_id: str):
         self.path = Path(path)
         self.worker_id = worker_id
         self.catalog = Catalog(self.path)
-        self.queue = JobQueue(self.catalog, max_job_attempts=max_job_attempts)
+        self.queue = JobQueue(self.catalog)
 
     def claim(self, run_id: Optional[str], lease_ttl: int) -> Optional[Job]:
         return self.queue.claim(self.worker_id, run_id=run_id,
@@ -330,23 +335,22 @@ class _LocalBackend:
         return dict(job.payload)
 
     def complete(self, job: Job, status: str, row: Optional[Mapping[str, Any]],
-                 attempts: int, elapsed: Optional[float]) -> bool:
+                 elapsed: Optional[float]) -> bool:
         return self.queue.complete(job, self.worker_id, status=status,
-                                   row=row, attempts=attempts,
-                                   elapsed_seconds=elapsed)
+                                   row=row, elapsed_seconds=elapsed)
 
     def complete_and_claim(self, job: Job, status: str,
-                           row: Optional[Mapping[str, Any]], attempts: int,
+                           row: Optional[Mapping[str, Any]],
                            elapsed: Optional[float], run_id: Optional[str],
                            lease_ttl: int) -> Tuple[bool, Optional[Job]]:
         return self.queue.complete_and_claim(
             job, self.worker_id, run_id=run_id, lease_ttl=lease_ttl,
-            status=status, row=row, attempts=attempts, elapsed_seconds=elapsed)
+            status=status, row=row, elapsed_seconds=elapsed)
 
-    def release(self, job: Job, status: str, error: Optional[str],
-                attempts: int) -> Optional[str]:
+    def release(self, job: Job, status: str,
+                error: Optional[str]) -> Optional[str]:
         return self.queue.release(job, self.worker_id, status=status,
-                                  error=error, attempts=attempts)
+                                  error=error)
 
     def outstanding(self, run_id: Optional[str]) -> int:
         return self.queue.outstanding(run_id)
@@ -370,20 +374,17 @@ class _RemoteBackend:
     """
 
     def __init__(self, server: str, worker_id: str, local_root: Path,
-                 max_job_attempts: int, timeout: float, retries: int,
-                 backoff: float):
+                 timeout: float, retries: int, backoff: float):
         from repro.store.client import StoreClient  # only a remote drain speaks HTTP
 
         self.worker_id = worker_id
         self.local_root = Path(local_root)
-        self.max_job_attempts = int(max_job_attempts)
         self.client = StoreClient(
             server, worker_id=worker_id, timeout=timeout, max_retries=retries,
             backoff=backoff, retry_seed=zlib.crc32(worker_id.encode("utf-8")))
 
     def claim(self, run_id: Optional[str], lease_ttl: int) -> Optional[Job]:
-        record = self.client.claim(run_id=run_id, lease_ttl=lease_ttl,
-                                   max_job_attempts=self.max_job_attempts)
+        record = self.client.claim(run_id=run_id, lease_ttl=lease_ttl)
         return None if record is None else Job(**record)
 
     def renew_lease(self, job: Job, lease_ttl: int) -> bool:
@@ -399,31 +400,28 @@ class _RemoteBackend:
         return payload
 
     def complete(self, job: Job, status: str, row: Optional[Mapping[str, Any]],
-                 attempts: int, elapsed: Optional[float]) -> bool:
+                 elapsed: Optional[float]) -> bool:
         response = self.client.complete(
             job.run_id, job.cell_index, status=status, row=row,
-            attempts=attempts, elapsed_seconds=elapsed)
+            elapsed_seconds=elapsed)
         return bool(response.get("applied"))
 
     def complete_and_claim(self, job: Job, status: str,
-                           row: Optional[Mapping[str, Any]], attempts: int,
+                           row: Optional[Mapping[str, Any]],
                            elapsed: Optional[float], run_id: Optional[str],
                            lease_ttl: int) -> Tuple[bool, Optional[Job]]:
         response = self.client.complete(
             job.run_id, job.cell_index, status=status, row=row,
-            attempts=attempts, elapsed_seconds=elapsed,
-            claim={"run_id": run_id, "lease_ttl": int(lease_ttl),
-                   "max_job_attempts": self.max_job_attempts})
+            elapsed_seconds=elapsed,
+            claim={"run_id": run_id, "lease_ttl": int(lease_ttl)})
         record = response.get("job")
         return (bool(response.get("applied")),
                 None if record is None else Job(**record))
 
-    def release(self, job: Job, status: str, error: Optional[str],
-                attempts: int) -> Optional[str]:
+    def release(self, job: Job, status: str,
+                error: Optional[str]) -> Optional[str]:
         response = self.client.release(job.run_id, job.cell_index,
-                                       status=status, error=error,
-                                       attempts=attempts,
-                                       max_job_attempts=self.max_job_attempts)
+                                       status=status, error=error)
         return response.get("state")
 
     def outstanding(self, run_id: Optional[str]) -> int:
@@ -442,7 +440,6 @@ class _RemoteBackend:
 def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
          worker_id: Optional[str] = None,
          lease_ttl: int = DEFAULT_LEASE_TTL,
-         max_job_attempts: int = DEFAULT_JOB_ATTEMPTS,
          poll_seconds: float = 0.5, watch: bool = False,
          max_cells: Optional[int] = None,
          catalog_file: Optional[os.PathLike] = None,
@@ -465,13 +462,12 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
         backend: Any = _RemoteBackend(
             server, worker_id,
             local_root=Path(local_root if local_root is not None else root),
-            max_job_attempts=max_job_attempts, timeout=client_timeout,
-            retries=client_retries, backoff=client_backoff)
+            timeout=client_timeout, retries=client_retries,
+            backoff=client_backoff)
     else:
         path = (Path(catalog_file) if catalog_file is not None
                 else catalog_path(Path(root)))
-        backend = _LocalBackend(path, worker_id,
-                                max_job_attempts=max_job_attempts)
+        backend = _LocalBackend(path, worker_id)
     claim_seconds = telemetry.histogram("worker.claim.seconds")
     sink = backend.telemetry_sink(worker_id)
     heartbeat = _Heartbeat(lambda held: backend.renew_lease(held, lease_ttl),
@@ -509,10 +505,9 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                 status = outcome.get("status", "failed")
                 record = {"index": job.cell_index, "run_id": job.run_id,
                           "status": status, "attempts": job.attempts}
-                attempts = outcome.get("attempt", job.attempts)
                 finished = job
                 if status in ("completed", "cached"):
-                    done = (finished, status, outcome["row"], attempts,
+                    done = (finished, status, outcome["row"],
                             outcome.get("elapsed_seconds"))
                     if max_cells is not None \
                             and len(summary.cells) + 1 >= max_cells:
@@ -529,7 +524,7 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                         telemetry.counter("worker.claims.piggybacked").inc()
                 else:
                     new_state = backend.release(finished, status,
-                                                outcome.get("error"), attempts)
+                                                outcome.get("error"))
                     job = None
                     if new_state == "failed":
                         summary.failed += 1
@@ -549,7 +544,7 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                 # also gone, the lease expiring does the same job.
                 reason = str(interrupt) or type(interrupt).__name__
                 try:
-                    backend.release(job, "interrupted", reason, job.attempts)
+                    backend.release(job, "interrupted", reason)
                 except (RetryableTransportError, FatalRequestError):
                     pass
                 summary.released += 1

@@ -154,8 +154,8 @@ class TestJobTimeout:
             artifacts = tmp_path / "worker-host" / submission.run_id
         started = time.perf_counter()
         try:
-            summary = work(root=root, worker_id="w1", max_job_attempts=1,
-                           poll_seconds=0.05, **options)
+            summary = work(root=root, worker_id="w1", poll_seconds=0.05,
+                           **options)
         finally:
             if server is not None:
                 server.shutdown()
@@ -180,6 +180,46 @@ class TestJobTimeout:
 
 
 # --------------------------------------------------------------------------
+class TestOneBudget:
+    """A retry is a re-claim: the ``max_attempts`` a campaign was submitted
+    with bounds its cells on every drain path."""
+
+    @pytest.mark.parametrize("fails, status", [(2, "failed"),
+                                               (1, "completed")])
+    @pytest.mark.parametrize("path", ["run", "submit+work", "http"])
+    def test_flaky_cell_gets_exactly_its_budget(self, tmp_path, path, fails,
+                                                status):
+        spec = chaos_spec({"mode": "flaky", "name": "a", "fails": fails})
+        root = tmp_path / "runs"
+        artifacts = root / "chaos-smoke"
+        if path == "run":
+            repro.run(spec, root=root, strict=False, max_attempts=2)
+        else:
+            submit_campaign(spec, root=root, max_attempts=2)
+            server, options = None, {}
+            if path == "http":
+                server = make_server(root, port=0)
+                threading.Thread(target=server.serve_forever,
+                                 daemon=True).start()
+                options = {
+                    "server": f"http://127.0.0.1:{server.server_address[1]}",
+                    "local_root": tmp_path / "worker-host"}
+                artifacts = tmp_path / "worker-host" / "chaos-smoke"
+            try:
+                work(root=root, worker_id="w1", poll_seconds=0.05, **options)
+            finally:
+                if server is not None:
+                    server.shutdown()
+                    server.server_close()
+        calls = (artifacts / "cells" / f"c00-flaky-a-{fails}"
+                 / "chaos-attempts.txt").read_text()
+        assert int(calls) == 2
+        with Catalog(catalog_path(root)) as catalog:
+            [cell] = catalog.cell_statuses("chaos-smoke")
+        assert (cell["status"], cell["attempts"]) == (status, 2)
+
+
+# --------------------------------------------------------------------------
 class TestStops:
     def test_injected_kill_stops_the_drainer(self, tmp_path):
         plan = FaultPlan(faults=(Fault(kind="kill", cell=0,
@@ -189,13 +229,30 @@ class TestStops:
         partial = repro.run(spec, root=root, strict=False, fault_plan=plan)
         assert [c["status"] for c in partial.cells] == [
             "interrupted", "pending", "pending"]
-        assert job_states(root) == ["failed", "pending", "pending"]
+        assert job_states(root) == ["pending", "pending", "pending"]
         with pytest.raises(CampaignInterrupted):
             repro.run(chaos_spec(*ok_cells(3)), root=tmp_path / "strict",
                       fault_plan=plan)
         resumed = repro.run(spec, root=root, fault_plan=plan)
         assert [c["status"] for c in resumed.cells] == [
             "cached", "completed", "completed"]
+
+    def test_a_sibling_drainer_resumes_a_killed_cell(self, tmp_path):
+        plan = FaultPlan(faults=(Fault(kind="kill", cell=0,
+                                       artifact="result"),))
+        spec = chaos_spec(*ok_cells(3))
+        serial = repro.run(spec, root=tmp_path / "serial")
+        root = tmp_path / "runs"
+        campaign = repro.run(spec, root=root, workers=2, fault_plan=plan)
+        assert [c["status"] for c in campaign.cells] == ["completed"] * 3
+        assert campaign.rows == serial.rows
+        with Catalog(catalog_path(root)) as catalog:
+            events = JobQueue(catalog).lease_events("chaos-smoke")
+        assert [e["event"] for e in events if e["cell_index"] == 0] == [
+            "claimed", "released", "claimed", "completed"]
+        results = Path("chaos-smoke") / "results.json"
+        assert (root / results).read_bytes() == \
+            (tmp_path / "serial" / results).read_bytes()
 
     def test_keyboard_interrupt_in_a_cell_releases_the_lease(self, tmp_path):
         spec = chaos_spec({"mode": "interrupt", "name": "a"},

@@ -37,6 +37,7 @@ from repro.runs.artifacts import (
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, catalog_path
+from repro.store.worker import work
 
 
 def chaos_spec(*cells: dict) -> ExperimentSpec:
@@ -230,9 +231,11 @@ def table5_baseline(tmp_path_factory):
 class TestChaosTrainingCampaigns:
     """Seeded fault matrix over table5 SMOKE: recover, then match baseline."""
 
-    @pytest.mark.parametrize("boundary", [2, 4, 6])
+    @pytest.mark.parametrize("boundary, resume", [
+        (2, "run"), (4, "run"), (6, "run"), (2, "work")],
+        ids=["2", "4", "6", "2-work"])
     def test_kill_at_each_checkpoint_boundary(self, tmp_path, table5_baseline,
-                                              boundary, capsys):
+                                              boundary, resume, capsys):
         plan = FaultPlan(faults=(
             Fault(kind="kill", cell=1, artifact="checkpoint", at_update=boundary),))
         out = tmp_path / "table5-smoke"
@@ -253,14 +256,20 @@ class TestChaosTrainingCampaigns:
                   if "table5-smoke" in line]
         assert line.endswith("in-flight") and "failed=" not in line
         with Catalog(catalog_path(tmp_path)) as catalog:
-            # The runs.status column an older catalogue still holds is not
-            # read: GET /api/campaigns/<id> derives the status as well.
-            catalog.conn.execute("UPDATE runs SET status = 'failed'")
             assert catalog.run_info("table5-smoke")["status"] == "in-flight"
-        # Resume under the SAME plan: the fired marker prevents re-injection.
-        resumed = repro.run("table5", scale="smoke", out_dir=out,
-                            fault_plan=plan)
-        assert dump_json(resumed.rows) == table5_baseline
+        if resume == "run":
+            # Resume under the SAME plan: the fired marker prevents
+            # re-injection.
+            rows = repro.run("table5", scale="smoke", out_dir=out,
+                             fault_plan=plan).rows
+        else:
+            # The killed cell's job went back to the queue at no cost, so a
+            # plain drainer resumes it from its checkpoint, unsubmitted.
+            summary = work(root=tmp_path, worker_id="resumer")
+            assert not summary.interrupted
+            assert (summary.completed, summary.failed) == (2, 0)
+            rows = load_json(out / "results.json")["rows"]
+        assert dump_json(rows) == table5_baseline
         assert catalogued(out)["status"] == "complete"
         assert_clean_tree(out)
 
@@ -358,16 +367,18 @@ class TestFailureIsolation:
         assert catalogued(tmp_path)["status"] == "complete"
         assert_clean_tree(tmp_path)
 
-    def test_retry_budget_and_cumulative_attempts(self, tmp_path):
+    def test_retry_budget_and_resubmission(self, tmp_path):
         spec = chaos_spec({"mode": "flaky", "name": "a", "fails": 2})
         partial = repro.run(spec, scale="smoke", out_dir=tmp_path,
-                            strict=False, max_attempts=2, retry_backoff=0.0)
+                            strict=False, max_attempts=2)
         record = json.loads((tmp_path / "cells" / "c00-flaky-a-2"
                              / "error.json").read_text())
-        assert record["attempt"] == 2
+        # The catalogue's claim count is the one attempt count.
+        assert "attempt" not in record
         assert partial.cells[0]["status"] == "failed"
-        # The resume's attempt counter continues where the budget left off:
-        # the third call succeeds and the failure record is retired.
+        assert partial.cells[0]["attempt"] == 2
+        # Resubmitting starts a fresh budget: the third call succeeds and
+        # the failure record is retired.
         healed = repro.run(spec, scale="smoke", out_dir=tmp_path)
         assert healed.cells[0]["status"] == "completed"
         assert not (tmp_path / "cells" / "c00-flaky-a-2" / "error.json").exists()
@@ -375,7 +386,7 @@ class TestFailureIsolation:
     def test_retry_budget_recovers_within_one_run(self, tmp_path):
         spec = chaos_spec({"mode": "flaky", "name": "a", "fails": 2})
         campaign = repro.run(spec, scale="smoke", out_dir=tmp_path,
-                             max_attempts=3, retry_backoff=0.0)
+                             max_attempts=3)
         assert campaign.cells[0]["status"] == "completed"
         assert campaign.rows[0]["name"] == "a"
 

@@ -32,6 +32,7 @@ SERVICE_MODULES = (
     "repro.store.query",
     "repro.store.connection",
     "repro.store.schema",
+    "repro.store.chaos",
     "repro.telemetry",
     "repro.telemetry.dashboard",
 )

@@ -218,8 +218,8 @@ class TestDrainingServer:
         server.draining = True
         response = client.complete(
             RUN, job["cell_index"], status="completed",
-            row={"name": "c0", "value": 0}, attempts=1,
-            claim={"run_id": RUN, "lease_ttl": 60, "max_job_attempts": 3})
+            row={"name": "c0", "value": 0},
+            claim={"run_id": RUN, "lease_ttl": 60})
         assert response["applied"] is True
         assert response["job"] is None
         assert response["draining"] is True
@@ -236,7 +236,7 @@ class TestExactlyOncePiggyback:
     """``drop-response`` then ``duplicate`` on a complete that carries a
     claim: the retries replay the same next job, leased once."""
 
-    CLAIM = {"run_id": RUN, "lease_ttl": 60, "max_job_attempts": 3}
+    CLAIM = {"run_id": RUN, "lease_ttl": 60}
 
     def test_lost_and_duplicated_complete_replays_the_same_next_job(
             self, tmp_path, served):
@@ -255,7 +255,7 @@ class TestExactlyOncePiggyback:
             first = client.claim(run_id=RUN)
             response = client.complete(
                 RUN, first["cell_index"], status="completed",
-                row={"name": "c0", "value": 0}, attempts=1, claim=self.CLAIM)
+                row={"name": "c0", "value": 0}, claim=self.CLAIM)
             client.close()
         assert sorted(fault["kind"] for fault in proxy.fired) == \
             ["drop-response", "duplicate"]

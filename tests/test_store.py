@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.jsonio import dump_json
 from repro.runs import ExperimentSpec, register_experiment, unregister_experiment
+from repro.runs.artifacts import atomic_write_json, load_json
 from repro.runs.cli import main as cli_main
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
 from repro.store.catalog import code_version, run_status
@@ -130,7 +131,7 @@ class TestConnection:
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "5"
+                               "WHERE key = 'schema_version'") == "6"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master "
                 "WHERE type = 'table' AND name = 'idempotency'") == 1
@@ -144,7 +145,7 @@ class TestConnection:
                          "WHERE key = 'schema_version'")
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "5"
+                               "WHERE key = 'schema_version'") == "6"
             assert conn.scalar(
                 "SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'"
                 " AND name = 'telemetry_points'") == 1
@@ -164,7 +165,7 @@ class TestConnection:
         assert before["runs"] and before["cells"] and before["jobs"]
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "5"
+                               "WHERE key = 'schema_version'") == "6"
             assert conn.scalar(BENCH_OBJECTS) == 0
             assert _campaign_tables(conn) == before
 
@@ -188,10 +189,58 @@ class TestConnection:
         assert points
         with connect(path) as conn:
             assert conn.scalar("SELECT value FROM meta "
-                               "WHERE key = 'schema_version'") == "5"
+                               "WHERE key = 'schema_version'") == "6"
             assert conn.scalar(SPAN_OBJECTS) == 0
             assert _campaign_tables(conn) == before
             assert [tuple(row) for row in conn.fetchall(POINT_ROWS)] == points
+
+    def test_upgrades_v5_catalog_and_drops_run_status(self, tmp_path):
+        # A v5 catalogue's runs table still has the status column nothing
+        # read or wrote; upgrading drops it and keeps every campaign row.
+        root = tmp_path / "runs"
+        repro.run("table1", scale="smoke", root=root)
+        path = catalog_path(root)
+        with connect(path) as conn:
+            before = _campaign_tables(conn)
+            conn.execute("ALTER TABLE runs ADD COLUMN status TEXT NOT NULL"
+                         " DEFAULT 'pending'")
+            conn.execute("UPDATE meta SET value = '5' "
+                         "WHERE key = 'schema_version'")
+        assert before["runs"] and before["cells"] and before["jobs"]
+        with connect(path) as conn:
+            assert conn.scalar("SELECT value FROM meta "
+                               "WHERE key = 'schema_version'") == "6"
+            columns = [row[1] for row in
+                       conn.fetchall("PRAGMA table_info(runs)")]
+            assert "status" not in columns
+            assert _campaign_tables(conn) == before
+        with Catalog(path) as catalog:
+            assert catalog.run_info("table1-smoke")["status"] == "complete"
+
+    def test_upgrade_keeps_run_status_where_sqlite_cannot_drop_it(
+            self, tmp_path, monkeypatch):
+        # SQLite before 3.35 has no DROP COLUMN: the v5 column stays, unread,
+        # and the catalogue still opens and records new campaigns.
+        monkeypatch.setattr("repro.store.schema._can_drop_columns",
+                            lambda conn: False)
+        root = tmp_path / "runs"
+        repro.run("table1", scale="smoke", root=root)
+        path = catalog_path(root)
+        with connect(path) as conn:
+            conn.execute("ALTER TABLE runs ADD COLUMN status TEXT NOT NULL"
+                         " DEFAULT 'pending'")
+            conn.execute("UPDATE meta SET value = '5' "
+                         "WHERE key = 'schema_version'")
+        with connect(path) as conn:
+            assert conn.scalar("SELECT value FROM meta "
+                               "WHERE key = 'schema_version'") == "6"
+            assert "status" in [row[1] for row in
+                                conn.fetchall("PRAGMA table_info(runs)")]
+        repro.run(chaos_spec({"mode": "ok", "name": "a"}), root=root)
+        with Catalog(path) as catalog:
+            assert {run["run_id"]: run["status"] for run in
+                    catalog.list_runs()} == {"chaos-smoke": "complete",
+                                             "table1-smoke": "complete"}
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +304,12 @@ class TestCatalog:
 
 # --------------------------------------------------------------------------
 class TestJobQueue:
-    def _submitted(self, tmp_path, cells=2):
+    def _submitted(self, tmp_path, cells=2, max_attempts=1):
         spec = chaos_spec(*({"mode": "ok", "name": f"c{i}"}
                             for i in range(cells)))
         root = tmp_path / "runs"
-        submission = submit_campaign(spec, root=root)
+        submission = submit_campaign(spec, root=root,
+                                     max_attempts=max_attempts)
         catalog = Catalog(catalog_path(root))
         return submission, catalog, JobQueue(catalog)
 
@@ -284,8 +334,8 @@ class TestJobQueue:
             catalog.close()
 
     def test_release_returns_to_pending_then_fails(self, tmp_path):
-        submission, catalog, queue = self._submitted(tmp_path, cells=1)
-        queue.max_job_attempts = 2
+        submission, catalog, queue = self._submitted(tmp_path, cells=1,
+                                                     max_attempts=2)
         try:
             job = queue.claim("w1")
             assert queue.release(job, "w1", error="boom") == "pending"
@@ -321,13 +371,32 @@ class TestJobQueue:
         finally:
             catalog.close()
 
-    def test_release_after_budget_exhausted_is_terminal(self, tmp_path):
+    def test_interrupted_release_gives_the_claim_back(self, tmp_path):
         submission, catalog, queue = self._submitted(tmp_path, cells=1)
-        queue.max_job_attempts = 1
+        try:
+            for _ in range(3):
+                job = queue.claim("w1")
+                assert job.attempts == 1
+                assert queue.release(job, "w1", status="interrupted",
+                                     error="killed") == "pending"
+            assert queue.counts(submission.run_id) == {"pending": 1}
+            assert catalog.conn.scalar(
+                "SELECT attempts FROM jobs WHERE run_id = ?",
+                (submission.run_id,)) == 0
+            cell = catalog.cell_statuses(submission.run_id)[0]
+            assert (cell["status"], cell["attempts"]) == ("interrupted", 0)
+        finally:
+            catalog.close()
+
+    @pytest.mark.parametrize("status", ["failed", "timeout"])
+    def test_release_after_budget_exhausted_is_terminal(self, tmp_path,
+                                                        status):
+        submission, catalog, queue = self._submitted(tmp_path, cells=1)
         try:
             job = queue.claim("w1")
             assert job.attempts == 1
-            assert queue.release(job, "w1", error="boom") == "failed"
+            assert queue.release(job, "w1", status=status,
+                                 error="boom") == "failed"
             # The job is retired: a second release of the same handle is a
             # no-op (no lease to give back, no duplicate event), and nothing
             # is claimable.
@@ -345,7 +414,8 @@ class TestJobQueue:
         try:
             queue.claim("w1", lease_ttl=60)
             assert queue.release(Job(run_id=submission.run_id, cell_index=0,
-                                     payload={}, attempts=1), "imposter",
+                                     payload={"max_attempts": 1},
+                                     attempts=1), "imposter",
                                  error="not mine") is None
             assert queue.counts(submission.run_id) == {"leased": 1}
             events = [e["event"] for e in
@@ -415,23 +485,22 @@ class TestStaleRelease:
             threading.Thread(target=server.serve_forever, daemon=True).start()
             url = f"http://127.0.0.1:{server.server_address[1]}"
             a, b = (_RemoteBackend(url, name, local_root=tmp_path / name,
-                                   max_job_attempts=3, timeout=5.0,
-                                   retries=1, backoff=0.01)
+                                   timeout=5.0, retries=1, backoff=0.01)
                     for name in ("A", "B"))
         else:
-            a, b = (_LocalBackend(catalog_path(root), name, max_job_attempts=3)
+            a, b = (_LocalBackend(catalog_path(root), name)
                     for name in ("A", "B"))
         try:
             stale = a.claim(run_id, lease_ttl=-1)  # born expired
             fresh = b.claim(run_id, lease_ttl=60)
             assert fresh.reclaimed_from == "A"
             assert b.complete(fresh, "completed", {"name": "c0", "value": 7},
-                              2, 0.5) is True
+                              0.5) is True
             before = _cell_snapshot(root, run_id)
-            assert a.release(stale, "failed", "boom", 1) is None
+            assert a.release(stale, "failed", "boom") is None
             if server is not None:
                 response = a.client.release(run_id, 0, status="failed",
-                                            error="boom", attempts=1)
+                                            error="boom")
                 assert response["applied"] is False
         finally:
             a.close()
@@ -485,9 +554,8 @@ class TestWorkerDrain:
     def test_failed_cell_exhausts_queue_budget(self, tmp_path):
         spec = chaos_spec({"mode": "fail", "name": "a"})
         root = tmp_path / "runs"
-        submit_campaign(spec, root=root)
-        summary = work(root=root, worker_id="w1", max_job_attempts=2,
-                       poll_seconds=0.05)
+        submit_campaign(spec, root=root, max_attempts=2)
+        summary = work(root=root, worker_id="w1", poll_seconds=0.05)
         assert summary.failed == 1
         with Catalog(catalog_path(root)) as catalog:
             queue = JobQueue(catalog)
@@ -538,7 +606,7 @@ class TestKilledWorkerReclaim:
 
             # Second worker: waits out the dead lease, reclaims, finishes.
             summary = work(root=root, worker_id="rescuer", lease_ttl=2,
-                           poll_seconds=0.1, max_job_attempts=5)
+                           poll_seconds=0.1)
         finally:
             if victim.poll() is None:
                 victim.kill()
@@ -672,6 +740,32 @@ class TestIngest:
             assert dump_json(catalog.rows("table1-smoke")) == dump_json(
                 campaign.rows)
 
+    def test_failed_cells_keep_a_recorded_attempt_count(self, tmp_path):
+        # error.json no longer carries an attempt count: a failed cell is
+        # backfilled as charged once, unless an older record says more.
+        spec = chaos_spec({"mode": "fail", "name": "a"},
+                          {"mode": "fail", "name": "b"})
+        root = tmp_path / "runs"
+        repro.run(spec, root=root, strict=False, catalog=False)
+        older = root / "chaos-smoke" / "cells" / "c01-fail-b" / "error.json"
+        record = load_json(older)
+        assert "attempt" not in record
+        atomic_write_json(older, {**record, "attempt": 3}, indent=2)
+        ingest(root=root)
+        with Catalog(catalog_path(root)) as catalog:
+            cells = catalog.cell_statuses("chaos-smoke")
+        assert [(c["status"], c["attempts"]) for c in cells] == [
+            ("failed", 1), ("failed", 3)]
+
+    def test_reingest_keeps_the_queue_attempt_count(self, tmp_path):
+        root = tmp_path / "runs"
+        repro.run(chaos_spec({"mode": "fail", "name": "a"}), root=root,
+                  strict=False, max_attempts=2)
+        ingest(root=root)
+        with Catalog(catalog_path(root)) as catalog:
+            [cell] = catalog.cell_statuses("chaos-smoke")
+        assert (cell["status"], cell["attempts"]) == ("failed", 2)
+
     def test_reingest_is_idempotent(self, tmp_path):
         root = tmp_path / "runs"
         repro.run("table1", scale="smoke", root=root, catalog=False)
@@ -792,7 +886,7 @@ class TestServer:
     def test_health_reports_version_and_uptime(self, server_root):
         root, port = server_root
         health = _get(port, "/api/health")
-        assert health["schema_version"] == 5
+        assert health["schema_version"] == 6
         assert health["started_unix"] > 1_700_000_000
         assert health["uptime_seconds"] >= 0.0
         assert health["code_version"]
@@ -991,7 +1085,7 @@ class TestCLI:
             server.shutdown()
             server.server_close()
         out = capsys.readouterr().out
-        assert "table1-smoke" in out and "schema=v5" in out
+        assert "table1-smoke" in out and "schema=v6" in out
 
     def test_top_without_catalog_reports_error_frame(self, tmp_path, capsys):
         assert cli_main(["top", "--root", str(tmp_path / "nope"),

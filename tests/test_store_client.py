@@ -187,8 +187,7 @@ class TestIdempotencyKeys:
         transport = FakeTransport(ConnectionResetError("rst"), (500, b"x"),
                                   (200, b'{"applied": true}'))
         client = client_with(transport, max_retries=4)
-        client.complete("run", 0, status="completed", row={"v": 1},
-                        attempts=1)
+        client.complete("run", 0, status="completed", row={"v": 1})
         keys = self._keys_of(transport)
         assert len(keys) == 3
         assert len(set(keys)) == 1  # one logical mutation, one key
@@ -336,8 +335,7 @@ class TestLeaseProtocolHTTP:
         assert job["payload"]["params"]["name"] == "c0"
         assert client.heartbeat("chaos-smoke", 0) is True
         response = client.complete("chaos-smoke", 0, status="completed",
-                                   row={"name": "c0", "value": 1.0},
-                                   attempts=1)
+                                   row={"name": "c0", "value": 1.0})
         assert response["applied"] is True
         assert client.outstanding("chaos-smoke") == 1
         health = client.health()
@@ -374,10 +372,10 @@ class TestLeaseProtocolHTTP:
         assert reclaimed["reclaimed_from"] == "loser"
         assert loser.heartbeat("chaos-smoke", job["cell_index"]) is False
         late = loser.complete("chaos-smoke", job["cell_index"],
-                              status="completed", row={"v": 1}, attempts=1)
+                              status="completed", row={"v": 1})
         assert late["applied"] is False
         good = winner.complete("chaos-smoke", reclaimed["cell_index"],
-                               status="completed", row={"v": 1}, attempts=2)
+                               status="completed", row={"v": 1})
         assert good["applied"] is True
 
     def test_draining_server_refuses_claims_with_503(self, lease_server):
@@ -590,7 +588,7 @@ class TestOneCatalogConnection:
         try:
             while (job := client.claim(run_id="chaos-smoke")) is not None:
                 client.complete("chaos-smoke", job["cell_index"],
-                                status="completed", row={"v": 1}, attempts=1)
+                                status="completed", row={"v": 1})
                 requests += 2
             # The telemetry flusher's sink opens its own short-lived
             # connections on its own thread; count everything else.
