@@ -12,7 +12,8 @@ This example drives the study through the campaign API: it registers a
 one-off :class:`repro.ExperimentSpec` whose single cell is the chosen
 (policy, ways) configuration, then ``repro.run()``s it — so the training is
 checkpointed, resumable (re-run after Ctrl-C to continue), and leaves its
-history/extraction artifacts under ``runs/``.
+trained policy and ``TrainingResult`` (with the training history and the
+extracted attack) under ``runs/``.
 
 Run with:  python examples/discover_attack.py --policy rrip [--scale bench]
 """

@@ -56,8 +56,7 @@ def main() -> None:
           f"{machine.cache_level}...  (interrupt and re-run to resume)")
     # The Table III driver computes one row per machine; the CellContext makes
     # the training checkpointed/resumable and persists its artifacts.
-    ctx = CellContext(Path(arguments.out_dir) / machine.key.replace(":", "-"),
-                      checkpoint_every=2)
+    ctx = CellContext(Path(arguments.out_dir) / machine.key.replace(":", "-"))
     row = table3.run_cell({"machine": machine.key}, arguments.scale,
                           seed=arguments.seed, ctx=ctx)
 

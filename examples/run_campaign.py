@@ -42,7 +42,7 @@ def main() -> None:
     reused = f" ({campaign.resumed} cells reused from a previous run)" if campaign.resumed else ""
     print(f"\n{campaign.completed}/{len(campaign.cells)} cells complete{reused}")
     print(f"Artifacts in {campaign.out_dir}/ (manifest.json, results.json, "
-          f"cells/*/result.json + history JSONL + extracted sequences)")
+          "cells/*/result.json + each training's result JSON and policy)")
     print("\nInterrupt this script mid-training and re-run it: finished cells are "
           "skipped and in-flight PPO runs resume from their checkpoints, "
           "bit-identically.")

@@ -58,17 +58,18 @@ class TrainedPolicyHandle:
 def _train(env_source: EnvSource, scale: ExperimentScale, seed: int,
            target_accuracy: float, ppo_overrides: Optional[dict],
            ctx=None, name: str = "train") -> tuple:
-    """Train one agent, with optional checkpoint/resume/memoization via ``ctx``.
+    """Train one agent, with checkpoint/resume/memoization via ``ctx``.
 
-    Returns ``(result, trainer_or_handle)``.  Without a ctx this is exactly
-    the legacy in-memory path.  With a ctx:
+    Returns ``(result, trainer_or_handle)``.  Without a ctx the training
+    runs in memory and persists nothing.  With a ctx:
 
     * a finished training is memoized under ``<name>.result.json`` (plus
-      history JSONL, extraction JSON, and the policy pickle) and returned
-      without retraining;
+      the policy pickle) and returned without retraining;
     * an in-flight training resumes from ``<name>.checkpoint.pkl``;
-    * a checkpoint is saved every ``ctx.checkpoint_every`` updates.
+    * a checkpoint is saved every
+      :data:`~repro.runs.context.CHECKPOINT_EVERY` updates.
     """
+    trainer = None
     if ctx is not None:
         # Refuse to reuse artifacts produced under different parameters (the
         # campaign runner's manifest guards whole campaigns; this guards
@@ -85,18 +86,13 @@ def _train(env_source: EnvSource, scale: ExperimentScale, seed: int,
         if memo is not None:
             result, policy = memo
             return result, TrainedPolicyHandle(policy)
-    checkpoint_path = None
-    if ctx is not None:
-        checkpoint_path = ctx.checkpoint_path(name)
         # None when absent *or* corrupt (then quarantined): restart from scratch.
         trainer = ctx.load_trainer_checkpoint(name)
-        if trainer is None:
-            trainer = PPOTrainer(env_source, scale.ppo_config(**(ppo_overrides or {})),
-                                 hidden_sizes=scale.hidden_sizes, seed=seed)
-        trainer.add_update_callback(ctx.checkpoint_callback(checkpoint_path))
-    else:
+    if trainer is None:
         trainer = PPOTrainer(env_source, scale.ppo_config(**(ppo_overrides or {})),
                              hidden_sizes=scale.hidden_sizes, seed=seed)
+    if ctx is not None:
+        trainer.add_update_callback(ctx.checkpoint_callback(ctx.checkpoint_path(name)))
     result = trainer.train(max_updates=scale.max_updates, target_accuracy=target_accuracy,
                            eval_every=10, eval_episodes=scale.eval_episodes)
     if ctx is not None:

@@ -10,7 +10,6 @@ LRU/PLRU.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, List
 
 from repro.experiments.common import (
@@ -22,11 +21,7 @@ from repro.experiments.common import (
 from repro.scenarios import make_factory
 
 
-def _offset_factory(factory, seed_offset: int, seed: int):
-    return factory(seed + seed_offset)
-
-
-def make_env_factory(policy: str, num_ways: int = 4, seed_offset: int = 0):
+def make_env_factory(policy: str, num_ways: int = 4):
     """Environment factory for one replacement policy (Table V setting).
 
     Thin shim over the scenario registry: resolves ``guessing/<policy>-4way``
@@ -35,10 +30,7 @@ def make_env_factory(policy: str, num_ways: int = 4, seed_offset: int = 0):
     overrides = {"window_size": 3 * num_ways, "max_steps": 3 * num_ways}
     if num_ways != 4:
         overrides.update({"cache.num_ways": num_ways, "attacker_addr_e": num_ways})
-    factory = make_factory(f"guessing/{policy}-4way", **overrides)
-    if seed_offset:
-        return functools.partial(_offset_factory, factory, seed_offset)
-    return factory
+    return make_factory(f"guessing/{policy}-4way", **overrides)
 
 
 def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:

@@ -1,19 +1,19 @@
 """Training statistics helpers: running windows and per-update history.
 
 Histories serialize through :mod:`repro.jsonio`, the one JSON dialect of run
-artifacts.
+artifacts, as part of a :class:`~repro.rl.trainer.TrainingResult`
+(``dump_json`` is re-exported here for older importers).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.jsonio import dump_json, json_ready
+from repro.jsonio import dump_json, json_ready  # noqa: F401  (dump_json re-exported)
 
 
 class RunningStats:
@@ -75,18 +75,3 @@ class TrainingHistory:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrainingHistory":
         return cls(updates=[dict(update) for update in data.get("updates", [])])
-
-    def to_json(self, **json_kwargs) -> str:
-        return dump_json(self.to_dict(), **json_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainingHistory":
-        return cls.from_dict(json.loads(text))
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line, one line per recorded update."""
-        return "\n".join(dump_json(update) for update in self.updates)
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "TrainingHistory":
-        return cls(updates=[json.loads(line) for line in text.splitlines() if line.strip()])

@@ -61,8 +61,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     """The per-cell execution options every job of a campaign carries."""
-    parser.add_argument("--checkpoint-every", type=int, default=2,
-                        help="save a resumable checkpoint every N PPO updates")
     parser.add_argument("--max-attempts", type=int, default=1,
                         help="claims a failing or timed-out cell may use "
                              "before it is marked failed (an interrupted "
@@ -79,9 +77,8 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
 def _campaign_options(args: argparse.Namespace) -> dict:
     """Keyword arguments shared by ``run()`` and ``submit_campaign()``."""
     return {"scale": args.scale, "seed": args.seed, "root": args.root,
-            "out_dir": args.out_dir, "checkpoint_every": args.checkpoint_every,
-            "max_attempts": args.max_attempts, "timeout": args.timeout,
-            "fault_plan": args.fault_plan}
+            "out_dir": args.out_dir, "max_attempts": args.max_attempts,
+            "timeout": args.timeout, "fault_plan": args.fault_plan}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,11 +6,11 @@ campaign.  It owns the cell's artifact directory and provides:
 
 * **checkpointing** — a trainer callback that saves a resumable
   :class:`~repro.rl.trainer.PPOTrainer` checkpoint every
-  ``checkpoint_every`` updates;
-* **memoization** — a finished training persists its
-  :class:`~repro.rl.trainer.TrainingResult` (JSON), training history (JSONL),
-  extracted attack sequences (JSON), and policy (pickle), so a resumed cell
-  skips completed trainings entirely;
+  :data:`CHECKPOINT_EVERY` updates;
+* **memoization** — a finished training persists its policy (pickle) and
+  then its :class:`~repro.rl.trainer.TrainingResult` (JSON, which carries
+  the training history and the extracted attack), so a resumed cell skips
+  completed trainings entirely;
 * **crash safety** — every artifact goes through
   :mod:`repro.runs.artifacts` (atomic replace + checksum sidecar); a corrupt
   or truncated artifact found on load is quarantined and the affected
@@ -44,13 +44,15 @@ from repro.runs.artifacts import (
 )
 from repro.runs.faults import FaultInjector
 
+#: PPO updates between two checkpoint saves of an in-flight training.
+CHECKPOINT_EVERY = 2
+
 
 @dataclass
 class CellContext:
-    """Artifact directory + checkpoint policy for one running campaign cell."""
+    """Artifact directory + fault injector for one running campaign cell."""
 
     cell_dir: Path
-    checkpoint_every: int = 2
     injector: Optional[FaultInjector] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -62,12 +64,6 @@ class CellContext:
 
     def result_path(self, name: str = "train") -> Path:
         return self.cell_dir / f"{name}.result.json"
-
-    def history_path(self, name: str = "train") -> Path:
-        return self.cell_dir / f"{name}.history.jsonl"
-
-    def extraction_path(self, name: str = "train") -> Path:
-        return self.cell_dir / f"{name}.extraction.json"
 
     def policy_path(self, name: str = "train") -> Path:
         return self.cell_dir / f"{name}.policy.pkl"
@@ -106,8 +102,7 @@ class CellContext:
         """A trainer on-update callback that checkpoints (and maybe faults)."""
 
         def callback(trainer: PPOTrainer, update: int, _metrics) -> None:
-            boundary = bool(self.checkpoint_every
-                            and update % self.checkpoint_every == 0)
+            boundary = update % CHECKPOINT_EVERY == 0
             if self.injector is not None and self.injector.wants_checkpoint(update):
                 boundary = True
             if boundary:
@@ -134,12 +129,8 @@ class CellContext:
 
     # ------------------------------------------------------------ memoization
     def save_training(self, name: str, result: TrainingResult, policy) -> None:
-        """Persist a finished training's artifacts and drop its checkpoint."""
-        atomic_write_text(self.history_path(name), result.history.to_jsonl() + "\n")
-        self._notify("history", self.history_path(name))
-        if result.extraction is not None:
-            atomic_write_json(self.extraction_path(name), result.extraction.to_dict())
-            self._notify("extraction", self.extraction_path(name))
+        """Persist a finished training's policy and result, and drop its
+        checkpoint."""
         atomic_write_pickle(self.policy_path(name), policy)
         self._notify("policy", self.policy_path(name))
         # The result JSON is written last: its existence marks the training

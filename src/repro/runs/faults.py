@@ -22,6 +22,12 @@ kinds are supported:
     Sleep ``delay_seconds`` at cell start — long enough to trip the
     executor's per-cell watchdog timeout, which kills the hung cell.
 
+A fault targets one of :data:`ARTIFACT_KINDS`, each reported by the writer
+that lands it: ``checkpoint`` (a trainer checkpoint save), ``policy`` and
+``training-result`` (a finished training's policy pickle, then its
+``TrainingResult``), and ``result`` (the cell's ``result.json``).  A plan
+naming any other kind is refused when it is parsed.
+
 Every fault names the cell it targets (``cell=None`` matches any cell) and
 fires **once** by default: the injector
 records fired faults under ``<out_dir>/faults/`` so a resumed campaign does
@@ -77,9 +83,10 @@ FAULT_KINDS = ("kill", "torn-write", "bit-flip", "stall")
 NETWORK_FAULT_KINDS = ("reset", "http-500", "stall", "drop-response",
                        "duplicate")
 
-#: Artifact kinds a fault can target, as the runner/context report them.
-ARTIFACT_KINDS = ("checkpoint", "result", "training-result", "history",
-                  "extraction", "policy", "manifest", "results")
+#: Artifact kinds a fault can target: exactly the kinds a writer reports
+#: (the trainer checkpoint, a training's policy and ``TrainingResult``, and
+#: the cell's ``result.json``), so every kind a plan names can fire.
+ARTIFACT_KINDS = ("checkpoint", "result", "training-result", "policy")
 
 
 class CampaignInterrupted(RuntimeError):

@@ -21,9 +21,7 @@ one executor (:func:`execute_cell`), one heartbeat, and one
           c00-lru/
             result.json               # the finished row, timing, BLAS threads
             error.json                # structured failure record (if failed)
-            run0.result.json          # memoized TrainingResult
-            run0.history.jsonl        # per-update training metrics
-            run0.extraction.json      # extracted attack sequences
+            run0.result.json          # memoized TrainingResult + history
             run0.policy.pkl           # trained policy (for re-evaluation)
             run0.checkpoint.pkl       # only while the training is in flight
 
@@ -250,11 +248,13 @@ def _load_result(result_file: Path) -> Optional[Dict]:
 
 
 def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
-                  params: Dict, cell_dir: str, out_dir: str, checkpoint_every: int,
+                  params: Dict, cell_dir: str, out_dir: str,
                   fault_plan: Optional[Dict] = None, **_budget: Any) -> Dict:
     """Run one cell to completion (resuming in-flight training if any).
 
-    Takes and returns plain data so it can cross a process boundary.
+    Takes and returns plain data so it can cross a process boundary.  The
+    queue's job options, and keys that payloads queued by older versions
+    still carry, land in ``_budget`` and are ignored.
     """
     spec = ExperimentSpec.from_dict(spec_data)
     scale = ExperimentScale.from_dict(scale_data)
@@ -269,8 +269,7 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
     if fault_plan is not None:
         injector = FaultInjector(FaultPlan.from_dict(fault_plan), Path(out_dir), index)
         injector.on_cell_start()
-    ctx = CellContext(cell_path, checkpoint_every=checkpoint_every,
-                      injector=injector)
+    ctx = CellContext(cell_path, injector=injector)
     started = time.perf_counter()
     row = spec.run_cell(params, scale, seed=seed, ctx=ctx)
     payload = {
@@ -366,7 +365,9 @@ def execute_cell(payload: Dict,
     budget the child is terminated (and killed after a grace period) and
     the cell is recorded as ``timeout``; a child that dies without
     reporting is recorded as ``WorkerDied``.  The child ships its telemetry
-    back with its outcome, and the drainer hands it to ``sink``.
+    back with its outcome, and the drainer hands it to ``sink``.  A
+    ``KeyboardInterrupt`` raised by the cell is re-raised here, in or out
+    of the child, so the drainer releases the claim as ``interrupted``.
     """
     timeout = payload.get("timeout")
     if timeout is None:
@@ -404,6 +405,8 @@ def execute_cell(payload: Dict,
             sink(points)
         except Exception:
             pass  # telemetry is best-effort
+    if outcome is None:  # the cell raised KeyboardInterrupt in the child
+        raise KeyboardInterrupt
     return outcome
 
 
@@ -415,7 +418,10 @@ def _cell_child(payload: Dict, sender: Any) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _forget_inherited_telemetry()
-    outcome = _attempt_cell(payload)
+    try:
+        outcome: Optional[Dict] = _attempt_cell(payload)
+    except KeyboardInterrupt:
+        outcome = None  # the parent re-raises it
     sender.send((outcome, telemetry.get_registry().snapshot(reset=True)))
 
 
@@ -454,7 +460,7 @@ def _watchdog_record(payload: Dict, status: str, error_type: str,
 
 
 def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
-                  out_dir: Path, cells: List[Dict], checkpoint_every: int = 2,
+                  out_dir: Path, cells: List[Dict],
                   fault_plan: Optional[FaultPlan] = None,
                   max_attempts: int = 1,
                   timeout: Optional[float] = None) -> List[Dict]:
@@ -470,7 +476,6 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
         "params": params,
         "cell_dir": str(_cell_dir(out_dir, index, params)),
         "out_dir": str(out_dir),
-        "checkpoint_every": checkpoint_every,
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
         "max_attempts": max_attempts,
         "timeout": float(timeout) if timeout is not None else None,
@@ -520,8 +525,7 @@ def _drain_child(**options: Any) -> None:
 # -------------------------------------------------------------------- run()
 def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         seed: Optional[int] = None, workers: int = 1,
-        out_dir: Optional[os.PathLike] = None, root: os.PathLike = "runs",
-        checkpoint_every: int = 2, *,
+        out_dir: Optional[os.PathLike] = None, root: os.PathLike = "runs", *,
         strict: bool = True, max_attempts: int = 1,
         timeout: Optional[float] = None,
         fault_plan: Any = None, catalog: Any = None) -> CampaignResult:
@@ -545,8 +549,6 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         killed.  Results are row-for-row identical either way.
     out_dir / root:
         Artifact location.  Default: ``<root>/<experiment>-<scale>[-seedN]``.
-    checkpoint_every:
-        Save a resumable trainer checkpoint every N PPO updates.
     strict:
         True (default): raise after the campaign if any cell failed, timed
         out, or was interrupted — with *every* affected cell aggregated into
@@ -586,8 +588,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     try:
         with Catalog(catalog_file) as store:
             submission = submit_campaign(
-                spec, scale, seed, out_dir=out_dir,
-                checkpoint_every=checkpoint_every, max_attempts=max_attempts,
+                spec, scale, seed, out_dir=out_dir, max_attempts=max_attempts,
                 fault_plan=fault_plan, timeout=timeout, catalog=store)
             run_id, cached = submission.run_id, submission.cached
             queued = JobQueue(store).outstanding(run_id)

@@ -145,8 +145,8 @@ REQUEST_TIMEOUT_SECONDS = 30.0
 MAX_BODY_BYTES = 8_000_000
 
 #: The keys a ``POST /api/campaigns`` body may carry; any other is a 400.
-SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "checkpoint_every",
-                         "max_attempts", "fault_plan", "timeout"})
+SUBMIT_KEYS = frozenset({"experiment", "scale", "seed", "max_attempts",
+                         "fault_plan", "timeout"})
 
 #: The parameters ``GET /api/query`` reads; any other is a 400.
 QUERY_KEYS = frozenset({"metric", "by", "experiment", "scale"})
@@ -383,7 +383,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         submission = submit_campaign(
             body["experiment"], scale=body.get("scale"),
             seed=body.get("seed"), root=self.server.root,
-            checkpoint_every=int(body.get("checkpoint_every", 2)),
             max_attempts=int(body.get("max_attempts", 1)),
             fault_plan=body.get("fault_plan"), timeout=body.get("timeout"))
         self._json(201, {"submitted": submission.to_dict()})

@@ -112,7 +112,6 @@ def submit_campaign(experiment: ExperimentLike,
                     seed: Optional[int] = None,
                     root: os.PathLike = "runs",
                     out_dir: Optional[os.PathLike] = None,
-                    checkpoint_every: int = 2,
                     max_attempts: int = 1,
                     fault_plan: Any = None, timeout: Optional[float] = None,
                     catalog: Optional[Catalog] = None) -> Submission:
@@ -135,7 +134,6 @@ def submit_campaign(experiment: ExperimentLike,
     cells = spec.cells(scale)
     manifest = ensure_manifest(out_dir, spec, scale, seed, cells)
     payloads = cell_payloads(spec, scale, seed, out_dir, cells,
-                             checkpoint_every=checkpoint_every,
                              fault_plan=plan, max_attempts=max_attempts,
                              timeout=timeout)
     cached = {}

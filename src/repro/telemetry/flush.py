@@ -25,8 +25,6 @@ import threading
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.telemetry.registry import MetricRegistry
-
 DEFAULT_FLUSH_INTERVAL_SECONDS = 2.0
 
 #: A sink consumes one flush batch: ``sink(points)``.
@@ -45,17 +43,11 @@ def default_instance(worker: Optional[str] = None) -> dict:
 class CatalogSink:
     """Persist batches straight into the campaign catalogue."""
 
-    def __init__(
-        self,
-        catalog_file: Path,
-        worker: str,
-        host: Optional[str] = None,
-        pid: Optional[int] = None,
-    ) -> None:
+    def __init__(self, catalog_file: Path, worker: str) -> None:
         self.catalog_file = Path(catalog_file)
         self.worker = worker
-        self.host = host or socket.gethostname()
-        self.pid = pid if pid is not None else os.getpid()
+        self.host = socket.gethostname()
+        self.pid = os.getpid()
 
     def __call__(self, points: List[dict]) -> None:
         from repro.store.catalog import Catalog
@@ -75,17 +67,11 @@ class ClientSink:
     lost batch under-reports rather than corrupts.
     """
 
-    def __init__(
-        self,
-        client,
-        worker: str,
-        host: Optional[str] = None,
-        pid: Optional[int] = None,
-    ) -> None:
+    def __init__(self, client, worker: str) -> None:
         self.client = client
         self.worker = worker
-        self.host = host or socket.gethostname()
-        self.pid = pid if pid is not None else os.getpid()
+        self.host = socket.gethostname()
+        self.pid = os.getpid()
 
     def __call__(self, points: List[dict]) -> None:
         from repro.store.client import StoreClientError
@@ -108,30 +94,19 @@ class TelemetryFlusher:
     """
 
     def __init__(
-        self,
-        sink: Sink,
-        interval: float = DEFAULT_FLUSH_INTERVAL_SECONDS,
-        registry: Optional[MetricRegistry] = None,
+        self, sink: Sink, interval: float = DEFAULT_FLUSH_INTERVAL_SECONDS
     ) -> None:
         self.sink = sink
         self.interval = interval
-        self._registry = registry
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    def _resolve_registry(self) -> MetricRegistry:
-        if self._registry is not None:
-            return self._registry
-        from repro import telemetry
-
-        return telemetry.get_registry()
 
     def flush(self) -> None:
         from repro import telemetry
 
         if not telemetry.enabled():
             return
-        points = self._resolve_registry().snapshot(reset=True)
+        points = telemetry.get_registry().snapshot(reset=True)
         if points:
             self.sink(points)
 
@@ -172,11 +147,7 @@ class TelemetryFlusher:
 
 
 def flush_to_catalog(
-    catalog_file: Optional[Path],
-    worker: Optional[str] = None,
-    host: Optional[str] = None,
-    pid: Optional[int] = None,
-    registry: Optional[MetricRegistry] = None,
+    catalog_file: Optional[Path], worker: Optional[str] = None
 ) -> None:
     """One-shot drain of the registry into a catalogue (local runs).
 
@@ -189,9 +160,7 @@ def flush_to_catalog(
         return
     if worker is None:
         worker = default_instance()["worker"]
-    flusher = TelemetryFlusher(
-        CatalogSink(catalog_file, worker, host=host, pid=pid), registry=registry
-    )
+    flusher = TelemetryFlusher(CatalogSink(catalog_file, worker))
     try:
         flusher.flush()
     except Exception:

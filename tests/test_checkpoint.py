@@ -201,7 +201,7 @@ class TestResultSerialization:
     def test_training_result_json_roundtrip(self):
         history = TrainingHistory()
         history.record({"update": 1, "policy_loss": 0.25})
-        history.record({"update": 1, "eval_accuracy": 0.5})
+        history.record({"update": 1, "eval_accuracy": np.float64(0.5)})
         extraction = AttackExtraction(sequences={0: ["2", "v", "g"], None: ["g"]},
                                       correct={0: True, None: False}, accuracy=0.5)
         result = TrainingResult(converged=True, env_steps=1234, updates=5,
@@ -214,13 +214,6 @@ class TestResultSerialization:
         assert restored.extraction.sequences == extraction.sequences
         assert restored.extraction.correct == extraction.correct
         assert restored.history.updates == history.updates
-
-    def test_history_jsonl_roundtrip(self):
-        history = TrainingHistory()
-        history.record({"update": 1, "x": 1.0})
-        history.record({"update": 2, "x": np.float64(2.0)})
-        restored = TrainingHistory.from_jsonl(history.to_jsonl())
-        assert restored.updates == [{"update": 1, "x": 1.0}, {"update": 2, "x": 2.0}]
 
     def test_json_ready_normalizes_numpy(self):
         data = {"a": np.float64(1.5), "b": np.arange(3), "c": (1, 2), "d": np.bool_(True)}

@@ -8,6 +8,7 @@ each drain finishes in milliseconds unless a cell is told to stall.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -177,6 +178,32 @@ class TestJobTimeout:
         with Catalog(catalog_path(root)) as catalog:
             job = JobQueue(catalog).claim("w1")
         assert job.payload["timeout"] == 150.0
+
+    def test_job_queued_with_a_retired_payload_key_still_drains(self,
+                                                                 tmp_path):
+        # Older versions queued a checkpoint cadence in every payload; the
+        # executor ignores it, and the cell still trains and completes.
+        root = tmp_path / "runs"
+        submission = submit_campaign("table5", scale="smoke", root=root)
+        with Catalog(catalog_path(root)) as catalog:
+            rows = catalog.conn.fetchall(
+                "SELECT cell_index, payload_json FROM jobs WHERE run_id = ?",
+                (submission.run_id,))
+            with catalog.conn.transaction():
+                for row in rows:
+                    payload = {**json.loads(row["payload_json"]),
+                               "checkpoint_every": 3}
+                    catalog.conn.execute(
+                        "UPDATE jobs SET payload_json = ?"
+                        " WHERE run_id = ? AND cell_index = ?",
+                        (json.dumps(payload), submission.run_id,
+                         row["cell_index"]))
+        summary = work(root=root, worker_id="w1")
+        assert (summary.completed, summary.failed) == (3, 0)
+        assert job_states(root, submission.run_id) == ["done"] * 3
+        with Catalog(catalog_path(root)) as catalog:
+            assert [cell["status"] for cell in catalog.cell_statuses(
+                submission.run_id)] == ["completed"] * 3
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.runs.artifacts import (
     verify_artifact,
 )
 from repro.runs.cli import main as cli_main
-from repro.runs.faults import NetworkChaosPlan, NetworkFault
+from repro.runs.faults import ARTIFACT_KINDS, NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, catalog_path
 from repro.store.worker import work
 
@@ -177,6 +177,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown FaultPlan fields"):
             FaultPlan.from_dict({"faults": [], "rng": 3})
 
+    @pytest.mark.parametrize("artifact", ["manifest", "results", "history",
+                                          "extraction"])
+    def test_kinds_no_writer_reports_are_refused(self, artifact):
+        # A fault on a kind nothing reports would pass while testing nothing.
+        with pytest.raises(ValueError, match="unknown artifact kind"):
+            Fault(kind="kill", artifact=artifact)
+        with pytest.raises(ValueError, match="unknown artifact kind"):
+            FaultPlan.resolve(json.dumps({"faults": [
+                {"kind": "kill", "artifact": artifact}]}))
+
     def test_resolution_precedence(self, tmp_path):
         plan = FaultPlan(faults=(Fault(kind="kill", at_update=4),), seed=1)
         assert FaultPlan.resolve(plan) is plan
@@ -302,6 +312,22 @@ class TestChaosTrainingCampaigns:
         assert_clean_tree(tmp_path)
 
 
+class TestEveryFaultTargetFires:
+    """Each artifact kind a plan may name is reported by a writer: a kill
+    on it stops the campaign, and a resume recovers bit-identically."""
+
+    @pytest.mark.parametrize("artifact", ARTIFACT_KINDS)
+    def test_kill_on_artifact_kind(self, tmp_path, table5_baseline, artifact):
+        plan = FaultPlan(faults=(Fault(kind="kill", cell=0, artifact=artifact),))
+        with pytest.raises(CampaignInterrupted, match="injected kill"):
+            repro.run("table5", scale="smoke", out_dir=tmp_path,
+                      fault_plan=plan)
+        resumed = repro.run("table5", scale="smoke", out_dir=tmp_path,
+                            fault_plan=plan)
+        assert dump_json(resumed.rows) == table5_baseline
+        assert_clean_tree(tmp_path)
+
+
 class TestChaosFastCampaigns:
     def test_torn_result_json_rerun_on_resume(self, tmp_path):
         reference = repro.run("fig4", scale="smoke", out_dir=tmp_path / "ref")
@@ -390,10 +416,22 @@ class TestFailureIsolation:
         assert campaign.cells[0]["status"] == "completed"
         assert campaign.rows[0]["name"] == "a"
 
-    def test_keyboard_interrupt_propagates(self, tmp_path):
+    @pytest.mark.parametrize("timeout", [None, 30], ids=["in-process",
+                                                        "watchdog-child"])
+    def test_keyboard_interrupt_propagates(self, tmp_path, timeout):
+        # Under a timeout the cell runs in a watchdog child; its interrupt
+        # must still reach the drainer, which gives the claim back for free.
         spec = chaos_spec({"mode": "interrupt", "name": "a"})
+        out = tmp_path / "chaos"
         with pytest.raises(KeyboardInterrupt):
-            repro.run(spec, scale="smoke", out_dir=tmp_path, strict=False)
+            repro.run(spec, scale="smoke", out_dir=out, strict=False,
+                      timeout=timeout)
+        with Catalog(catalog_path(tmp_path)) as catalog:
+            jobs = catalog.conn.fetchall(
+                "SELECT state, attempts FROM jobs WHERE run_id = 'chaos'")
+        assert [(job["state"], job["attempts"]) for job in jobs] == [
+            ("pending", 0)]
+        assert not (out / "cells" / "c00-interrupt-a" / "error.json").exists()
 
 
 class TestWatchdogTimeout:

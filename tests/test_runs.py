@@ -195,19 +195,24 @@ class TestCampaignTraining:
     def test_cell_artifacts_include_training_history(self, tmp_path):
         out = tmp_path / "c"
         repro.run("table5", scale="smoke", out_dir=out)
-        histories = list(out.glob("cells/*/run0.history.jsonl"))
-        assert len(histories) == 3
-        record = json.loads(histories[0].read_text().splitlines()[0])
-        assert "update" in record
-        # no lingering checkpoints after completion
-        assert not list(out.glob("cells/*/*.checkpoint.pkl"))
+        results = sorted(out.glob("cells/*/run0.result.json"))
+        assert len(results) == 3
+        history = json.loads(results[0].read_text())["history"]["updates"]
+        assert "update" in history[0]
+        # A finished training keeps its memo and policy, and nothing else:
+        # no write-only copies and no lingering checkpoint.
+        names = {"result.json", "run0.result.json", "run0.policy.pkl",
+                 "run0.meta.json"}
+        for cell_dir in out.glob("cells/*"):
+            assert sorted(p.name for p in cell_dir.iterdir()) == sorted(
+                names | {name + ".sha256" for name in names})
 
 
 class TestCellContext:
     def test_training_memoization(self, tmp_path):
         from repro.experiments.common import train_agent
 
-        ctx = CellContext(tmp_path, checkpoint_every=2)
+        ctx = CellContext(tmp_path)
         first = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
         assert ctx.result_path("train").exists()
         second = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
@@ -303,7 +308,7 @@ class TestCellContext:
     def test_refuses_artifact_reuse_under_different_parameters(self, tmp_path):
         from repro.experiments.common import BENCH, train_agent
 
-        ctx = CellContext(tmp_path, checkpoint_every=2)
+        ctx = CellContext(tmp_path)
         train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
         with pytest.raises(ValueError, match="different parameters"):
             train_agent("guessing/quickstart", SMOKE, seed=2, ctx=ctx)
@@ -312,6 +317,16 @@ class TestCellContext:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    def test_no_checkpoint_cadence_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--checkpoint-every" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "table1", "--checkpoint-every", "2"])
+        assert exit_info.value.code == 2
+
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         output = capsys.readouterr().out

@@ -883,6 +883,19 @@ class TestServer:
             assert JobQueue(catalog).counts("fig4-smoke") == {}
             assert not catalog.has_run("fig4-smoke")
 
+    @pytest.mark.parametrize("key, value", [("checkpoint_every", 2),
+                                            ("retry_backoff", 0.5)])
+    def test_submit_rejects_retired_options(self, server_root, key, value):
+        root, port = server_root
+        body = {"experiment": "fig4", "scale": "smoke", key: value}
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/api/campaigns",
+            data=json.dumps(body).encode(), method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert key in json.loads(err.value.read())["error"]
+
     def test_health_reports_version_and_uptime(self, server_root):
         root, port = server_root
         health = _get(port, "/api/health")
