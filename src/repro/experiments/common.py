@@ -10,17 +10,14 @@ pays for that inside its run.
 The training helpers optionally take a ``ctx`` (a
 :class:`repro.runs.CellContext`) that makes them *resumable*: checkpoints are
 saved every few updates, an interrupted training resumes from its checkpoint,
-and a finished training is memoized to disk (result JSON + history JSONL +
-extraction JSON + policy pickle) so a resumed campaign cell never retrains
-completed work.
+and a finished training is memoized to disk (result JSON + policy pickle) so
+a resumed campaign cell never retrains completed work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Optional, Union
 
 from repro.experiments.scales import (  # noqa: F401  (re-exported for the drivers)
     BENCH,
@@ -129,11 +126,3 @@ def train_agent_with_trainer(env_source: EnvSource,
     scale = resolve_scale(scale)
     return _train(env_source, scale, seed, target_accuracy, ppo_overrides,
                   ctx=ctx, name=name)
-
-
-def average_over_runs(values: Sequence[float]) -> float:
-    """Mean of per-run statistics (Tables V and VII average over three runs)."""
-    cleaned = [value for value in values if value is not None]
-    if not cleaned:
-        return float("nan")
-    return float(np.mean(cleaned))

@@ -32,6 +32,11 @@ if TYPE_CHECKING:
 class ExperimentScale(Record):
     """Budget knobs for one experiment run.
 
+    ``runs`` is the number of training seeds per grid entry: the campaign
+    runner repeats every cell as ``runs`` seed replicas, each its own queue
+    job (see :meth:`repro.runs.ExperimentSpec.cells`), and the rendered
+    table shows their mean.  Drivers never read it; each cell trains once.
+
     Round-trips through ``to_dict``/``from_dict`` for campaign manifests;
     ``hidden_sizes`` is normalized to a tuple so a scale read back from JSON
     equals the original.
@@ -51,6 +56,8 @@ class ExperimentScale(Record):
     update_epochs: int = 6
 
     def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError(f"scale {self.name!r} needs runs >= 1, got {self.runs}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
     def ppo_config(self, **overrides) -> "PPOConfig":

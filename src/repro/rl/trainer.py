@@ -72,7 +72,6 @@ class TrainingResult:
     final_guess_rate: float
     final_episode_length: float
     final_episode_reward: float
-    wall_time_seconds: float
     history: TrainingHistory = field(default_factory=TrainingHistory)
     extraction: Optional[AttackExtraction] = None
 
@@ -97,13 +96,14 @@ class TrainingResult:
             "final_guess_rate": float(self.final_guess_rate),
             "final_episode_length": float(self.final_episode_length),
             "final_episode_reward": float(self.final_episode_reward),
-            "wall_time_seconds": float(self.wall_time_seconds),
             "extraction": None if self.extraction is None else self.extraction.to_dict(),
             "history": self.history.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TrainingResult":
+        """Inverse of :meth:`to_dict`; keys it does not read, such as the
+        ``wall_time_seconds`` of older memos, are ignored."""
         extraction = data.get("extraction")
         history = data.get("history")
         return cls(
@@ -116,7 +116,6 @@ class TrainingResult:
             final_guess_rate=float(data["final_guess_rate"]),
             final_episode_length=float(data["final_episode_length"]),
             final_episode_reward=float(data["final_episode_reward"]),
-            wall_time_seconds=float(data["wall_time_seconds"]),
             history=(TrainingHistory.from_dict(history) if history else TrainingHistory()),
             extraction=(None if extraction is None
                         else AttackExtraction.from_dict(extraction)),
@@ -291,7 +290,6 @@ class PPOTrainer:
             final_guess_rate=evaluation["guess_rate"],
             final_episode_length=evaluation["mean_episode_length"],
             final_episode_reward=evaluation["mean_episode_reward"],
-            wall_time_seconds=time.perf_counter() - start,
             history=self.history,
             extraction=extraction,
         )

@@ -336,19 +336,19 @@ def _status_once(args: argparse.Namespace) -> int:
 
 
 def _command_results(args: argparse.Namespace) -> int:
-    from repro.runs.runner import load_rows
+    from repro.runs.runner import cell_rows, resolve_campaign
 
-    spec = get_experiment(args.experiment)
+    spec, scale, _seed, out_dir = resolve_campaign(
+        args.experiment, args.scale, args.seed, args.root, args.out_dir)
     try:
-        rows = load_rows(spec, scale=args.scale, seed=args.seed,
-                         root=args.root, out_dir=args.out_dir)
+        rows = cell_rows(out_dir)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 1
     if args.format == "json":
-        print(dump_json(rows, indent=2))
+        print(dump_json([row for row in rows if row is not None], indent=2))
     else:
-        print(spec.format_rows(rows))
+        print(spec.format_rows(rows, runs=scale.runs))
     return 0
 
 

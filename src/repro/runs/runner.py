@@ -147,7 +147,7 @@ class CampaignResult:
                 if cell["status"] in UNFINISHED_STATUSES]
 
     def format_results(self) -> str:
-        return self.spec.format_rows(self.rows)
+        return self.spec.format_rows(self.rows, runs=self.scale.runs)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -467,16 +467,18 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
     """One plain-data execution payload per cell: the unit of work that the
     campaign service enqueues as a catalogue job and every drainer executes
     through :func:`execute_cell` — which is why every drain is bit-identical
-    to every other."""
+    to every other.  The campaign-wide dicts are built once and shared."""
+    spec_data, scale_data = spec.to_dict(), scale.to_dict()
+    plan_data = fault_plan.to_dict() if fault_plan is not None else None
     return [{
-        "spec_data": spec.to_dict(),
-        "scale_data": scale.to_dict(),
+        "spec_data": spec_data,
+        "scale_data": scale_data,
         "seed": seed,
         "index": index,
         "params": params,
         "cell_dir": str(_cell_dir(out_dir, index, params)),
         "out_dir": str(out_dir),
-        "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
+        "fault_plan": plan_data,
         "max_attempts": max_attempts,
         "timeout": float(timeout) if timeout is not None else None,
     } for index, params in enumerate(cells)]
@@ -540,9 +542,10 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         :class:`~repro.experiments.scales.ExperimentScale`; defaults to the
         spec's ``default_scale``.
     seed:
-        Campaign seed (defaults to the spec's ``base_seed``), passed to
-        every cell's ``run_cell(params, scale, seed=...)``; the drivers
-        derive their training seeds from it.
+        Campaign seed (defaults to the spec's ``base_seed``).  Every cell's
+        ``run_cell(params, scale, seed=...)`` gets it, or at ``scale.runs >
+        1`` its seed replica's :func:`~repro.runs.spec.replica_seed` of it;
+        the drivers derive their training seeds from that.
     workers:
         Number of local drainers.  One drains in-process; more drain in
         child processes, and a sibling resumes a cell whose drainer was
@@ -650,10 +653,16 @@ def load_rows(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
               out_dir: Optional[os.PathLike] = None) -> List[Dict]:
     """Rows of a finished (or partially finished) campaign artifact."""
     out_dir = resolve_campaign(experiment, scale, seed, root, out_dir)[3]
+    return [row for row in cell_rows(out_dir) if row is not None]
+
+
+def cell_rows(out_dir: Path) -> List[Optional[Dict]]:
+    """Each manifest cell's row, in cell order (None where no
+    ``result.json`` loads)."""
     manifest_file = out_dir / "manifest.json"
     if not manifest_file.exists():
         raise FileNotFoundError(f"no campaign artifact at {out_dir}")
     manifest = load_json(manifest_file)
     results = (_load_result(out_dir / "cells" / cell["slug"] / "result.json")
                for cell in manifest.get("cells", []))
-    return [result["row"] for result in results if result is not None]
+    return [None if result is None else result["row"] for result in results]

@@ -35,13 +35,6 @@ def make_trainer(seed: int = 3) -> PPOTrainer:
     return PPOTrainer(SCENARIO, PPOConfig(**PPO), hidden_sizes=(16, 16), seed=seed)
 
 
-def result_key(result: TrainingResult) -> dict:
-    """Everything except wall time (the only field allowed to differ)."""
-    data = result.to_dict()
-    data.pop("wall_time_seconds")
-    return data
-
-
 class TestTrainerCheckpoint:
     def test_resumed_run_is_bit_identical(self, tmp_path):
         uninterrupted = make_trainer()
@@ -60,7 +53,7 @@ class TestTrainerCheckpoint:
         assert set(ref_state) == set(res_state)
         for name in ref_state:
             assert np.array_equal(ref_state[name], res_state[name]), name
-        assert result_key(reference) == result_key(result)
+        assert reference.to_dict() == result.to_dict()
         assert uninterrupted.evaluate(episodes=10) == resumed.evaluate(episodes=10)
 
     def test_checkpoint_roundtrip_in_fresh_process(self, tmp_path):
@@ -124,7 +117,7 @@ class TestTrainerCheckpoint:
                 self._legacy_checkpoint(tmp_path, backbone))
             result = resumed.train(max_updates=4, **TRAIN)
             assert result.history.to_dict() == reference.history.to_dict()
-            assert result_key(result) == result_key(reference)
+            assert result.to_dict() == reference.to_dict()
 
     def test_checkpoint_of_another_backbone_rejected(self, tmp_path):
         path = self._legacy_checkpoint(tmp_path, "attention")
@@ -207,7 +200,7 @@ class TestResultSerialization:
         result = TrainingResult(converged=True, env_steps=1234, updates=5,
                                 epochs_to_converge=0.4, final_accuracy=0.9,
                                 final_guess_rate=1.0, final_episode_length=3.5,
-                                final_episode_reward=0.8, wall_time_seconds=1.5,
+                                final_episode_reward=0.8,
                                 history=history, extraction=extraction)
         restored = TrainingResult.from_json(result.to_json())
         assert restored.to_dict() == result.to_dict()

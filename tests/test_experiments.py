@@ -1,13 +1,11 @@
 """Tests for the experiment drivers (smoke scale) and shared infrastructure."""
 
-import math
-
 import numpy as np
 import pytest
 
 import repro
 from repro.experiments import BENCH, PAPER, SMOKE, ExperimentScale
-from repro.experiments.common import average_over_runs, format_table, resolve_scale
+from repro.experiments.common import format_table, resolve_scale
 from repro.experiments import fig4, table4, table5, table6, table10_fig5
 from repro.experiments.table4 import table4_configs
 from repro.experiments.table5 import make_env_factory as table5_factory
@@ -50,10 +48,11 @@ class TestScales:
         assert scale.max_updates == 3
         assert scale.name == "smoke"
 
-    def test_average_over_runs(self):
-        assert average_over_runs([1.0, 3.0]) == 2.0
-        assert average_over_runs([None, 4.0]) == 4.0
-        assert math.isnan(average_over_runs([]))
+    def test_replica_mean_skips_none(self):
+        from repro.runs.spec import collapse_replicas
+
+        rows = [{"e": 1.0}, {"e": 3.0}, {"e": None}, {"e": 4.0}, None, None]
+        assert [row["e"] for row in collapse_replicas(rows, 2)] == [2.0, 4.0]
 
     def test_format_table(self):
         text = format_table([{"a": 1, "b": 0.5}], ["a", "b"], title="T")

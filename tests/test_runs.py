@@ -265,10 +265,7 @@ class TestCellContext:
                     "unpicklable": ["unpicklable"]}[damage]
         assert [reason.split(":")[0] for reason in reasons] == expected
         second = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
-        first_key, second_key = first.to_dict(), second.to_dict()
-        first_key.pop("wall_time_seconds")
-        second_key.pop("wall_time_seconds")
-        assert second_key == first_key
+        assert second.to_dict() == first.to_dict()
         result, policy = ctx.load_training("train")
         assert result.to_dict() == second.to_dict()
         assert policy is not None
@@ -292,8 +289,7 @@ class TestCellContext:
         atomic_write_text(ctx.result_path("train"), TrainingResult(
             converged=True, env_steps=1, updates=1, epochs_to_converge=None,
             final_accuracy=1.0, final_guess_rate=1.0,
-            final_episode_length=1.0, final_episode_reward=1.0,
-            wall_time_seconds=0.0).to_json())
+            final_episode_length=1.0, final_episode_reward=1.0).to_json())
         _, loaded = ctx.load_training("train")
         observations = np.random.default_rng(4).standard_normal((5, 12))
         for deterministic in (False, True):
@@ -304,6 +300,26 @@ class TestCellContext:
             assert np.array_equal(got.actions, want.actions)
             assert np.array_equal(got.log_probs, want.log_probs)
             assert np.array_equal(got.values, want.values)
+
+    def test_two_trainings_of_a_cell_write_identical_memos(self, tmp_path):
+        spec = get_experiment("table5")
+        memos = []
+        for attempt in ("first", "second"):
+            ctx = CellContext(tmp_path / attempt)
+            spec.run_cell({"policy": "lru"}, "smoke", ctx=ctx)
+            memos.append(ctx.result_path("run0").read_bytes())
+        assert memos[0] == memos[1]
+
+    def test_memo_with_wall_time_still_loads(self, tmp_path):
+        from repro.experiments.common import train_agent
+        from repro.runs.artifacts import atomic_write_json, load_json
+
+        ctx = CellContext(tmp_path)
+        first = train_agent("guessing/quickstart", SMOKE, seed=1, ctx=ctx)
+        older = dict(load_json(ctx.result_path("train")), wall_time_seconds=1.5)
+        atomic_write_json(ctx.result_path("train"), older)
+        result, _policy = ctx.load_training("train")
+        assert result.to_dict() == first.to_dict()
 
     def test_refuses_artifact_reuse_under_different_parameters(self, tmp_path):
         from repro.experiments.common import BENCH, train_agent
